@@ -14,6 +14,13 @@ lives out of band (in Python objects), so consecutive bump allocations
 are exactly address-adjacent, which is what the AdjacentDistinct policy
 needs to guarantee overflow detection into a neighbor.
 
+The heap remembers live, quarantined and freed chunks in an index
+sorted by base address.  Indexed chunks never overlap: live and
+quarantined memory is not on the free list, and placing a chunk in
+reused memory first forgets every freed chunk it overlaps.  So owner
+lookup, the double-free check and that recycling are each one bisect,
+and the index never holds more chunks than the heap has granules.
+
 Tag policies:
 
 * Random: uniform over the non-reserved tags.
@@ -33,6 +40,7 @@ previously retagged memory clears those granules back to 0.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -174,11 +182,12 @@ class ArenaAllocator:
         self.limit = base + capacity
         self._brk = base
         self._free: list[list[int]] = []  # [base, size] extents sorted by base
-        self._live: dict[int, Chunk] = {}  # user address -> chunk
-        self._chunks: list[Chunk] = []  # live + quarantined + freed-not-recycled
+        self._live: dict[int, Chunk] = {}  # user address -> chunk, in malloc order
+        # live + quarantined + freed-not-recycled chunks, pairwise disjoint
+        self._bases: list[int] = []  # sorted chunk bases
+        self._by_base: dict[int, Chunk] = {}
         self._quarantine: deque[Chunk] = deque()
         self._qbytes = 0
-        self._freed_count = 0
         self._next_id = 1
         self._stats = AllocatorStats()
 
@@ -233,7 +242,8 @@ class ArenaAllocator:
                       partial=partial, alloc_site=site)
         self._next_id += 1
         self._live[chunk.user_addr] = chunk
-        self._chunks.append(chunk)
+        insort(self._bases, base)
+        self._by_base[base] = chunk
 
         st = self._stats
         st.allocations += 1
@@ -259,12 +269,10 @@ class ArenaAllocator:
         addr, ptag = unpack(word, self.cfg)
         chunk = self._live.get(addr)
         if chunk is None:
-            prior = next((c for c in reversed(self._chunks)
-                          if c.user_addr == addr and c.state is not ChunkState.LIVE), None)
-            if prior is not None:
-                raise DoubleFreeError(self._free_report(FaultKind.DOUBLE_FREE, word, ptag, addr, prior))
-            raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr,
-                                                     self.find_owner(addr)))
+            owner = self.find_owner(addr)
+            if owner is not None and owner.user_addr == addr and owner.state is not ChunkState.LIVE:
+                raise DoubleFreeError(self._free_report(FaultKind.DOUBLE_FREE, word, ptag, addr, owner))
+            raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, owner))
         if ptag != chunk.tag:
             raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
 
@@ -306,14 +314,18 @@ class ArenaAllocator:
         return self._stats.snapshot()
 
     def find_owner(self, addr: int) -> Chunk | None:
-        """Most recent chunk whose granule span covers addr, if any."""
-        for chunk in reversed(self._chunks):
-            if chunk.base <= addr < chunk.end:
+        """The chunk whose granule span covers addr, if any."""
+        bases = self._bases
+        i = bisect_right(bases, addr) - 1
+        if i >= 0:
+            chunk = self._by_base[bases[i]]
+            if addr < chunk.end:
                 return chunk
         return None
 
     def live_chunks(self) -> list[Chunk]:
-        return [c for c in self._chunks if c.state is ChunkState.LIVE]
+        """Live chunks in malloc order."""
+        return list(self._live.values())
 
     # ------------------------------------------------------------------
     # internals
@@ -328,8 +340,7 @@ class ArenaAllocator:
                 else:
                     ext[0] += aligned
                     ext[1] -= aligned
-                if self._freed_count:
-                    self._recycle_overlaps(base, base + aligned)
+                self._recycle_overlaps(base, base + aligned)
                 return base
         if self._brk + aligned <= self.limit:
             base = self._brk
@@ -389,7 +400,6 @@ class ArenaAllocator:
 
     def _retire(self, chunk: Chunk) -> None:
         chunk.state = ChunkState.FREED
-        self._freed_count += 1
         self._free_insert(chunk.base, chunk.aligned)
 
     def _free_insert(self, base: int, size: int) -> None:
@@ -416,17 +426,19 @@ class ArenaAllocator:
 
     def _recycle_overlaps(self, lo: int, hi: int) -> None:
         # Memory handed to a new chunk: forget freed chunks that lived
-        # there so provenance never points at recycled ghosts.
-        kept = []
-        dropped = 0
-        for c in self._chunks:
-            if c.state is ChunkState.FREED and c.base < hi and lo < c.end:
-                dropped += 1
-            else:
-                kept.append(c)
-        if dropped:
-            self._chunks = kept
-            self._freed_count -= dropped
+        # there so provenance never points at recycled ghosts.  [lo, hi)
+        # came off the free list, so every indexed chunk it touches is a
+        # freed one; only the first may start below lo.
+        bases = self._bases
+        i = bisect_right(bases, lo) - 1
+        if i < 0 or self._by_base[bases[i]].end <= lo:
+            i += 1
+        j = bisect_left(bases, hi, i)
+        if i < j:
+            by_base = self._by_base
+            for b in bases[i:j]:
+                del by_base[b]
+            del bases[i:j]
 
     def _free_report(self, kind: FaultKind, word: int, ptag: int, addr: int,
                      chunk: Chunk | None) -> FaultReport:

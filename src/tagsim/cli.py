@@ -54,7 +54,8 @@ def _add_config_flags(sub: argparse.ArgumentParser, default_format: str) -> None
     sub.add_argument("--store-mode", choices=["precise", "imprecise"], default="precise")
     sub.add_argument("--quarantine", type=int, default=0, metavar="BYTES",
                      help="free-quarantine byte budget (0 disables)")
-    sub.add_argument("--sampling-rate", type=float, default=1.0)
+    sub.add_argument("--sampling-rate", type=float, default=None,
+                     help="tag probability under --policy sampled (default 1.0)")
     sub.add_argument("--format", choices=["plain", "json"], default=default_format)
 
 
@@ -64,17 +65,25 @@ def _config_from(args) -> MtConfig:
         ts=args.ts,
         zero_on_tag=args.zero_on_tag,
         precision_ext=args.precision_ext,
-        sampling_rate=args.sampling_rate,
+        sampling_rate=_sampling_rate(args),
         store_mode=StoreMode.PRECISE if args.store_mode == "precise" else StoreMode.IMPRECISE_STORES,
         quarantine_capacity=args.quarantine,
     )
+
+
+def _sampling_rate(args) -> float:
+    if args.sampling_rate is None:
+        return 1.0
+    if args.policy != "sampled":
+        raise UsageError("--sampling-rate requires --policy sampled")
+    return args.sampling_rate
 
 
 def _policy_from(args) -> TagPolicy:
     if args.policy == "adjacent-distinct":
         return TagPolicy.adjacent_distinct()
     if args.policy == "sampled":
-        return TagPolicy.sampled(args.sampling_rate)
+        return TagPolicy.sampled(_sampling_rate(args))
     return TagPolicy.random()
 
 

@@ -1,0 +1,195 @@
+"""The heap's address-sorted chunk index against a linear-scan reference.
+
+The reference keeps the heap's chunks in a plain list in malloc order,
+forgets a freed chunk once a new chunk overlaps it, and answers every
+question with a scan from the newest chunk back.  Random operation
+sequences must get the same answers from both, and must leave the
+index disjoint and bounded by the heap's size.  A trace replayed
+through the real heap must also reach the peak that analyze_trace
+computes for it."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tagsim import DoubleFreeError, InvalidFreeError, MtConfig, Simulator, TagPolicy
+from tagsim.arena import ChunkState
+from tagsim.tagspace import unpack
+from tagsim.traces import Alloc, Free, analyze_trace
+
+
+class LinearIndex:
+    """Chunk bookkeeping as a list in malloc order, searched linearly."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def add(self, chunk):
+        self.chunks = [c for c in self.chunks
+                       if not (c.state is ChunkState.FREED
+                               and c.base < chunk.end and chunk.base < c.end)]
+        self.chunks.append(chunk)
+
+    def find_owner(self, addr):
+        return next((c for c in reversed(self.chunks) if c.base <= addr < c.end), None)
+
+    def classify_free(self, addr):
+        """Fault kind and chunk for freeing a non-live address."""
+        prior = next((c for c in reversed(self.chunks)
+                      if c.user_addr == addr and c.state is not ChunkState.LIVE), None)
+        if prior is not None:
+            return "double-free", prior
+        return "invalid-free", self.find_owner(addr)
+
+    def live(self):
+        return [c for c in self.chunks if c.state is ChunkState.LIVE]
+
+
+def make_config(tg, quarantine, layout):
+    return MtConfig(tg=tg, ts=8 if tg == 16 else 4, quarantine_capacity=quarantine,
+                    precision_ext=layout == "precision_ext",
+                    right_align=layout == "right_align")
+
+
+configs = st.builds(make_config, st.sampled_from([16, 64]), st.sampled_from([0, 128, 1024]),
+                    st.sampled_from(["plain", "precision_ext", "right_align"]))
+policies = st.sampled_from([TagPolicy.random(), TagPolicy.adjacent_distinct(),
+                            TagPolicy.sampled(0.5)])
+indices = st.integers(min_value=0, max_value=1_000)
+ops = st.lists(st.one_of(
+    st.tuples(st.just("malloc"), st.integers(min_value=0, max_value=200)),
+    st.tuples(st.just("free"), indices),
+    st.tuples(st.just("stale-free"), indices),
+    st.tuples(st.just("wrong-tag-free"), indices),
+    st.tuples(st.just("interior-free"), indices, st.integers(min_value=-64, max_value=300)),
+    st.tuples(st.just("flush")),
+), max_size=60)
+
+
+def free_fault(sim, word):
+    """Free ``word``, which must fault; returns (kind, chunk_id, chunk_state)."""
+    with pytest.raises((DoubleFreeError, InvalidFreeError)) as exc:
+        sim.free(word)
+    report = exc.value.report
+    return report.kind.value, report.chunk_id, report.chunk_state
+
+
+def expected_fault(kind, chunk):
+    return (kind, chunk.id if chunk else None, chunk.state.value if chunk else None)
+
+
+def run_ops(sim, ops, step_check):
+    """Apply ``ops`` to ``sim``, calling ``step_check(sim, ref)`` after each."""
+    heap, cfg = sim.heap, sim.cfg
+    ref = LinearIndex()
+    live, freed = [], []
+    for op in ops:
+        name = op[0]
+        if name == "malloc":
+            word = sim.malloc(op[1])
+            ref.add(heap._live[unpack(word, cfg)[0]])
+            live.append(word)
+        elif name == "free" and live:
+            word = live.pop(op[1] % len(live))
+            sim.free(word)
+            freed.append(word)
+        elif name == "stale-free" and freed:
+            word = freed[op[1] % len(freed)]
+            addr = unpack(word, cfg)[0]
+            if addr not in heap._live:
+                assert free_fault(sim, word) == expected_fault(*ref.classify_free(addr))
+        elif name == "wrong-tag-free" and live:
+            word = live[op[1] % len(live)]
+            chunk = heap._live[unpack(word, cfg)[0]]
+            assert free_fault(sim, word ^ (1 << cfg.tag_shift)) == \
+                expected_fault("invalid-free", chunk)
+        elif name == "interior-free" and ref.chunks:
+            addr = ref.chunks[op[1] % len(ref.chunks)].base + op[2]
+            if addr not in heap._live:
+                assert free_fault(sim, addr) == expected_fault(*ref.classify_free(addr))
+        elif name == "flush":
+            heap.quarantine_flush()
+        step_check(sim, ref)
+
+
+def probe_addresses(sim, ref, extra):
+    tg = sim.cfg.tg
+    addrs = {sim.heap.base - 1, sim.heap._brk - 1, sim.heap._brk, sim.heap._brk + tg}
+    addrs.update(sim.heap.base + off for off in extra)
+    for c in ref.chunks:
+        addrs.update((c.base - 1, c.base, c.user_addr, c.end - 1, c.end))
+    return sorted(addrs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32),
+       ops=ops, extra=st.lists(st.integers(min_value=0, max_value=8192), max_size=8))
+def test_index_agrees_with_linear_reference(cfg, policy, seed, ops, extra):
+    def agree(sim, ref):
+        for addr in probe_addresses(sim, ref, extra):
+            assert sim.heap.find_owner(addr) is ref.find_owner(addr), hex(addr)
+        assert sim.heap.live_chunks() == ref.live()
+
+    run_ops(Simulator(cfg, seed=seed, policy=policy), ops, agree)
+
+
+def assert_index_bounded(sim):
+    heap = sim.heap
+    chunks = [heap._by_base[b] for b in heap._bases]
+    assert sorted(heap._by_base) == heap._bases
+    assert all(c.base == b for b, c in zip(heap._bases, chunks))
+    for left, right in zip(chunks, chunks[1:]):
+        assert left.end <= right.base
+    assert len(heap._bases) <= (heap._brk - heap.base) // sim.cfg.tg
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32), ops=ops)
+def test_index_stays_disjoint_and_bounded(cfg, policy, seed, ops):
+    run_ops(Simulator(cfg, seed=seed, policy=policy), ops,
+            lambda sim, ref: assert_index_bounded(sim))
+
+
+@pytest.mark.parametrize("quarantine", [0, 4096])
+def test_long_churn_keeps_index_bounded(quarantine):
+    sim = Simulator(make_config(16, quarantine, "precision_ext"), seed=5)
+    rnd = random.Random(quarantine)
+    live = []
+    for step in range(20_000):
+        if live and (len(live) > 300 or rnd.random() < 0.5):
+            sim.free(live.pop(rnd.randrange(len(live))))
+        else:
+            live.append(sim.malloc(rnd.choice((0, 8, 24, 100, 700, 3000))))
+        if step % 1000 == 0:
+            assert_index_bounded(sim)
+    assert_index_bounded(sim)
+    assert sim.heap.stats().allocations > 9_000
+
+
+traces = st.lists(st.one_of(
+    st.tuples(st.just("a"), st.one_of(st.just(0), st.integers(min_value=0, max_value=300))),
+    st.tuples(st.just("f"), indices),
+), max_size=80)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32),
+       steps=traces)
+def test_heap_peak_equals_trace_analyzer_peak(cfg, policy, seed, steps):
+    events, live_ids = [], []
+    for kind, arg in steps:
+        if kind == "a":
+            events.append(Alloc(len(events), arg))
+            live_ids.append(len(events) - 1)
+        elif live_ids:
+            events.append(Free(live_ids.pop(arg % len(live_ids))))
+    sim = Simulator(cfg, seed=seed, policy=policy)
+    words = {}
+    for event in events:
+        if isinstance(event, Alloc):
+            words[event.id] = sim.malloc(event.size)
+        else:
+            sim.free(words.pop(event.id))
+    peak = analyze_trace(events, [cfg.tg], ts=cfg.ts).rows[0].peak_bytes
+    assert sim.heap.stats().peak_aligned_bytes == peak

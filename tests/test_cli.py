@@ -71,6 +71,26 @@ def test_probe_rejects_zero_trials(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("probe", "--sampling-rate", "0.25", "--trials", "10"),
+    ("probe", "--policy", "adjacent-distinct", "--sampling-rate", "1.0", "--trials", "10"),
+    ("simulate", "heap-use-after-free", "--sampling-rate", "0.5"),
+])
+def test_sampling_rate_without_sampled_policy_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "tagsim: error: --sampling-rate requires --policy sampled\n"
+
+
+@pytest.mark.parametrize("flags, rate", [((), 1.0), (("--sampling-rate", "0.25"), 0.25)])
+def test_sampled_policy_echoes_rate_used(capsys, flags, rate):
+    code, out, _ = run_cli(capsys, "simulate", "heap-use-after-free", "--policy", "sampled",
+                           *flags, "--format", "json")
+    assert code in (0, 1)
+    assert json.loads(out)["config"]["sampling_rate"] == rate
+
+
 # ----------------------------------------------------------------------
 # simulate
 
