@@ -47,7 +47,6 @@ from .tagspace import (
     offset_ptr,
     pack,
     tag_storage_bits,
-    tags_match,
     unpack,
 )
 from .traces import (
@@ -116,7 +115,6 @@ __all__ = [
     "read_partial_meta",
     "run_scenario",
     "tag_storage_bits",
-    "tags_match",
     "theoretical_detection",
     "unpack",
 ]

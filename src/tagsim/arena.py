@@ -46,13 +46,12 @@ from dataclasses import dataclass
 
 from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageError
 from .faults import AccessKind, FaultKind, FaultReport
+from .memory import SENTINEL
 from .precision import mark_partial, read_partial_meta
 from .tagspace import MtConfig, pack, unpack
 
 DEFAULT_HEAP_BASE = 0x1000_0000
 DEFAULT_HEAP_CAPACITY = 1 << 30
-
-_SENTINEL = 0xAA  # fill for uninitialized bytes when zero_on_tag is off
 
 
 class PolicyKind(enum.Enum):
@@ -212,7 +211,7 @@ class ArenaAllocator:
         if cfg.zero_on_tag and tag:
             self.memory.fill(base, aligned, 0x00)
         else:
-            self.memory.fill(base, aligned, _SENTINEL)
+            self.memory.fill(base, aligned, SENTINEL)
 
         partial = False
         remainder = eff & (tg - 1)
@@ -231,7 +230,7 @@ class ArenaAllocator:
             else:
                 self.shadow.set_range(base, aligned, tag)
         else:
-            self._clear_shadow(base, aligned)
+            self.shadow.set_range(base, aligned, 0)  # clears retags left by earlier chunks
 
         user_off = 0
         if cfg.right_align and remainder:
@@ -354,8 +353,8 @@ class ArenaAllocator:
         if policy.kind is PolicyKind.RANDOM:
             return rng.choice(usable)
         if policy.kind is PolicyKind.ADJACENT_DISTINCT:
-            left = self._effective_tag(base - 1) if base > self.base else 0
-            right = self._effective_tag(base + aligned)
+            left = self.effective_tag(base - 1) if base > self.base else 0
+            right = self.effective_tag(base + aligned)
             while True:
                 tag = rng.choice(usable)
                 if tag != left and tag != right:
@@ -366,7 +365,7 @@ class ArenaAllocator:
             return 0
         raise UsageError(f"unknown tag policy {policy.kind!r}")
 
-    def _effective_tag(self, addr: int) -> int:
+    def effective_tag(self, addr: int) -> int:
         """Shadow tag at addr, resolving a PARTIAL marker to the real tag."""
         tag = self.shadow.get(addr)
         if tag and tag == self.cfg.partial_tag:
@@ -381,17 +380,6 @@ class ArenaAllocator:
             tag = rng.choice(usable)
             if tag != avoid:
                 return tag
-
-    def _clear_shadow(self, base: int, aligned: int) -> None:
-        # Untagged allocation over previously tagged memory: reset the
-        # granules so a tag-0 pointer can use them.  Fresh memory needs
-        # no writes at all.
-        tags = self.shadow.tags
-        shift = self.cfg.tg_shift
-        for g in range(base >> shift, (base + aligned) >> shift):
-            if g in tags:
-                del tags[g]
-                self.shadow.writes += 1
 
     def _evict_oldest(self) -> None:
         chunk = self._quarantine.popleft()

@@ -41,9 +41,14 @@ def _parse_kind(name: str) -> ScenarioKind:
         raise UsageError(f"unknown scenario {name!r}") from None
 
 
-def _add_config_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
-    sub.add_argument("--tg", type=int, default=16, help="granule size in bytes")
+def _add_ts_and_format(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--ts", type=int, default=8, help="tag width in bits")
+    sub.add_argument("--format", choices=["plain", "json"], default=default_format)
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
+    _add_ts_and_format(sub, default_format)
+    sub.add_argument("--tg", type=int, default=16, help="granule size in bytes")
     sub.add_argument("--policy", choices=["random", "adjacent-distinct", "sampled"],
                      default="random", help="tag assignment policy")
     sub.add_argument("--seed", type=int, default=0)
@@ -56,7 +61,6 @@ def _add_config_flags(sub: argparse.ArgumentParser, default_format: str) -> None
                      help="free-quarantine byte budget (0 disables)")
     sub.add_argument("--sampling-rate", type=float, default=None,
                      help="tag probability under --policy sampled (default 1.0)")
-    sub.add_argument("--format", choices=["plain", "json"], default=default_format)
 
 
 def _config_from(args) -> MtConfig:
@@ -65,25 +69,18 @@ def _config_from(args) -> MtConfig:
         ts=args.ts,
         zero_on_tag=args.zero_on_tag,
         precision_ext=args.precision_ext,
-        sampling_rate=_sampling_rate(args),
         store_mode=StoreMode.PRECISE if args.store_mode == "precise" else StoreMode.IMPRECISE_STORES,
         quarantine_capacity=args.quarantine,
     )
 
 
-def _sampling_rate(args) -> float:
-    if args.sampling_rate is None:
-        return 1.0
-    if args.policy != "sampled":
-        raise UsageError("--sampling-rate requires --policy sampled")
-    return args.sampling_rate
-
-
 def _policy_from(args) -> TagPolicy:
+    if args.policy == "sampled":
+        return TagPolicy.sampled(1.0 if args.sampling_rate is None else args.sampling_rate)
+    if args.sampling_rate is not None:
+        raise UsageError("--sampling-rate requires --policy sampled")
     if args.policy == "adjacent-distinct":
         return TagPolicy.adjacent_distinct()
-    if args.policy == "sampled":
-        return TagPolicy.sampled(_sampling_rate(args))
     return TagPolicy.random()
 
 
@@ -109,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     overhead.add_argument("trace", help="allocation trace file")
     overhead.add_argument("--alignments", default="8,16,32,64",
                           help="comma-separated alignment list")
-    _add_config_flags(overhead, default_format="json")
+    _add_ts_and_format(overhead, default_format="json")
 
     return parser
 
@@ -119,8 +116,8 @@ def _emit_json(payload) -> None:
 
 
 def _cmd_probe(args) -> int:
-    cfg = _config_from(args)
     policy = _policy_from(args)
+    cfg = _config_from(args)
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     kinds = [_parse_kind(k) for k in args.kind] if args.kind else list(_PROBE_DEFAULT_KINDS)
@@ -135,8 +132,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _config_from(args)
     policy = _policy_from(args)
+    cfg = _config_from(args)
     kind = _parse_kind(args.scenario)
     scenario = Scenario(kind=kind, size=args.size, offset=args.offset,
                         reuse_depth=args.reuse_depth, seed=args.seed, policy=policy)
@@ -146,7 +143,7 @@ def _cmd_simulate(args) -> int:
             "kind": kind.value,
             "detected": result.detected,
             "report": result.report.to_json_dict() if result.report else None,
-            "config": cfg.to_dict(),
+            "config": {**cfg.to_dict(), "sampling_rate": policy.rate},
             "seed": args.seed,
         }
         if result.observed is not None:

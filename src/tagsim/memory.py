@@ -8,6 +8,8 @@ never-touched memory return zero bytes.
 
 from __future__ import annotations
 
+SENTINEL = 0xAA  # fill for uninitialized heap and stack bytes when zero_on_tag is off
+
 _PAGE_SHIFT = 12
 _PAGE_SIZE = 1 << _PAGE_SHIFT
 _PAGE_MASK = _PAGE_SIZE - 1

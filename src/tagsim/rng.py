@@ -16,6 +16,14 @@ _GAMMA = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / (1 << 53)
 
 
+def mix64(x: int) -> int:
+    """The word a SplitMix64 whose state is x draws next; a cheap hash of x."""
+    z = (x + _GAMMA) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     __slots__ = ("_state",)
 
@@ -23,11 +31,9 @@ class SplitMix64:
         self._state = seed & _M64
 
     def next_word(self) -> int:
-        self._state = (self._state + _GAMMA) & _M64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
+        state = self._state
+        self._state = (state + _GAMMA) & _M64
+        return mix64(state)
 
     def random(self) -> float:
         """Uniform float in [0, 1), 53 bits of precision."""

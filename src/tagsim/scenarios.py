@@ -44,10 +44,15 @@ from dataclasses import dataclass
 from .arena import TagPolicy
 from .errors import FaultError, ScenarioError, TagMismatchError, UsageError
 from .faults import FaultReport
+from .memory import SENTINEL
 from .sim import Simulator
 from .tagspace import MtConfig, offset_ptr, pack, unpack
 
-_SENTINEL = 0xAA
+# Geometry a runner draws when its Scenario leaves size and offset
+# unset.  theoretical_detection enumerates exactly these ranges.
+LINEAR_MAX_GRANULES = 4  # each linear neighbour's size is uniform in [1, 4 * tg]
+INTRA_FULL_GRANULES = 2  # intra-granule: 0 or 1 full granules, then 1..tg-2 bytes
+STACK_LOCAL_SIZE = 10  # bytes in each use-after-return / use-after-scope local
 
 
 class ScenarioKind(enum.Enum):
@@ -159,8 +164,8 @@ def _heap_use_after_free(sim: Simulator, s: Scenario) -> ScenarioResult:
 def _linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     # two address-adjacent chunks; overflow off the end of the first
     tg = sim.cfg.tg
-    size_a = s.size if s.size is not None else sim.rng.randint(1, 4 * tg)
-    size_b = sim.rng.randint(1, 4 * tg)
+    size_a = s.size if s.size is not None else sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
+    size_b = sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
     try:
         ptr_a = sim.malloc(size_a, policy=s.policy)
         sim.malloc(size_b, policy=s.policy)
@@ -179,8 +184,8 @@ def _linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
 def _linear_underflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     # two address-adjacent chunks; underflow off the front of the second
     tg = sim.cfg.tg
-    size_a = sim.rng.randint(1, 4 * tg)
-    size_b = s.size if s.size is not None else sim.rng.randint(1, 4 * tg)
+    size_a = sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
+    size_b = s.size if s.size is not None else sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
     try:
         sim.malloc(size_a, policy=s.policy)
         ptr_b = sim.malloc(size_b, policy=s.policy)
@@ -223,7 +228,7 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     if s.size is not None:
         size = s.size
     else:
-        size = sim.rng.randrange(2) * tg + sim.rng.randint(1, tg - 2)
+        size = sim.rng.randrange(INTRA_FULL_GRANULES) * tg + sim.rng.randint(1, tg - 2)
     tail = size & (tg - 1)
     if tail == 0:
         raise UsageError("intra-granule scenario needs a size that is not a granule multiple")
@@ -241,7 +246,7 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
 
 
 def _use_after_return(sim: Simulator, s: Scenario) -> ScenarioResult:
-    size = s.size if s.size is not None else 10
+    size = s.size if s.size is not None else STACK_LOCAL_SIZE
     frame = sim.stack.enter_frame([size])
     stale = frame.local_ptr(0)
     sim.stack.exit_frame(frame)
@@ -250,7 +255,7 @@ def _use_after_return(sim: Simulator, s: Scenario) -> ScenarioResult:
 
 
 def _use_after_scope(sim: Simulator, s: Scenario) -> ScenarioResult:
-    size = s.size if s.size is not None else 10
+    size = s.size if s.size is not None else STACK_LOCAL_SIZE
     frame = sim.stack.enter_frame([size, size])
     stale = frame.local_ptr(0)
     sim.stack.end_scope(frame, 0)
@@ -281,7 +286,7 @@ def _uninitialized_read(sim: Simulator, s: Scenario) -> ScenarioResult:
     except FaultError as err:
         raise _setup_guard(err) from err
     observed = b"".join(chunks)
-    if any(b not in (0, _SENTINEL) for b in observed):
+    if any(b not in (0, SENTINEL) for b in observed):
         raise ScenarioError("uninitialized read saw bytes that are neither zero nor sentinel")
     detected = observed == bytes(len(observed))
     return ScenarioResult(detected=detected, report=None, observed=observed)

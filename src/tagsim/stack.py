@@ -20,22 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AllocationError, UsageError
+from .memory import SENTINEL
+from .rng import mix64
 from .tagspace import MtConfig, pack
 
 DEFAULT_STACK_BASE = 0x7000_0000_0000
 DEFAULT_STACK_CAPACITY = 1 << 23
-
-_M64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer: cheap, well distributed, pure
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
 
 
 @dataclass(slots=True)
@@ -106,7 +96,7 @@ class StackTagger:
         usable = cfg.usable_tags
         seq = self._seq
         self._seq += 1
-        base_index = _mix64(fbase ^ _mix64(seq ^ self.seed)) % len(usable)
+        base_index = mix64(fbase ^ mix64(seq ^ self.seed)) % len(usable)
         base_tag = usable[base_index]
 
         slots = []
@@ -118,7 +108,7 @@ class StackTagger:
             if cfg.zero_on_tag:
                 self.memory.fill(slot_base, aligned, 0x00)
             else:
-                self.memory.fill(slot_base, aligned, 0xAA)
+                self.memory.fill(slot_base, aligned, SENTINEL)
             slots.append(LocalSlot(index=i, offset=offset, declared=declared,
                                    aligned=aligned, tag=tag,
                                    ptr=pack(slot_base, tag, cfg)))

@@ -61,8 +61,6 @@ class MtConfig:
     right_align: place the usable bytes of a granule-misaligned chunk
         at the end of its last granule, so linear overflow past the
         requested size crosses a granule boundary immediately.
-    sampling_rate: fraction of allocations that receive a tag under a
-        Sampled tag policy.
     store_mode: trap behaviour for mismatched stores.
     quarantine_capacity: byte budget of the free-quarantine (0 disables).
     """
@@ -72,7 +70,6 @@ class MtConfig:
     zero_on_tag: bool = False
     precision_ext: bool = False
     right_align: bool = False
-    sampling_rate: float = 1.0
     store_mode: StoreMode = StoreMode.PRECISE
     quarantine_capacity: int = 0
 
@@ -81,28 +78,12 @@ class MtConfig:
             raise UsageError(f"tg must be one of {_VALID_TG}, got {self.tg!r}")
         if self.ts not in _VALID_TS:
             raise UsageError(f"ts must be one of {_VALID_TS}, got {self.ts!r}")
-        if not 0.0 <= self.sampling_rate <= 1.0:
-            raise UsageError(f"sampling_rate must be in [0, 1], got {self.sampling_rate!r}")
         if self.quarantine_capacity < 0:
             raise UsageError("quarantine_capacity must be >= 0")
         if not isinstance(self.store_mode, StoreMode):
             raise UsageError(f"store_mode must be a StoreMode, got {self.store_mode!r}")
         if self.precision_ext and self.right_align:
             raise UsageError("precision_ext and right_align are mutually exclusive")
-
-    @classmethod
-    def adi(cls, **overrides) -> "MtConfig":
-        """SPARC-ADI-like profile: 64-byte granules, 4-bit tags."""
-        overrides.setdefault("tg", 64)
-        overrides.setdefault("ts", 4)
-        return cls(**overrides)
-
-    @classmethod
-    def hwasan(cls, **overrides) -> "MtConfig":
-        """HWASAN-like profile: 16-byte granules, 8-bit tags."""
-        overrides.setdefault("tg", 16)
-        overrides.setdefault("ts", 8)
-        return cls(**overrides)
 
     # Derived values are cached; the dataclass is frozen so they can
     # never go stale.
@@ -141,7 +122,6 @@ class MtConfig:
             "zero_on_tag": self.zero_on_tag,
             "precision_ext": self.precision_ext,
             "right_align": self.right_align,
-            "sampling_rate": self.sampling_rate,
             "store_mode": self.store_mode.value,
             "quarantine_capacity": self.quarantine_capacity,
         }
@@ -173,16 +153,6 @@ def offset_ptr(word: int, delta: int, cfg: MtConfig) -> int:
 
 def granule_index(addr: int, cfg: MtConfig) -> int:
     return addr >> cfg.tg_shift
-
-
-def tags_match(ptr_tag: int, mem_tag: int, cfg: MtConfig) -> bool:
-    """Plain-granule match rule: memory tag 0 matches any pointer, any
-    other memory tag must equal the pointer tag exactly.  An untagged
-    pointer (tag 0) against nonzero-tagged memory is a mismatch.
-    PARTIAL granules are not resolved here; see precision.py."""
-    if not 0 <= ptr_tag < cfg.n_tags or not 0 <= mem_tag < cfg.n_tags:
-        raise UsageError("tag out of range for this config")
-    return mem_tag == 0 or ptr_tag == mem_tag
 
 
 def tag_storage_bits(region_bytes: int, cfg: MtConfig) -> int:

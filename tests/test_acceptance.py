@@ -27,7 +27,7 @@ from tagsim import (
 )
 from tagsim.cli import main as cli_main
 from tagsim.precision import partial_access_ok
-from tagsim.tagspace import ShadowStore, offset_ptr, pack, tags_match, unpack
+from tagsim.tagspace import ShadowStore, offset_ptr, pack, unpack
 from tagsim.traces import Alloc, analyze_trace, load_trace
 
 from test_cli import BUNDLED_TRACE
@@ -286,7 +286,7 @@ def test_criterion_9c_access_engine_oracle_equivalence():
                     if not partial_access_ok(sim.memory, cfg, g << 4,
                                              start - (g << 4), end - start, ptag):
                         return False
-                elif not tags_match(ptag, mtag, cfg):
+                elif mtag != ptag:
                     return False
             return True
 

@@ -100,7 +100,7 @@ def test_zero_on_tag_zeroes_tagged_memory():
 def test_zero_on_tag_leaves_untagged_sentinel():
     # sampled-out allocations carry no tag, so the zeroing that rides on
     # the tagging step never happens for them
-    cfg = MtConfig(tg=16, ts=8, zero_on_tag=True, sampling_rate=0.0)
+    cfg = MtConfig(tg=16, ts=8, zero_on_tag=True)
     sim = Simulator(cfg, seed=5)
     p = sim.malloc(16, policy=TagPolicy.sampled(0.0))
     assert sim.load(p, 8) == b"\xaa" * 8
@@ -347,9 +347,11 @@ def test_untagged_reuse_clears_stale_tags():
     addr = unpack(p, sim.cfg)[0]
     sim.free(p)  # retags the granule
     assert sim.shadow.get(addr) != 0
+    writes = sim.shadow.writes
     q = sim.malloc(16, policy=TagPolicy.sampled(0.0))
     assert unpack(q, sim.cfg) == (addr, 0)
     assert sim.shadow.get(addr) == 0
+    assert sim.shadow.writes == writes + 1  # one write per granule cleared
     sim.store(q, b"\x22")  # reachable through the untagged pointer
 
 

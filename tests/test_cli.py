@@ -183,6 +183,19 @@ def test_overhead_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--tg", "16"), ("--seed", "1"), ("--policy", "random"), ("--precision-ext",),
+    ("--zero-on-tag",), ("--store-mode", "precise"), ("--quarantine", "0"),
+    ("--sampling-rate", "0.5"),
+])
+def test_overhead_rejects_flags_it_does_not_read(capsys, trace_file, flags):
+    code, out, err = run_cli(capsys, "overhead", trace_file, "--ts", "4", "--format", "plain",
+                             *flags)
+    assert code == 2
+    assert out == ""
+    assert f"tagsim: error: unrecognized arguments: {' '.join(flags)}" in err
+
+
 def test_overhead_names_bad_trace_line(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("a 1 8\nf 2\n")

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from tagsim import (
     MtConfig,
+    PolicyKind,
     Scenario,
     ScenarioKind,
     Simulator,
+    StoreMode,
     TagPolicy,
     TraceError,
     UsageError,
@@ -19,10 +21,18 @@ from tagsim import (
     theoretical_detection,
 )
 from tagsim.faults import AccessKind
+from tagsim.rng import SplitMix64
+from tagsim.scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, STACK_LOCAL_SIZE,
+                              scenario_runner)
+from tagsim.tagspace import pack, unpack
 from tagsim.traces import Alloc, Free, analyze_trace, parse_trace
 
 CFG64 = MtConfig(tg=64, ts=4)
 CFG16 = MtConfig(tg=16, ts=8)
+# the benchmark's config B: every precision and trap-mode option on
+CFG_B = MtConfig(tg=16, ts=8, precision_ext=True, zero_on_tag=True,
+                 store_mode=StoreMode.IMPRECISE_STORES, quarantine_capacity=4096)
+CFG64_PREC = MtConfig(tg=64, ts=4, precision_ext=True)
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +203,15 @@ def test_theoretical_linear_random_allows_collisions():
     assert rate == Fraction(14, 15)
 
 
+def test_theoretical_linear_honours_partial_granules():
+    """A chunk's PARTIAL last granule lets a same-tag access through up
+    to its valid bytes and refuses the rest."""
+    assert theoretical_detection(ScenarioKind.LINEAR_UNDERFLOW, CFG_B) == Fraction(64887, 65024)
+    assert theoretical_detection(ScenarioKind.LINEAR_OVERFLOW, CFG_B) == Fraction(259191, 260096)
+    assert theoretical_detection(ScenarioKind.LINEAR_UNDERFLOW, CFG64_PREC) == Fraction(55263, 57344)
+    assert theoretical_detection(ScenarioKind.LINEAR_OVERFLOW, CFG64_PREC) == Fraction(215007, 229376)
+
+
 def test_theoretical_rate_none_under_sampling():
     assert theoretical_detection(ScenarioKind.HEAP_USE_AFTER_FREE, CFG64,
                                  policy=TagPolicy.sampled(0.5), reuse_forced=True) is None
@@ -205,6 +224,145 @@ def test_theoretical_mode_switches():
     zeroing = MtConfig(tg=16, ts=8, zero_on_tag=True)
     assert theoretical_detection(ScenarioKind.UNINITIALIZED_READ, zeroing) == 1
     assert theoretical_detection(ScenarioKind.UNINITIALIZED_READ, CFG16) == 0
+
+
+# ----------------------------------------------------------------------
+# theory against the full product through the engine
+
+
+class _ScriptedTags(SplitMix64):
+    """The simulator's RNG, except that each tag choice (malloc, the
+    retag on free, frame and scope exit) comes from a script, so a bug
+    site can be built with any memory tag its policy allows."""
+
+    def __init__(self, tags):
+        super().__init__(0)
+        self.tags = list(tags)
+
+    def choice(self, seq):
+        tag = self.tags.pop(0)
+        assert tag in seq, (tag, seq)
+        return tag
+
+
+def _scripted(cfg, policy, tags, seed=0):
+    sim = Simulator(cfg, seed=seed, policy=policy)
+    sim.rng = sim.heap.rng = _ScriptedTags(tags)
+    return sim
+
+
+def _full_product_blocks(kind, cfg, policy):
+    """Equally likely (sim, addresses, pointer tags) blocks, each probed
+    at every address with every pointer tag, all equally likely: every
+    geometry the runner draws for the probed chunk crossed with every
+    memory tag, and every pointer tag the scenario pairs with it.  The
+    other linear neighbour is one byte long."""
+    tg = cfg.tg
+    usable = cfg.usable_tags
+    if kind is ScenarioKind.HEAP_USE_AFTER_FREE and cfg.quarantine_capacity == 0:
+        for mem in usable:  # the reused chunk's tag; the dangling tag is anything
+            sim = _scripted(cfg, policy, [usable[0], usable[1], mem])
+            ptr = sim.malloc(tg)
+            sim.free(ptr)
+            sim.malloc(tg)
+            yield sim, [unpack(ptr, cfg)[0]], range(cfg.n_tags)
+    elif kind is ScenarioKind.HEAP_USE_AFTER_FREE:
+        for live in usable:
+            for retag in usable:
+                if retag != live:
+                    sim = _scripted(cfg, policy, [live, retag])
+                    ptr = sim.malloc(tg)
+                    sim.free(ptr)
+                    yield sim, [unpack(ptr, cfg)[0]], [live]
+    elif kind is ScenarioKind.NON_LINEAR_OVERFLOW:
+        for mem in usable:
+            sim = _scripted(cfg, policy, [mem])
+            victim = unpack(sim.malloc(tg), cfg)[0]
+            yield sim, range(victim, victim + tg), range(cfg.n_tags)
+    elif kind in (ScenarioKind.LINEAR_OVERFLOW, ScenarioKind.LINEAR_UNDERFLOW):
+        overflow = kind is ScenarioKind.LINEAR_OVERFLOW
+        for size in range(1, LINEAR_MAX_GRANULES * tg + 1):
+            for mem in usable:
+                other = usable[usable.index(mem) - 1]
+                sim = _scripted(cfg, policy, [other, mem] if overflow else [mem, other])
+                size_a, size_b = (1, size) if overflow else (size, 1)
+                ptr_a, ptr_b = sim.malloc(size_a), sim.malloc(size_b)
+                if overflow:  # the runner's chunk end, then the neighbour's first granule
+                    first = (unpack(ptr_a, cfg)[0] + size_a + tg - 1) & -tg
+                else:  # the granule below the second chunk's base
+                    first = (unpack(ptr_b, cfg)[0] & -tg) - tg
+                ptags = usable
+                if policy.kind is PolicyKind.ADJACENT_DISTINCT:
+                    ptags = [t for t in usable if t != mem]
+                yield sim, range(first, first + tg), ptags
+    elif kind is ScenarioKind.INTRA_GRANULE_OVERFLOW:
+        for full in range(INTRA_FULL_GRANULES):
+            for tail in range(1, tg - 1):
+                size = full * tg + tail
+                for mem in usable:
+                    sim = _scripted(cfg, policy, [mem])
+                    addr = unpack(sim.malloc(size), cfg)[0]
+                    yield sim, range(addr + size, addr + ((size + tg - 1) & -tg)), [mem]
+    else:
+        scope = kind is ScenarioKind.USE_AFTER_SCOPE
+        local_sizes = [STACK_LOCAL_SIZE] * (2 if scope else 1)
+        seed_for_tag = {}  # slot tags derive from the seed, not from the RNG
+        for seed in range(200):
+            frame = Simulator(cfg, seed=seed).stack.enter_frame(local_sizes)
+            seed_for_tag.setdefault(frame.slots[0].tag, seed)
+        assert sorted(seed_for_tag) == list(usable)
+        for tag, seed in seed_for_tag.items():
+            for retag in usable:
+                if retag != tag:  # frame and scope exit exclude the slot's tag
+                    sim = _scripted(cfg, policy, [retag], seed=seed)
+                    frame = sim.stack.enter_frame(local_sizes)
+                    if scope:
+                        sim.stack.end_scope(frame, 0)
+                    else:
+                        sim.stack.exit_frame(frame)
+                    yield sim, [unpack(frame.local_ptr(0), cfg)[0]], [tag]
+
+
+def _full_product(kind, cfg, policy):
+    if kind is ScenarioKind.UNINITIALIZED_READ:  # no tag check: the runner decides
+        runner = scenario_runner(kind)
+        verdicts = [runner(_scripted(cfg, policy, [mem]), Scenario(kind, policy=policy)).detected
+                    for mem in cfg.usable_tags]
+        return Fraction(sum(verdicts), len(verdicts))
+    total, blocks = Fraction(0), 0
+    for sim, addrs, ptags in _full_product_blocks(kind, cfg, policy):
+        # the engine's per-granule check under load, store and
+        # check_user_range, without building a fault report per refusal
+        first_mismatch = sim.engine._first_mismatch
+        caught = sum(first_mismatch(addr, 1, ptag) is not None
+                     for addr in addrs for ptag in ptags)
+        total += Fraction(caught, len(addrs) * len(ptags))
+        blocks += 1
+    return total / blocks
+
+
+# every (mode, policy) pair once; each mode and each policy meets both
+# quarantine settings, so heap-use-after-free takes both of its paths
+_CROSS_CHECK = (
+    ({}, TagPolicy.random(), 0),
+    ({}, TagPolicy.adjacent_distinct(), 4096),
+    ({"precision_ext": True}, TagPolicy.random(), 4096),
+    ({"precision_ext": True}, TagPolicy.adjacent_distinct(), 0),
+    ({"right_align": True}, TagPolicy.random(), 0),
+    ({"right_align": True}, TagPolicy.adjacent_distinct(), 4096),
+)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_theory_equals_full_product_through_engine(kind):
+    """theoretical_detection groups probe tags into relation classes and
+    shares verdicts between equal granule states; the reference here
+    enumerates every (pointer tag, memory tag) pair and every geometry
+    at ts=4, tg=16 with no grouping."""
+    for mode, policy, quarantine in _CROSS_CHECK:
+        cfg = MtConfig(tg=16, ts=4, quarantine_capacity=quarantine, **mode)
+        expected = _full_product(kind, cfg, policy)
+        assert theoretical_detection(kind, cfg, policy=policy) == expected, (mode, policy)
 
 
 # ----------------------------------------------------------------------
@@ -243,11 +401,14 @@ def test_estimate_forces_reuse_only_without_quarantine():
 
 def test_estimate_within_four_sigma():
     trials = 4000
-    for kind in (ScenarioKind.HEAP_USE_AFTER_FREE, ScenarioKind.NON_LINEAR_OVERFLOW):
-        report = estimate_detection(kind, CFG64, trials=trials, seed=11)
+    for kind, cfg in ((ScenarioKind.HEAP_USE_AFTER_FREE, CFG64),
+                      (ScenarioKind.NON_LINEAR_OVERFLOW, CFG64),
+                      (ScenarioKind.LINEAR_UNDERFLOW, CFG64_PREC),
+                      (ScenarioKind.LINEAR_OVERFLOW, CFG64_PREC)):
+        report = estimate_detection(kind, cfg, trials=trials, seed=11)
         p = float(report.theoretical)
         sigma = (p * (1 - p) / trials) ** 0.5
-        assert abs(report.rate - p) < 4 * sigma
+        assert abs(report.rate - p) < 4 * sigma, (kind, report.rate, p)
 
 
 def test_estimate_report_shape():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagsim import MtConfig, ShadowStore, StoreMode, UsageError
+from tagsim import MtConfig, ShadowStore, Simulator, StoreMode, TagPolicy, UsageError
 from tagsim.tagspace import (
     ADDR_BITS,
     ADDR_SPACE,
@@ -11,7 +11,6 @@ from tagsim.tagspace import (
     offset_ptr,
     pack,
     tag_storage_bits,
-    tags_match,
     unpack,
 )
 
@@ -29,7 +28,6 @@ def test_config_defaults():
     assert cfg.ts == 8
     assert cfg.n_tags == 256
     assert cfg.tag_shift == 56
-    assert cfg.sampling_rate == 1.0
     assert cfg.store_mode is StoreMode.PRECISE
 
 
@@ -47,8 +45,9 @@ def test_config_rejects_bad_tag_width(ts):
 
 @pytest.mark.parametrize("rate", [-0.1, 1.0001, 2.0])
 def test_config_rejects_bad_sampling_rate(rate):
+    # the sampling rate is configured on the tag policy
     with pytest.raises(UsageError):
-        MtConfig(sampling_rate=rate)
+        TagPolicy.sampled(rate)
 
 
 def test_config_rejects_negative_quarantine():
@@ -73,13 +72,6 @@ def test_reserved_and_usable_tags():
     assert prec.partial_tag == 15
     assert prec.reserved_tags == frozenset({0, 15})
     assert prec.usable_tags == tuple(range(1, 15))
-
-
-def test_named_presets():
-    adi = MtConfig.adi()
-    assert (adi.tg, adi.ts) == (64, 4)
-    hw = MtConfig.hwasan()
-    assert (hw.tg, hw.ts) == (16, 8)
 
 
 # ----------------------------------------------------------------------
@@ -163,16 +155,13 @@ def test_granule_index():
     ],
 )
 def test_tags_match_table(ptag, mtag, expect):
-    assert tags_match(ptag, mtag, CFG16) is expect
-    if ptag < 16 and mtag < 16:
-        assert tags_match(ptag, mtag, CFG64) is expect
-
-
-def test_tags_match_rejects_out_of_range():
-    with pytest.raises(UsageError):
-        tags_match(16, 0, CFG64)
-    with pytest.raises(UsageError):
-        tags_match(0, 256, CFG16)
+    """The engine's verdict on a one-byte access to a granule tagged mtag."""
+    for cfg in (CFG16, CFG64):
+        sim = Simulator(cfg)
+        sim.shadow.set_range(0x1000, cfg.tg, mtag)
+        for offset in (0, cfg.tg - 1):
+            word = pack(0x1000 + offset, ptag, cfg)
+            assert (sim.check_user_range(word, 1) is None) is expect
 
 
 def test_tag_storage_bits():
