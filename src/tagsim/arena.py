@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageError
 from .faults import AccessKind, FaultKind, FaultReport
 from .memory import SENTINEL
-from .precision import mark_partial, read_partial_meta
+from .precision import META_BYTES, mark_partial, read_partial_meta
 from .tagspace import MtConfig, pack, unpack
 
 DEFAULT_HEAP_BASE = 0x1000_0000
@@ -217,7 +217,7 @@ class ArenaAllocator:
         remainder = eff & (tg - 1)
         if tag:
             if cfg.precision_ext and remainder:
-                if remainder <= tg - 2:
+                if remainder <= tg - META_BYTES:
                     if aligned > tg:
                         self.shadow.set_range(base, aligned - tg, tag)
                     mark_partial(self.memory, self.shadow, cfg, base + aligned - tg, remainder, tag)

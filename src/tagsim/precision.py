@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 
+# A PARTIAL granule's last META_BYTES bytes hold (n, real tag), in order.
+META_BYTES = 2
+
 
 @dataclass(frozen=True)
 class PartialGranuleMeta:
@@ -49,20 +52,25 @@ def mark_partial(memory, shadow, cfg, granule_base: int, n: int, real_tag: int) 
         raise UsageError("precision_ext is not enabled in this config")
     if granule_base & (cfg.tg - 1):
         raise UsageError(f"0x{granule_base:x} is not the base of a {cfg.tg}-byte granule")
-    if not 0 < n <= cfg.tg - 2:
-        raise UsageError(f"valid byte count {n} outside 1..{cfg.tg - 2}")
+    if not 0 < n <= cfg.tg - META_BYTES:
+        raise UsageError(f"valid byte count {n} outside 1..{cfg.tg - META_BYTES}")
     if not 0 <= real_tag < cfg.n_tags or real_tag in cfg.reserved_tags:
         raise UsageError(f"real tag {real_tag} is reserved or out of range")
     shadow.set_range(granule_base, cfg.tg, cfg.partial_tag)
-    memory.write(granule_base + cfg.tg - 2, bytes((n, real_tag)))
+    memory.write(granule_base + cfg.tg - META_BYTES, bytes((n, real_tag)))
+
+
+def _meta(memory, cfg, granule_base: int) -> bytes:
+    """The two bytes (n, real_tag) of the PARTIAL granule at granule_base."""
+    return memory.read(granule_base + cfg.tg - META_BYTES, META_BYTES)
 
 
 def read_partial_meta(memory, cfg, granule_base: int) -> PartialGranuleMeta:
-    n, real_tag = memory.read(granule_base + cfg.tg - 2, 2)
+    n, real_tag = _meta(memory, cfg, granule_base)
     return PartialGranuleMeta(n=n, real_tag=real_tag)
 
 
 def partial_access_ok(memory, cfg, granule_base: int, offset: int, width: int, ptr_tag: int) -> bool:
     """Decide an access of [offset, offset+width) within a PARTIAL granule."""
-    n, real_tag = memory.read(granule_base + cfg.tg - 2, 2)
+    n, real_tag = _meta(memory, cfg, granule_base)
     return ptr_tag == real_tag and offset + width <= n

@@ -3,11 +3,14 @@ JSON output."""
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+import tagsim.cli
 from tagsim.cli import main
 from tagsim.traces import analyze_trace, parse_trace
 
@@ -202,6 +205,91 @@ def test_overhead_names_bad_trace_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "overhead", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("data,bad_line", [
+    (b"a 1 8\na 2 \xc3\xa9\n", 2),
+    (b"a 1 8\r\n# caf\xe9\nf 1\n", 2),
+    (b"\xff", 1),
+])
+def test_overhead_non_ascii_byte_is_a_trace_error(capsys, tmp_path, data, bad_line):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "overhead", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"tagsim: error: line {bad_line}: non-ASCII trace line ")
+
+
+def test_overhead_calls_load_and_analyze_once_through_cli_names(capsys, monkeypatch, trace_file):
+    # bench/run.py's traced run patches these two names in tagsim.cli
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tagsim.cli, "load_trace", counting("load", tagsim.cli.load_trace))
+    monkeypatch.setattr(tagsim.cli, "analyze_trace", counting("analyze", tagsim.cli.analyze_trace))
+    code, out, _ = run_cli(capsys, "overhead", trace_file)
+    assert code == 0
+    assert calls == ["load", "analyze"]
+    assert json.loads(out) == analyze_trace(parse_trace(TINY), [8, 16, 32, 64], ts=8).to_json_dict()
+
+
+def test_overhead_error_precedence(capsys, tmp_path):
+    # the trace is read lazily: a bad --alignments is reported before a
+    # malformed line, and a missing file before either
+    bad = tmp_path / "bad.txt"
+    bad.write_text("a 1 8\nx 2 3\n")
+    code, _, err = run_cli(capsys, "overhead", str(bad), "--alignments", "8,0")
+    assert code == 2
+    assert err == "tagsim: error: alignment must be >= 1, got 0\n"
+    code, _, err = run_cli(capsys, "overhead", str(bad))
+    assert code == 2
+    assert err == "tagsim: error: line 2: unrecognized trace line 'x 2 3'\n"
+    code, _, err = run_cli(capsys, "overhead", str(tmp_path / "missing.txt"), "--alignments", "8,0")
+    assert code == 2
+    assert "missing.txt" in err
+
+
+def _write_churn_trace(path, n_events, live_target, seed=0):
+    """Ramp up to ``live_target`` live allocations, then alternate a free
+    of a random live one with a new allocation."""
+    rng = random.Random(seed)
+    live, lines = [], []
+    for aid in range(n_events):
+        if len(live) < live_target:
+            live.append(aid)
+            lines.append(f"a {aid} {rng.randrange(512)}\n")
+        else:
+            i = rng.randrange(len(live))
+            live[i], live[-1] = live[-1], live[i]
+            lines.append(f"f {live.pop()}\n")
+    path.write_text("".join(lines))
+
+
+def _traced_peak(capsys, path):
+    tracemalloc.start()
+    try:
+        code = main(["overhead", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    return peak
+
+
+def test_overhead_memory_is_bounded_by_live_allocations(capsys, tmp_path):
+    short, long = tmp_path / "short.txt", tmp_path / "long.txt"
+    _write_churn_trace(short, 50_000, live_target=1000)
+    _write_churn_trace(long, 200_000, live_target=1000)
+    short_peak = _traced_peak(capsys, short)
+    long_peak = _traced_peak(capsys, long)
+    assert long_peak < 1.5 * short_peak, (short_peak, long_peak)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Bug-scenario corpus, Monte-Carlo estimation, theoretical rates, and
 the allocation-trace overhead analyzer."""
 
+import re
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tagsim import (
     MtConfig,
@@ -25,7 +28,7 @@ from tagsim.rng import SplitMix64
 from tagsim.scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, STACK_LOCAL_SIZE,
                               scenario_runner)
 from tagsim.tagspace import pack, unpack
-from tagsim.traces import Alloc, Free, analyze_trace, parse_trace
+from tagsim.traces import Alloc, Free, _blocks, _parse, analyze_trace, load_trace, parse_trace
 
 CFG64 = MtConfig(tg=64, ts=4)
 CFG16 = MtConfig(tg=16, ts=8)
@@ -474,6 +477,137 @@ def test_parse_trace_names_the_offending_line(text, bad_line):
     assert f"line {bad_line}" in str(exc.value)
 
 
+_REF_ALLOC_RE = re.compile(r"^a (\d+) (\d+)$")
+_REF_FREE_RE = re.compile(r"^f (\d+)$")
+
+
+def reference_parse_trace(text):
+    """The regex parser the streaming one replaced, kept as the reference."""
+    events = []
+    live = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        m = _REF_ALLOC_RE.match(line)
+        if m:
+            aid, size = int(m.group(1)), int(m.group(2))
+            if aid in live:
+                raise TraceError(f"allocation id {aid} is already live", line=line_no)
+            live.add(aid)
+            events.append(Alloc(id=aid, size=size, line=line_no))
+            continue
+        m = _REF_FREE_RE.match(line)
+        if m:
+            aid = int(m.group(1))
+            if aid not in live:
+                raise TraceError(f"free of unknown id {aid}", line=line_no)
+            live.remove(aid)
+            events.append(Free(id=aid, line=line_no))
+            continue
+        raise TraceError(f"unrecognized trace line {line!r}", line=line_no)
+    return events
+
+
+def parse_outcome(parse, *args):
+    """Events with their lines, or the TraceError's line and message."""
+    try:
+        return [(type(e).__name__, e.id, getattr(e, "size", None), e.line)
+                for e in parse(*args)]
+    except TraceError as exc:
+        return ("error", exc.line, str(exc))
+
+
+_TRACE_CHARS = "af#0123456789 \t-+_\r\n\x0b\x0c\x1c\x1d\x1e"
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+_ODD_LINES = ["", " ", "#", "# a 1 8", "\t# x", "a 1", "a 01 8", "f +1", "a -1 8", "a 1 8 ",
+              " f 1", "a  1 8", "a\t1 8", "f 1_0", "f 9", "x 2 3"]
+
+
+@st.composite
+def _trace_texts(draw):
+    """Mostly valid traces, so that parsing gets past the first lines,
+    with odd lines, double allocations and raw characters mixed in, and
+    every line break between lines."""
+    lines, live = [], []
+    for op in draw(st.lists(st.integers(0, 15), max_size=16)):
+        if op < 7 or (op < 12 and not live):
+            aid = min(set(range(6)) - set(live), default=7)
+            live.append(aid)
+            lines.append(f"a {aid} {draw(st.integers(0, 99))}")
+        elif op < 12:
+            lines.append(f"f {live.pop(op % len(live))}")
+        elif op == 12 and live:
+            lines.append(f"a {live[0]} 1")
+        elif op < 15:
+            lines.append(draw(st.sampled_from(_ODD_LINES)))
+        else:
+            lines.append(draw(st.text(alphabet=_TRACE_CHARS, max_size=6)))
+    return "".join(line + draw(st.sampled_from(_LINE_BREAKS)) for line in lines)
+
+
+_trace_text = st.one_of(st.text(alphabet=_TRACE_CHARS, max_size=40), _trace_texts())
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_trace_text, block_size=st.integers(min_value=1, max_value=8))
+def test_parser_matches_regex_reference(tmp_path, text, block_size):
+    expected = parse_outcome(reference_parse_trace, text)
+    assert parse_outcome(parse_trace, text) == expected
+    path = tmp_path / "trace.txt"
+    path.write_text(text, encoding="ascii", newline="")
+    assert parse_outcome(lambda: list(load_trace(path))) == expected
+    # blocks cut after their last newline: lines that span blocks
+    assert parse_outcome(lambda: list(_parse(_blocks(path, block_size)))) == expected
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts integers of any length")
+def test_parse_trace_rejects_numbers_int_cannot_convert():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(TraceError) as exc:
+        parse_trace(f"a 1 8\na 2 {digits}\n")
+    assert exc.value.line == 2
+
+
+def test_parse_trace_rejects_non_ascii_text():
+    with pytest.raises(TraceError) as exc:
+        parse_trace("a 1 8\n# caf\u00e9\n")
+    assert exc.value.line == 2
+    assert "non-ASCII" in str(exc.value)
+
+
+def test_load_trace_is_a_one_pass_iterator(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text(GOOD_TRACE)
+    events = load_trace(path)
+    assert iter(events) is events
+    assert list(events) == parse_trace(GOOD_TRACE)
+    assert list(events) == []
+
+
+def test_load_trace_reports_bad_lines_while_iterating(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text("a 1 8\nf 2\n")
+    events = load_trace(path)
+    assert next(events) == Alloc(id=1, size=8, line=1)
+    with pytest.raises(TraceError) as exc:
+        next(events)
+    assert exc.value.line == 2
+
+
+def test_events_are_frozen_slotted_dataclasses():
+    a = Alloc(1, 8, line=3)
+    assert a == Alloc(1, 8, line=9) and hash(a) == hash(Alloc(1, 8))
+    assert a != Alloc(1, 16) and Free(1, line=2) == Free(1)
+    assert repr(a) == "Alloc(id=1, size=8, line=3)"
+    assert repr(Free(4, 5)) == "Free(id=4, line=5)"
+    with pytest.raises(AttributeError):
+        a.size = 16
+    assert not hasattr(a, "__dict__")
+
+
 # ----------------------------------------------------------------------
 # overhead analysis
 
@@ -543,6 +677,30 @@ def test_empty_trace_reports_zero():
     assert report.base_peak_bytes == 0
     assert report.rows[0].peak_bytes == 0
     assert report.rows[0].overhead_pct == 0.0
+
+
+def test_analyze_memory_does_not_grow_with_distinct_sizes(monkeypatch):
+    # one allocation live at a time, every size new: only the bounded
+    # per-size cache could grow
+    monkeypatch.setattr("tagsim.traces._CACHED_SIZES", 64)
+
+    def events(n):
+        for i in range(n):
+            yield Alloc(i, 1000 + i)
+            yield Free(i)
+
+    peaks = []
+    for n in (5_000, 20_000):
+        tracemalloc.start()
+        try:
+            report = analyze_trace(events(n), [8, 24, 64], ts=8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        largest = 1000 + n - 1
+        assert [row.peak_bytes for row in report.rows] == [
+            -(-largest // a) * a for a in (8, 24, 64)]
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 @settings(max_examples=80, deadline=None)
