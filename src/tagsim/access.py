@@ -41,7 +41,7 @@ class AccessEngine:
     __slots__ = ("memory", "shadow", "cfg", "_owner", "_deferred",
                  "_tg_mask", "_shift", "_tag_shift", "_tag_mask", "_partial", "_precise")
 
-    def __init__(self, memory, shadow, cfg: MtConfig, owner=None):
+    def __init__(self, memory, shadow, cfg: MtConfig, owner):
         self.memory = memory
         self.shadow = shadow
         self.cfg = cfg
@@ -137,7 +137,7 @@ class AccessEngine:
                 miss, deferred: bool) -> FaultReport:
         gbase, mtag, partial = miss
         fault_addr = addr if addr > gbase else gbase
-        chunk = self._owner(fault_addr) if self._owner is not None else None
+        chunk = self._owner(fault_addr)
         return FaultReport(
             kind=FaultKind.TAG_MISMATCH,
             access=access,

@@ -14,11 +14,11 @@ lives out of band (in Python objects), so consecutive bump allocations
 are exactly address-adjacent, which is what the AdjacentDistinct policy
 needs to guarantee overflow detection into a neighbor.
 
-The heap remembers live, quarantined and freed chunks in an index
-sorted by base address.  Indexed chunks never overlap: live and
-quarantined memory is not on the free list, and placing a chunk in
-reused memory first forgets every freed chunk it overlaps.  So owner
-lookup, the double-free check and that recycling are each one bisect,
+The heap's one record of its chunks is an index of live, quarantined
+and freed chunks sorted by base address.  Indexed chunks never overlap:
+live and quarantined memory is not on the free list, and placing a
+chunk in reused memory first forgets every freed chunk it overlaps.  So
+owner lookup, the free check and that recycling are each one bisect,
 and the index never holds more chunks than the heap has granules.
 
 Tag policies:
@@ -42,15 +42,15 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageError
 from .faults import AccessKind, FaultKind, FaultReport
 from .memory import SENTINEL
 from .precision import META_BYTES, mark_partial, read_partial_meta
-from .tagspace import MtConfig, pack, unpack
+from .tagspace import MtConfig, unpack
 
-DEFAULT_HEAP_BASE = 0x1000_0000
+HEAP_BASE = 0x1000_0000
 DEFAULT_HEAP_CAPACITY = 1 << 30
 
 
@@ -102,11 +102,10 @@ class Chunk:
     # plain __slots__ class: one Chunk is built per malloc and the
     # constructor sits on the Monte-Carlo hot path
     __slots__ = ("id", "base", "requested", "aligned", "tag", "state",
-                 "user_off", "partial", "retag", "alloc_site", "free_site")
+                 "user_off", "partial", "retag")
 
     def __init__(self, id: int, base: int, requested: int, aligned: int, tag: int,
-                 state: "ChunkState", user_off: int = 0, partial: bool = False,
-                 alloc_site: str | None = None):
+                 state: "ChunkState", user_off: int = 0, partial: bool = False):
         self.id = id
         self.base = base
         self.requested = requested
@@ -116,8 +115,6 @@ class Chunk:
         self.user_off = user_off
         self.partial = partial
         self.retag: int | None = None
-        self.alloc_site = alloc_site
-        self.free_site: str | None = None
 
     @property
     def user_addr(self) -> int:
@@ -132,36 +129,18 @@ class Chunk:
                 f" aligned={self.aligned}, tag={self.tag}, state={self.state.value})")
 
 
-_STAT_FIELDS = ("allocations", "frees", "tagged_allocations",
-                "live_requested_bytes", "live_aligned_bytes",
-                "peak_requested_bytes", "peak_aligned_bytes",
-                "quarantine_bytes", "quarantine_chunks", "partial_fallbacks")
-
-
+@dataclass(slots=True)
 class AllocatorStats:
-    __slots__ = _STAT_FIELDS
-
-    def __init__(self):
-        self.allocations = 0
-        self.frees = 0
-        self.tagged_allocations = 0
-        self.live_requested_bytes = 0
-        self.live_aligned_bytes = 0
-        self.peak_requested_bytes = 0
-        self.peak_aligned_bytes = 0
-        self.quarantine_bytes = 0
-        self.quarantine_chunks = 0
-        self.partial_fallbacks = 0
-
-    def snapshot(self) -> "AllocatorStats":
-        copy = AllocatorStats()
-        for name in _STAT_FIELDS:
-            setattr(copy, name, getattr(self, name))
-        return copy
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)}" for name in _STAT_FIELDS)
-        return f"AllocatorStats({body})"
+    allocations: int = 0
+    frees: int = 0
+    tagged_allocations: int = 0
+    live_requested_bytes: int = 0
+    live_aligned_bytes: int = 0
+    peak_requested_bytes: int = 0
+    peak_aligned_bytes: int = 0
+    quarantine_bytes: int = 0  # filled in by ArenaAllocator.stats()
+    quarantine_chunks: int = 0  # likewise
+    partial_fallbacks: int = 0
 
 
 _DEFAULT_POLICY = TagPolicy()
@@ -169,19 +148,15 @@ _DEFAULT_POLICY = TagPolicy()
 
 class ArenaAllocator:
     def __init__(self, memory, shadow, cfg: MtConfig, rng, policy: TagPolicy | None = None,
-                 base: int = DEFAULT_HEAP_BASE, capacity: int = DEFAULT_HEAP_CAPACITY):
-        if base & (cfg.tg - 1):
-            raise UsageError("arena base must be granule aligned")
+                 capacity: int = DEFAULT_HEAP_CAPACITY):
         self.memory = memory
         self.shadow = shadow
         self.cfg = cfg
         self.rng = rng
         self.policy = policy if policy is not None else _DEFAULT_POLICY
-        self.base = base
-        self.limit = base + capacity
-        self._brk = base
+        self.limit = HEAP_BASE + capacity
+        self._brk = HEAP_BASE
         self._free: list[list[int]] = []  # [base, size] extents sorted by base
-        self._live: dict[int, Chunk] = {}  # user address -> chunk, in malloc order
         # live + quarantined + freed-not-recycled chunks, pairwise disjoint
         self._bases: list[int] = []  # sorted chunk bases
         self._by_base: dict[int, Chunk] = {}
@@ -193,7 +168,7 @@ class ArenaAllocator:
     # ------------------------------------------------------------------
     # allocation
 
-    def malloc(self, size: int, policy: TagPolicy | None = None, site: str | None = None) -> int:
+    def malloc(self, size: int, policy: TagPolicy | None = None) -> int:
         """Allocate ``size`` bytes and return a tagged pointer word.
 
         size 0 is served as a single byte, so every allocation owns at
@@ -238,9 +213,8 @@ class ArenaAllocator:
 
         chunk = Chunk(id=self._next_id, base=base, requested=size, aligned=aligned,
                       tag=tag, state=ChunkState.LIVE, user_off=user_off,
-                      partial=partial, alloc_site=site)
+                      partial=partial)
         self._next_id += 1
-        self._live[chunk.user_addr] = chunk
         insort(self._bases, base)
         self._by_base[base] = chunk
 
@@ -258,7 +232,7 @@ class ArenaAllocator:
         # pack() inlined: tag and user address are in range by construction
         return (tag << cfg.tag_shift) | chunk.user_addr
 
-    def free(self, word: int, site: str | None = None) -> None:
+    def free(self, word: int) -> None:
         """Release the allocation that returned ``word``.
 
         The pointer must carry the exact address malloc returned and a
@@ -266,17 +240,14 @@ class ArenaAllocator:
         corrupting allocator state.
         """
         addr, ptag = unpack(word, self.cfg)
-        chunk = self._live.get(addr)
-        if chunk is None:
-            owner = self.find_owner(addr)
-            if owner is not None and owner.user_addr == addr and owner.state is not ChunkState.LIVE:
-                raise DoubleFreeError(self._free_report(FaultKind.DOUBLE_FREE, word, ptag, addr, owner))
-            raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, owner))
+        chunk = self.find_owner(addr)
+        if chunk is None or chunk.user_addr != addr:
+            raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
+        if chunk.state is not ChunkState.LIVE:
+            raise DoubleFreeError(self._free_report(FaultKind.DOUBLE_FREE, word, ptag, addr, chunk))
         if ptag != chunk.tag:
             raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
 
-        del self._live[addr]
-        chunk.free_site = site
         if chunk.tag:
             retag = self._fresh_tag_excluding(chunk.tag)
             self.shadow.set_range(chunk.base, chunk.aligned, retag)
@@ -296,21 +267,18 @@ class ArenaAllocator:
                 self._evict_oldest()
         else:
             self._retire(chunk)
-        st.quarantine_bytes = self._qbytes
-        st.quarantine_chunks = len(self._quarantine)
 
     def quarantine_flush(self) -> int:
         """Evict every quarantined chunk (FIFO order); returns the count."""
         n = len(self._quarantine)
         while self._quarantine:
             self._evict_oldest()
-        st = self._stats
-        st.quarantine_bytes = self._qbytes
-        st.quarantine_chunks = 0
         return n
 
     def stats(self) -> AllocatorStats:
-        return self._stats.snapshot()
+        """A snapshot of the counters, quarantine totals included."""
+        return replace(self._stats, quarantine_bytes=self._qbytes,
+                       quarantine_chunks=len(self._quarantine))
 
     def find_owner(self, addr: int) -> Chunk | None:
         """The chunk whose granule span covers addr, if any."""
@@ -324,7 +292,9 @@ class ArenaAllocator:
 
     def live_chunks(self) -> list[Chunk]:
         """Live chunks in malloc order."""
-        return list(self._live.values())
+        # a chunk's base enters _by_base at malloc, after recycling has
+        # removed any freed chunk there, so dict order is malloc order
+        return [c for c in self._by_base.values() if c.state is ChunkState.LIVE]
 
     # ------------------------------------------------------------------
     # internals
@@ -353,7 +323,7 @@ class ArenaAllocator:
         if policy.kind is PolicyKind.RANDOM:
             return rng.choice(usable)
         if policy.kind is PolicyKind.ADJACENT_DISTINCT:
-            left = self.effective_tag(base - 1) if base > self.base else 0
+            left = self.effective_tag(base - 1) if base > HEAP_BASE else 0
             right = self.effective_tag(base + aligned)
             while True:
                 tag = rng.choice(usable)

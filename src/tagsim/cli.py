@@ -27,6 +27,12 @@ _PROBE_DEFAULT_KINDS = (ScenarioKind.HEAP_USE_AFTER_FREE, ScenarioKind.NON_LINEA
 
 _KIND_ALIASES = {"intra-granule": ScenarioKind.INTRA_GRANULE_OVERFLOW}
 
+# The scenario kinds that read `simulate --offset`; --size applies to
+# every kind and --reuse-depth only to heap-use-after-free.
+_OFFSET_KINDS = frozenset({ScenarioKind.LINEAR_OVERFLOW, ScenarioKind.LINEAR_UNDERFLOW,
+                           ScenarioKind.NON_LINEAR_OVERFLOW,
+                           ScenarioKind.INTRA_GRANULE_OVERFLOW})
+
 
 def _kind_names() -> list[str]:
     return [k.value for k in ScenarioKind] + sorted(_KIND_ALIASES)
@@ -99,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("scenario", choices=_kind_names())
     simulate.add_argument("--size", type=int, default=None)
     simulate.add_argument("--offset", type=int, default=None)
-    simulate.add_argument("--reuse-depth", type=int, default=0)
+    simulate.add_argument("--reuse-depth", type=int, default=None)
     _add_config_flags(simulate, default_format="plain")
 
     overhead = commands.add_parser("overhead", help="trace RAM overhead table")
@@ -135,8 +141,15 @@ def _cmd_simulate(args) -> int:
     policy = _policy_from(args)
     cfg = _config_from(args)
     kind = _parse_kind(args.scenario)
+    if args.offset is not None and kind not in _OFFSET_KINDS:
+        raise UsageError(f"--offset does not apply to scenario {kind.value}")
+    reuse_depth = args.reuse_depth or 0
+    if args.reuse_depth is not None and kind is not ScenarioKind.HEAP_USE_AFTER_FREE:
+        raise UsageError(f"--reuse-depth does not apply to scenario {kind.value}")
+    if reuse_depth < 0:
+        raise UsageError(f"--reuse-depth must be >= 0 for scenario {kind.value}, got {reuse_depth}")
     scenario = Scenario(kind=kind, size=args.size, offset=args.offset,
-                        reuse_depth=args.reuse_depth, seed=args.seed, policy=policy)
+                        reuse_depth=reuse_depth, seed=args.seed, policy=policy)
     result = run_scenario(scenario, cfg)
     if args.format == "json":
         payload = {

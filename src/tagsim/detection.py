@@ -50,9 +50,14 @@ _DRAW_FREE = (ScenarioKind.USE_AFTER_RETURN, ScenarioKind.USE_AFTER_SCOPE,
               ScenarioKind.UNINITIALIZED_READ)
 
 
+def _reuse_depth(kind: ScenarioKind, cfg: MtConfig) -> int:
+    """Heap-use-after-free reuses the dead chunk, and so turns
+    probabilistic, exactly when no quarantine holds the chunk back."""
+    return int(kind is ScenarioKind.HEAP_USE_AFTER_FREE and cfg.quarantine_capacity == 0)
+
+
 def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
-                          policy: TagPolicy | None = None,
-                          reuse_forced: bool | None = None) -> Fraction | None:
+                          policy: TagPolicy | None = None) -> Fraction | None:
     """Exact per-trial detection probability, decided by the engine.
 
     Returns None where no closed verdict applies (Sampled policies mix
@@ -61,9 +66,8 @@ def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
     policy = policy or TagPolicy.random()
     if policy.kind is PolicyKind.SAMPLED:
         return None
-    if reuse_forced is None:
-        reuse_forced = cfg.quarantine_capacity == 0
-    if kind in _DRAW_FREE or (kind is ScenarioKind.HEAP_USE_AFTER_FREE and not reuse_forced):
+    if kind in _DRAW_FREE or (kind is ScenarioKind.HEAP_USE_AFTER_FREE
+                              and not _reuse_depth(kind, cfg)):
         return Fraction(run_scenario(Scenario(kind, policy=policy), cfg).detected)
     memo: dict = {}
     rates = [_rate(sim, addrs, tuple(probes), memo)
@@ -144,21 +148,17 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
                        policy: TagPolicy | None = None) -> DetectionReport:
     """Empirical detection rate over ``trials`` independent instances.
 
-    For heap-use-after-free, reuse is forced whenever the quarantine is
-    off, making the trial probabilistic; with a quarantine the dead
-    chunk cannot be reused, so the plain deterministic variant runs
-    instead.
+    Heap-use-after-free takes its probabilistic reuse variant whenever
+    the quarantine is off, and its deterministic plain variant otherwise,
+    exactly as theoretical_detection assumes.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     policy = policy or TagPolicy.random()
-    reuse_depth = 0
-    if kind is ScenarioKind.HEAP_USE_AFTER_FREE and cfg.quarantine_capacity == 0:
-        reuse_depth = 1  # as theoretical_detection assumes by default
     # trial i is exactly run_scenario(Scenario(..., seed=seed + i)); the
     # prototype is reusable because runners draw only from sim.rng
     runner = scenario_runner(kind)
-    proto = Scenario(kind=kind, reuse_depth=reuse_depth, policy=policy)
+    proto = Scenario(kind=kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
     detections = 0
     for i in range(trials):
         if runner(Simulator(cfg, seed=seed + i), proto).detected:

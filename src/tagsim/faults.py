@@ -15,7 +15,6 @@ class FaultKind(enum.Enum):
     TAG_MISMATCH = "tag-mismatch"
     INVALID_FREE = "invalid-free"
     DOUBLE_FREE = "double-free"
-    USAGE_ERROR = "usage-error"
 
 
 class AccessKind(enum.Enum):

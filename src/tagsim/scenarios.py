@@ -172,7 +172,8 @@ def _linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     except FaultError as err:
         raise _setup_guard(err) from err
     user_a, _ = unpack(ptr_a, sim.cfg)
-    chunk_end = (user_a + size_a + tg - 1) & ~(tg - 1)
+    # malloc serves size 0 as one byte
+    chunk_end = (user_a + max(size_a, 1) + tg - 1) & ~(tg - 1)
     delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
     if not 0 <= delta < tg:
         raise UsageError("linear-overflow offset must stay in the neighbor's first granule")
@@ -209,8 +210,11 @@ def _non_linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     except FaultError as err:
         raise _setup_guard(err) from err
     vaddr, _ = unpack(victim, sim.cfg)
-    span = min(size, sim.cfg.tg)  # stay in the victim's first granule
+    # stay in the victim's first granule; malloc serves size 0 as one byte
+    span = min(max(size, 1), sim.cfg.tg)
     delta = s.offset if s.offset is not None else sim.rng.randrange(span)
+    if not 0 <= delta < span:
+        raise UsageError(f"non-linear-overflow offset must lie in [0, {span})")
     probe_tag = sim.rng.randrange(sim.cfg.n_tags)
     probe = pack(vaddr + delta, probe_tag, sim.cfg)
     detected, report = _bug_access(sim, probe, store=False)

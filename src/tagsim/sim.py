@@ -12,23 +12,21 @@ heap-only and simulator construction sits on the Monte-Carlo hot path.
 from __future__ import annotations
 
 from .access import AccessEngine, RangeCheckError
-from .arena import ArenaAllocator, TagPolicy, DEFAULT_HEAP_BASE, DEFAULT_HEAP_CAPACITY
+from .arena import ArenaAllocator, TagPolicy, DEFAULT_HEAP_CAPACITY
 from .faults import FaultReport
 from .memory import SparseMemory
 from .rng import SplitMix64
-from .stack import StackTagger, DEFAULT_STACK_BASE, DEFAULT_STACK_CAPACITY
+from .stack import StackTagger, DEFAULT_STACK_CAPACITY
 from .tagspace import MtConfig, ShadowStore
 
 
 class Simulator:
     __slots__ = ("cfg", "seed", "rng", "memory", "shadow", "heap", "engine",
-                 "_stack", "_stack_base", "_stack_capacity")
+                 "_stack", "_stack_capacity")
 
     def __init__(self, cfg: MtConfig | None = None, seed: int = 0,
                  policy: TagPolicy | None = None,
-                 heap_base: int = DEFAULT_HEAP_BASE,
                  heap_capacity: int = DEFAULT_HEAP_CAPACITY,
-                 stack_base: int = DEFAULT_STACK_BASE,
                  stack_capacity: int = DEFAULT_STACK_CAPACITY):
         self.cfg = cfg if cfg is not None else MtConfig()
         self.seed = seed
@@ -36,29 +34,27 @@ class Simulator:
         self.memory = SparseMemory()
         self.shadow = ShadowStore(self.cfg)
         self.heap = ArenaAllocator(self.memory, self.shadow, self.cfg, self.rng,
-                                   policy=policy, base=heap_base, capacity=heap_capacity)
+                                   policy=policy, capacity=heap_capacity)
         self.engine = AccessEngine(self.memory, self.shadow, self.cfg,
                                    owner=self.heap.find_owner)
         self._stack = None
-        self._stack_base = stack_base
         self._stack_capacity = stack_capacity
 
     @property
     def stack(self) -> StackTagger:
         if self._stack is None:
             self._stack = StackTagger(self.memory, self.shadow, self.cfg, self.rng,
-                                      seed=self.seed, base=self._stack_base,
-                                      capacity=self._stack_capacity)
+                                      seed=self.seed, capacity=self._stack_capacity)
         return self._stack
 
     # Convenience passthroughs; scenario and test code reads better
     # with sim.malloc(...) than sim.heap.malloc(...).
 
-    def malloc(self, size: int, policy: TagPolicy | None = None, site: str | None = None) -> int:
-        return self.heap.malloc(size, policy=policy, site=site)
+    def malloc(self, size: int, policy: TagPolicy | None = None) -> int:
+        return self.heap.malloc(size, policy=policy)
 
-    def free(self, word: int, site: str | None = None) -> None:
-        self.heap.free(word, site=site)
+    def free(self, word: int) -> None:
+        self.heap.free(word)
 
     def load(self, word: int, width: int = 1) -> bytes:
         return self.engine.load(word, width)

@@ -24,15 +24,13 @@ from .memory import SENTINEL
 from .rng import mix64
 from .tagspace import MtConfig, pack
 
-DEFAULT_STACK_BASE = 0x7000_0000_0000
+STACK_BASE = 0x7000_0000_0000
 DEFAULT_STACK_CAPACITY = 1 << 23
 
 
 @dataclass(slots=True)
 class LocalSlot:
-    index: int
     offset: int
-    declared: int
     aligned: int
     tag: int
     ptr: int
@@ -42,7 +40,6 @@ class LocalSlot:
 @dataclass(slots=True)
 class Frame:
     base: int
-    seq: int
     base_tag: int
     slots: list[LocalSlot]
     original_size: int
@@ -62,17 +59,14 @@ class FrameOverhead:
 
 class StackTagger:
     def __init__(self, memory, shadow, cfg: MtConfig, rng, seed: int = 0,
-                 base: int = DEFAULT_STACK_BASE, capacity: int = DEFAULT_STACK_CAPACITY):
-        if base & (cfg.tg - 1):
-            raise UsageError("stack base must be granule aligned")
+                 capacity: int = DEFAULT_STACK_CAPACITY):
         self.memory = memory
         self.shadow = shadow
         self.cfg = cfg
         self.rng = rng
         self.seed = seed
-        self.base = base
-        self.floor = base - capacity
-        self._top = base
+        self.floor = STACK_BASE - capacity
+        self._top = STACK_BASE
         self._frames: list[Frame] = []
         self._seq = 0
 
@@ -101,7 +95,7 @@ class StackTagger:
 
         slots = []
         offset = 0
-        for i, (declared, aligned) in enumerate(zip(local_sizes, aligned_sizes)):
+        for i, aligned in enumerate(aligned_sizes):
             tag = usable[(base_index + i) % len(usable)]
             slot_base = fbase + offset
             self.shadow.set_range(slot_base, aligned, tag)
@@ -109,12 +103,11 @@ class StackTagger:
                 self.memory.fill(slot_base, aligned, 0x00)
             else:
                 self.memory.fill(slot_base, aligned, SENTINEL)
-            slots.append(LocalSlot(index=i, offset=offset, declared=declared,
-                                   aligned=aligned, tag=tag,
+            slots.append(LocalSlot(offset=offset, aligned=aligned, tag=tag,
                                    ptr=pack(slot_base, tag, cfg)))
             offset += aligned
 
-        frame = Frame(base=fbase, seq=seq, base_tag=base_tag, slots=slots,
+        frame = Frame(base=fbase, base_tag=base_tag, slots=slots,
                       original_size=sum(local_sizes), aligned_size=total)
         self._top = fbase
         self._frames.append(frame)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagsim import DoubleFreeError, InvalidFreeError, MtConfig, Simulator, TagPolicy
-from tagsim.arena import ChunkState
+from tagsim.arena import HEAP_BASE, ChunkState
 from tagsim.tagspace import unpack
 from tagsim.traces import Alloc, Free, analyze_trace
 
@@ -79,6 +79,10 @@ def expected_fault(kind, chunk):
     return (kind, chunk.id if chunk else None, chunk.state.value if chunk else None)
 
 
+def is_live_user_addr(heap, addr):
+    return any(c.user_addr == addr for c in heap.live_chunks())
+
+
 def run_ops(sim, ops, step_check):
     """Apply ``ops`` to ``sim``, calling ``step_check(sim, ref)`` after each."""
     heap, cfg = sim.heap, sim.cfg
@@ -88,7 +92,7 @@ def run_ops(sim, ops, step_check):
         name = op[0]
         if name == "malloc":
             word = sim.malloc(op[1])
-            ref.add(heap._live[unpack(word, cfg)[0]])
+            ref.add(heap.find_owner(unpack(word, cfg)[0]))
             live.append(word)
         elif name == "free" and live:
             word = live.pop(op[1] % len(live))
@@ -97,16 +101,16 @@ def run_ops(sim, ops, step_check):
         elif name == "stale-free" and freed:
             word = freed[op[1] % len(freed)]
             addr = unpack(word, cfg)[0]
-            if addr not in heap._live:
+            if not is_live_user_addr(heap, addr):
                 assert free_fault(sim, word) == expected_fault(*ref.classify_free(addr))
         elif name == "wrong-tag-free" and live:
             word = live[op[1] % len(live)]
-            chunk = heap._live[unpack(word, cfg)[0]]
+            chunk = heap.find_owner(unpack(word, cfg)[0])
             assert free_fault(sim, word ^ (1 << cfg.tag_shift)) == \
                 expected_fault("invalid-free", chunk)
         elif name == "interior-free" and ref.chunks:
             addr = ref.chunks[op[1] % len(ref.chunks)].base + op[2]
-            if addr not in heap._live:
+            if not is_live_user_addr(heap, addr):
                 assert free_fault(sim, addr) == expected_fault(*ref.classify_free(addr))
         elif name == "flush":
             heap.quarantine_flush()
@@ -115,8 +119,8 @@ def run_ops(sim, ops, step_check):
 
 def probe_addresses(sim, ref, extra):
     tg = sim.cfg.tg
-    addrs = {sim.heap.base - 1, sim.heap._brk - 1, sim.heap._brk, sim.heap._brk + tg}
-    addrs.update(sim.heap.base + off for off in extra)
+    addrs = {HEAP_BASE - 1, sim.heap._brk - 1, sim.heap._brk, sim.heap._brk + tg}
+    addrs.update(HEAP_BASE + off for off in extra)
     for c in ref.chunks:
         addrs.update((c.base - 1, c.base, c.user_addr, c.end - 1, c.end))
     return sorted(addrs)
@@ -141,7 +145,7 @@ def assert_index_bounded(sim):
     assert all(c.base == b for b, c in zip(heap._bases, chunks))
     for left, right in zip(chunks, chunks[1:]):
         assert left.end <= right.base
-    assert len(heap._bases) <= (heap._brk - heap.base) // sim.cfg.tg
+    assert len(heap._bases) <= (heap._brk - HEAP_BASE) // sim.cfg.tg
 
 
 @settings(max_examples=150, deadline=None)

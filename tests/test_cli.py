@@ -138,6 +138,53 @@ def test_simulate_unknown_scenario(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_linear_overflow_of_size_zero_leaves_the_chunk(capsys, seed):
+    # malloc serves size 0 as one byte, so the overflow starts at the
+    # next granule, which adjacent-distinct tags always catch
+    for offset in range(16):
+        code, out, _ = run_cli(capsys, "simulate", "linear-overflow", "--size", "0",
+                               "--offset", str(offset), "--seed", str(seed),
+                               "--policy", "adjacent-distinct")
+        assert (code, out.splitlines()[-1]) == (1, "detected=1"), offset
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_non_linear_overflow_of_size_zero_probes_the_served_byte(capsys, seed):
+    code, out, err = run_cli(capsys, "simulate", "non-linear-overflow", "--size", "0",
+                             "--seed", str(seed))
+    assert code in (0, 1) and err == ""
+    assert out.splitlines()[-1] == f"detected={code}"
+
+
+@pytest.mark.parametrize("size, offset", [(0, 1), (16, 16), (16, 99), (5, 5), (5, -1)])
+def test_simulate_non_linear_overflow_rejects_offsets_off_the_victim(capsys, size, offset):
+    code, out, err = run_cli(capsys, "simulate", "non-linear-overflow", "--size", str(size),
+                             f"--offset={offset}")
+    assert code == 2 and out == ""
+    assert "non-linear-overflow offset must lie in [0, " in err
+
+
+@pytest.mark.parametrize("kind, flags, message", [
+    *[(kind, ("--offset", "3"), f"--offset does not apply to scenario {kind}")
+      for kind in ("heap-use-after-free", "use-after-return", "use-after-scope",
+                   "uninitialized-read")],
+    *[(kind, ("--reuse-depth", depth), f"--reuse-depth does not apply to scenario {kind}")
+      for kind in ("linear-overflow", "linear-underflow", "non-linear-overflow",
+                   "intra-granule-overflow", "use-after-return", "use-after-scope",
+                   "uninitialized-read")
+      for depth in ("0", "2")],
+    ("intra-granule", ("--reuse-depth", "1"),
+     "--reuse-depth does not apply to scenario intra-granule-overflow"),
+    ("heap-use-after-free", ("--reuse-depth", "-1"),
+     "--reuse-depth must be >= 0 for scenario heap-use-after-free, got -1"),
+])
+def test_simulate_rejects_flags_its_scenario_does_not_read(capsys, kind, flags, message):
+    code, out, err = run_cli(capsys, "simulate", kind, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"tagsim: error: {message}\n"
+
+
 # ----------------------------------------------------------------------
 # overhead
 

@@ -181,17 +181,16 @@ def test_run_scenario_is_deterministic():
 
 
 def test_theoretical_rates_are_exact_fractions():
-    assert theoretical_detection(ScenarioKind.HEAP_USE_AFTER_FREE, CFG64,
-                                 reuse_forced=True) == Fraction(15, 16)
-    assert theoretical_detection(ScenarioKind.HEAP_USE_AFTER_FREE, CFG16,
-                                 reuse_forced=True) == Fraction(255, 256)
+    # no quarantine, so the freed chunk is reused
+    assert theoretical_detection(ScenarioKind.HEAP_USE_AFTER_FREE, CFG64) == Fraction(15, 16)
+    assert theoretical_detection(ScenarioKind.HEAP_USE_AFTER_FREE, CFG16) == Fraction(255, 256)
     assert theoretical_detection(ScenarioKind.NON_LINEAR_OVERFLOW, CFG64) == Fraction(15, 16)
     assert theoretical_detection(ScenarioKind.NON_LINEAR_OVERFLOW, CFG16) == Fraction(255, 256)
 
 
 def test_theoretical_rate_without_reuse_is_certainty():
-    assert theoretical_detection(ScenarioKind.HEAP_USE_AFTER_FREE, CFG64,
-                                 reuse_forced=False) == 1
+    quarantined = MtConfig(tg=64, ts=4, quarantine_capacity=4096)
+    assert theoretical_detection(ScenarioKind.HEAP_USE_AFTER_FREE, quarantined) == 1
 
 
 def test_theoretical_adjacent_distinct_linear_is_certainty():
@@ -217,7 +216,7 @@ def test_theoretical_linear_honours_partial_granules():
 
 def test_theoretical_rate_none_under_sampling():
     assert theoretical_detection(ScenarioKind.HEAP_USE_AFTER_FREE, CFG64,
-                                 policy=TagPolicy.sampled(0.5), reuse_forced=True) is None
+                                 policy=TagPolicy.sampled(0.5)) is None
 
 
 def test_theoretical_mode_switches():
