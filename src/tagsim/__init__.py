@@ -10,16 +10,9 @@ scenarios, Monte-Carlo detection estimation, allocation-trace RAM
 analysis) with a CLI front end.
 """
 
-from .access import AccessEngine, EFAULT, RangeCheckError
-from .arena import (
-    AllocatorStats,
-    ArenaAllocator,
-    Chunk,
-    ChunkState,
-    PolicyKind,
-    TagPolicy,
-)
-from .detection import DetectionReport, estimate_detection, theoretical_detection
+from .access import AccessEngine
+from .arena import ArenaAllocator, PolicyKind, TagPolicy
+from .detection import estimate_detection, theoretical_detection
 from .errors import (
     AllocationError,
     DoubleFreeError,
@@ -31,68 +24,36 @@ from .errors import (
     TraceError,
     UsageError,
 )
-from .faults import AccessKind, FaultKind, FaultReport
+from .faults import AccessKind, FaultKind
 from .memory import SparseMemory
-from .precision import PartialGranuleMeta, mark_partial, partial_access_ok, read_partial_meta
-from .scenarios import Scenario, ScenarioKind, ScenarioResult, run_scenario
+from .scenarios import Scenario, ScenarioKind, run_scenario
 from .sim import Simulator
-from .stack import Frame, FrameOverhead, LocalSlot, StackTagger
-from .tagspace import (
-    ADDR_BITS,
-    ADDR_SPACE,
-    MtConfig,
-    ShadowStore,
-    StoreMode,
-    granule_index,
-    offset_ptr,
-    pack,
-    tag_storage_bits,
-    unpack,
-)
-from .traces import (
-    Alloc,
-    Free,
-    OverheadReport,
-    OverheadRow,
-    analyze_trace,
-    load_trace,
-    parse_trace,
-)
+from .stack import StackTagger
+from .tagspace import ADDR_SPACE, MtConfig, ShadowStore, StoreMode
+from .traces import Alloc, Free, analyze_trace, load_trace, parse_trace
 
 __version__ = "0.1.0"
 
+# The public surface: what callers import from the package, plus every
+# exception class so callers can name them to catch them.  Everything
+# else is internal to its module and importable from there.
 __all__ = [
-    "ADDR_BITS",
     "ADDR_SPACE",
     "AccessEngine",
     "AccessKind",
     "Alloc",
     "AllocationError",
-    "AllocatorStats",
     "ArenaAllocator",
-    "Chunk",
-    "ChunkState",
-    "DetectionReport",
     "DoubleFreeError",
-    "EFAULT",
     "FaultError",
     "FaultKind",
-    "FaultReport",
-    "Frame",
-    "FrameOverhead",
     "Free",
     "InvalidFreeError",
-    "LocalSlot",
     "MtConfig",
-    "OverheadReport",
-    "OverheadRow",
-    "PartialGranuleMeta",
     "PolicyKind",
-    "RangeCheckError",
     "Scenario",
     "ScenarioError",
     "ScenarioKind",
-    "ScenarioResult",
     "ShadowStore",
     "Simulator",
     "SparseMemory",
@@ -105,16 +66,8 @@ __all__ = [
     "UsageError",
     "analyze_trace",
     "estimate_detection",
-    "granule_index",
     "load_trace",
-    "mark_partial",
-    "offset_ptr",
-    "pack",
     "parse_trace",
-    "partial_access_ok",
-    "read_partial_meta",
     "run_scenario",
-    "tag_storage_bits",
     "theoretical_detection",
-    "unpack",
 ]

@@ -96,16 +96,16 @@ class Chunk:
     base/aligned describe the granule span; user_off is nonzero only
     for right-aligned chunks, where the usable bytes end exactly at the
     last granule's end.  tag 0 means the chunk was sampled out and is
-    unprotected.  retag is the tag applied when the chunk was freed.
+    unprotected.  The shadow store, not the chunk, holds its granules'
+    current tags.
     """
 
     # plain __slots__ class: one Chunk is built per malloc and the
     # constructor sits on the Monte-Carlo hot path
-    __slots__ = ("id", "base", "requested", "aligned", "tag", "state",
-                 "user_off", "partial", "retag")
+    __slots__ = ("id", "base", "requested", "aligned", "tag", "state", "user_off")
 
     def __init__(self, id: int, base: int, requested: int, aligned: int, tag: int,
-                 state: "ChunkState", user_off: int = 0, partial: bool = False):
+                 state: "ChunkState", user_off: int = 0):
         self.id = id
         self.base = base
         self.requested = requested
@@ -113,8 +113,6 @@ class Chunk:
         self.tag = tag
         self.state = state
         self.user_off = user_off
-        self.partial = partial
-        self.retag: int | None = None
 
     @property
     def user_addr(self) -> int:
@@ -188,7 +186,6 @@ class ArenaAllocator:
         else:
             self.memory.fill(base, aligned, SENTINEL)
 
-        partial = False
         remainder = eff & (tg - 1)
         if tag:
             if cfg.precision_ext and remainder:
@@ -196,7 +193,6 @@ class ArenaAllocator:
                     if aligned > tg:
                         self.shadow.set_range(base, aligned - tg, tag)
                     mark_partial(self.memory, self.shadow, cfg, base + aligned - tg, remainder, tag)
-                    partial = True
                 else:
                     # remainder tg-1 leaves no room for the in-granule
                     # metadata; fall back to whole-granule tagging
@@ -212,8 +208,7 @@ class ArenaAllocator:
             user_off = aligned - eff
 
         chunk = Chunk(id=self._next_id, base=base, requested=size, aligned=aligned,
-                      tag=tag, state=ChunkState.LIVE, user_off=user_off,
-                      partial=partial)
+                      tag=tag, state=ChunkState.LIVE, user_off=user_off)
         self._next_id += 1
         insort(self._bases, base)
         self._by_base[base] = chunk
@@ -249,10 +244,7 @@ class ArenaAllocator:
             raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
 
         if chunk.tag:
-            retag = self._fresh_tag_excluding(chunk.tag)
-            self.shadow.set_range(chunk.base, chunk.aligned, retag)
-            chunk.retag = retag
-            chunk.partial = False
+            self.shadow.set_range(chunk.base, chunk.aligned, self._fresh_tag_excluding(chunk.tag))
 
         st = self._stats
         st.frees += 1
@@ -340,7 +332,7 @@ class ArenaAllocator:
         tag = self.shadow.get(addr)
         if tag and tag == self.cfg.partial_tag:
             gbase = (addr >> self.cfg.tg_shift) << self.cfg.tg_shift
-            return read_partial_meta(self.memory, self.cfg, gbase).real_tag
+            return read_partial_meta(self.memory, self.cfg, gbase)[1]
         return tag
 
     def _fresh_tag_excluding(self, avoid: int) -> int:

@@ -25,20 +25,10 @@ and counts the fallback in its stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UsageError
 
 # A PARTIAL granule's last META_BYTES bytes hold (n, real tag), in order.
 META_BYTES = 2
-
-
-@dataclass(frozen=True)
-class PartialGranuleMeta:
-    """Decoded in-granule metadata: valid byte count and real tag."""
-
-    n: int
-    real_tag: int
 
 
 def mark_partial(memory, shadow, cfg, granule_base: int, n: int, real_tag: int) -> None:
@@ -60,17 +50,12 @@ def mark_partial(memory, shadow, cfg, granule_base: int, n: int, real_tag: int) 
     memory.write(granule_base + cfg.tg - META_BYTES, bytes((n, real_tag)))
 
 
-def _meta(memory, cfg, granule_base: int) -> bytes:
+def read_partial_meta(memory, cfg, granule_base: int) -> bytes:
     """The two bytes (n, real_tag) of the PARTIAL granule at granule_base."""
     return memory.read(granule_base + cfg.tg - META_BYTES, META_BYTES)
 
 
-def read_partial_meta(memory, cfg, granule_base: int) -> PartialGranuleMeta:
-    n, real_tag = _meta(memory, cfg, granule_base)
-    return PartialGranuleMeta(n=n, real_tag=real_tag)
-
-
 def partial_access_ok(memory, cfg, granule_base: int, offset: int, width: int, ptr_tag: int) -> bool:
     """Decide an access of [offset, offset+width) within a PARTIAL granule."""
-    n, real_tag = _meta(memory, cfg, granule_base)
+    n, real_tag = read_partial_meta(memory, cfg, granule_base)
     return ptr_tag == real_tag and offset + width <= n

@@ -233,13 +233,13 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
         size = s.size
     else:
         size = sim.rng.randrange(INTRA_FULL_GRANULES) * tg + sim.rng.randint(1, tg - 2)
-    tail = size & (tg - 1)
-    if tail == 0:
+    served = max(size, 1)  # malloc serves size 0 as one byte
+    if served & (tg - 1) == 0:
         raise UsageError("intra-granule scenario needs a size that is not a granule multiple")
-    granule_end = (size + tg - 1) & ~(tg - 1)
-    offset = s.offset if s.offset is not None else size + sim.rng.randrange(granule_end - size)
-    if not size <= offset < granule_end:
-        raise UsageError(f"intra-granule offset must lie in [{size}, {granule_end})")
+    granule_end = (served + tg - 1) & ~(tg - 1)
+    offset = s.offset if s.offset is not None else served + sim.rng.randrange(granule_end - served)
+    if not served <= offset < granule_end:
+        raise UsageError(f"intra-granule offset must lie in [{served}, {granule_end})")
     try:
         ptr = sim.malloc(size, policy=s.policy)
     except FaultError as err:
@@ -279,12 +279,13 @@ def _uninitialized_read(sim: Simulator, s: Scenario) -> ScenarioResult:
     simulator's uninitialized-fill sentinel shows through.
     """
     size = s.size if s.size is not None else sim.cfg.tg
+    served = max(size, 1)  # malloc serves size 0 as one byte
     try:
         ptr = sim.malloc(size, policy=s.policy)
         chunks = []
         done = 0
-        while done < size:
-            width = 8 if size - done >= 8 else 1
+        while done < served:
+            width = 8 if served - done >= 8 else 1
             chunks.append(sim.load(offset_ptr(ptr, done, sim.cfg), width))
             done += width
     except FaultError as err:

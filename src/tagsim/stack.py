@@ -1,11 +1,12 @@
 """Stack frame tagging.
 
 Frames live in their own downward-growing region, far from the heap
-arena.  A frame's base tag is a pure function of (frame base, frame
-sequence number, instance seed), mimicking the cheap prologue trick of
-deriving a semi-random tag from the frame pointer: no per-frame state
-is needed to recompute it, yet re-entering a function at the same
-depth yields a different tag because the sequence number moved on.
+arena.  A frame's base tag, the tag of its first slot, is a pure
+function of (frame base, frame sequence number, instance seed),
+mimicking the cheap prologue trick of deriving a semi-random tag from
+the frame pointer: no per-frame state is needed to recompute it, yet
+re-entering a function at the same depth yields a different tag
+because the sequence number moved on.
 
 Each declared local gets its own granule-rounded slot; slot tags step
 through the non-reserved tags starting from the base tag, so sibling
@@ -40,21 +41,12 @@ class LocalSlot:
 @dataclass(slots=True)
 class Frame:
     base: int
-    base_tag: int
     slots: list[LocalSlot]
-    original_size: int
     aligned_size: int
     live: bool = True
 
     def local_ptr(self, index: int) -> int:
         return self.slots[index].ptr
-
-
-@dataclass(frozen=True)
-class FrameOverhead:
-    original: int
-    aligned: int
-    percent: float
 
 
 class StackTagger:
@@ -91,7 +83,6 @@ class StackTagger:
         seq = self._seq
         self._seq += 1
         base_index = mix64(fbase ^ mix64(seq ^ self.seed)) % len(usable)
-        base_tag = usable[base_index]
 
         slots = []
         offset = 0
@@ -107,8 +98,7 @@ class StackTagger:
                                    ptr=pack(slot_base, tag, cfg)))
             offset += aligned
 
-        frame = Frame(base=fbase, base_tag=base_tag, slots=slots,
-                      original_size=sum(local_sizes), aligned_size=total)
+        frame = Frame(base=fbase, slots=slots, aligned_size=total)
         self._top = fbase
         self._frames.append(frame)
         return frame
@@ -142,11 +132,3 @@ class StackTagger:
         retag = self.rng.choice(candidates)
         self.shadow.set_range(frame.base + slot.offset, slot.aligned, retag)
         slot.in_scope = False
-
-    @staticmethod
-    def frame_overhead(frame: Frame) -> FrameOverhead:
-        """Alignment cost of a frame: padded size vs declared size."""
-        original = frame.original_size
-        aligned = frame.aligned_size
-        percent = 0.0 if original == 0 else (aligned - original) / original * 100.0
-        return FrameOverhead(original=original, aligned=aligned, percent=percent)

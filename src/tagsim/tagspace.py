@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil
 
 from .errors import UsageError
 
@@ -151,23 +150,12 @@ def offset_ptr(word: int, delta: int, cfg: MtConfig) -> int:
     return pack(moved, tag, cfg)
 
 
-def granule_index(addr: int, cfg: MtConfig) -> int:
-    return addr >> cfg.tg_shift
-
-
-def tag_storage_bits(region_bytes: int, cfg: MtConfig) -> int:
-    """Shadow bits needed to tag a region: ts bits per tg bytes."""
-    if region_bytes < 0:
-        raise UsageError("region size must be >= 0")
-    return cfg.ts * ceil(region_bytes / cfg.tg)
-
-
 class ShadowStore:
     """Sparse granule-index -> tag mapping.
 
     Granules never explicitly tagged read as 0 (match-all).  Writing
-    tag 0 removes the entry, so ``bits_used()`` reflects only granules
-    that currently hold a nonzero tag.  ``writes`` counts granule tag
+    tag 0 removes the entry, so ``tags`` holds only granules that
+    currently hold a nonzero tag.  ``writes`` counts granule tag
     mutations and exists so tests can prove that untagged (sampled-out)
     allocations touch the table zero times.
     """
@@ -183,9 +171,6 @@ class ShadowStore:
 
     def get(self, addr: int) -> int:
         return self.tags.get(addr >> self._shift, 0)
-
-    def get_index(self, index: int) -> int:
-        return self.tags.get(index, 0)
 
     def set_range(self, addr: int, length: int, tag: int) -> None:
         """Tag every granule of [addr, addr+length).
@@ -214,6 +199,3 @@ class ShadowStore:
             for g in range(first, first + count):
                 if tags.pop(g, None) is not None:
                     self.writes += 1
-
-    def bits_used(self) -> int:
-        return self.cfg.ts * len(self.tags)

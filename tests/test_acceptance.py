@@ -257,7 +257,7 @@ def test_criterion_9b_shadow_isolation_fuzz():
             else:
                 model.pop(k, None)
     for k in range(0, 4102):
-        assert shadow.get_index(k) == model.get(k, 0)
+        assert shadow.get(k * 16) == model.get(k, 0)
     print("criterion 9b PASS: 3000 randomized range writes match the dict model")
 
 
@@ -277,7 +277,7 @@ def test_criterion_9c_access_engine_oracle_equivalence():
 
         def rule_allows(addr, width, ptag):
             for g in range(addr >> 4, (addr + width - 1 >> 4) + 1):
-                mtag = sim.shadow.get_index(g)
+                mtag = sim.shadow.get(g * 16)
                 if mtag == 0:
                     continue
                 if cfg.partial_tag is not None and mtag == cfg.partial_tag:

@@ -1,0 +1,82 @@
+"""The package's public surface: its exports, the names the benchmark
+patches, and the README's Python examples."""
+
+import contextlib
+import io
+import json
+import pathlib
+import re
+import subprocess
+import sys
+
+import tagsim
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    "ADDR_SPACE", "AccessEngine", "AccessKind", "Alloc", "AllocationError",
+    "ArenaAllocator", "DoubleFreeError", "FaultError", "FaultKind", "Free",
+    "InvalidFreeError", "MtConfig", "PolicyKind", "Scenario", "ScenarioError",
+    "ScenarioKind", "ShadowStore", "Simulator", "SparseMemory", "StackTagger",
+    "StoreMode", "TagMismatchError", "TagPolicy", "TagSimError", "TraceError",
+    "UsageError", "analyze_trace", "estimate_detection", "load_trace",
+    "parse_trace", "run_scenario", "theoretical_detection",
+]
+
+
+def test_all_is_the_pinned_public_surface():
+    assert sorted(tagsim.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(tagsim, name) is not None, name
+
+
+def test_every_exception_class_is_exported():
+    from tagsim import errors
+
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == errors.__name__}
+    assert classes <= set(tagsim.__all__)
+
+
+# Builds bench/run.py's patch list on a tagsim imported afresh in its own
+# process, so the re-import cannot disturb the classes other tests hold.
+_PATCH_TARGETS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_run", "bench/run.py")
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+sys.path.insert(0, str(run.SRC))
+tagsim = run.load_tagsim()
+boundaries = run.patches(tagsim, run.tracing.Tracer(run.BOUNDARIES),
+                         run.Counters(tagsim.ADDR_SPACE - 1))
+print(json.dumps([[getattr(owner, "__name__", repr(owner)), attr, hasattr(owner, attr)]
+                  for owner, attr, _ in boundaries]))
+"""
+
+
+def test_benchmark_patch_targets_exist():
+    proc = subprocess.run([sys.executable, "-c", _PATCH_TARGETS], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    targets = json.loads(proc.stdout)
+    assert len(targets) == 22
+    assert [t[:2] for t in targets if not t[2]] == []
+
+
+def _readme_python_blocks():
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_readme_python_blocks_print_what_they_show():
+    blocks = _readme_python_blocks()
+    assert len(blocks) == 2
+    for block in blocks:
+        shown = {line.strip()[2:] for line in block.splitlines()
+                 if line.strip().startswith("# ")}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        printed = out.getvalue().splitlines()
+        assert printed
+        for line in printed:
+            assert line in shown, line

@@ -157,6 +157,29 @@ def test_simulate_non_linear_overflow_of_size_zero_probes_the_served_byte(capsys
     assert out.splitlines()[-1] == f"detected={code}"
 
 
+@pytest.mark.parametrize("flags, observed, detected", [
+    ((), "aa", 0), (("--zero-on-tag",), "00", 1)])
+def test_simulate_uninitialized_read_of_size_zero_reads_the_served_byte(capsys, flags,
+                                                                        observed, detected):
+    code, out, err = run_cli(capsys, "simulate", "uninitialized-read", "--size", "0", *flags)
+    assert (code, err) == (detected, "")
+    assert out.splitlines()[1:] == [f"observed={observed}", f"detected={detected}"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_intra_granule_of_size_zero_probes_past_the_served_byte(capsys, seed):
+    for flags, detected in (((), 0), (("--precision-ext",), 1)):
+        code, out, err = run_cli(capsys, "simulate", "intra-granule", "--size", "0",
+                                 "--seed", str(seed), *flags)
+        assert (code, err) == (detected, "")
+        assert out.splitlines()[-1] == f"detected={detected}"
+    for offset in (0, 16):
+        code, out, err = run_cli(capsys, "simulate", "intra-granule", "--size", "0",
+                                 "--offset", str(offset), "--seed", str(seed))
+        assert code == 2 and out == ""
+        assert "intra-granule offset must lie in [1, 16)" in err
+
+
 @pytest.mark.parametrize("size, offset", [(0, 1), (16, 16), (16, 99), (5, 5), (5, -1)])
 def test_simulate_non_linear_overflow_rejects_offsets_off_the_victim(capsys, size, offset):
     code, out, err = run_cli(capsys, "simulate", "non-linear-overflow", "--size", str(size),

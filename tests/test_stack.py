@@ -180,24 +180,13 @@ def test_end_scope_validates_index_and_liveness():
 
 
 # ----------------------------------------------------------------------
-# overhead and determinism
+# frame size and determinism
 
 
-def test_frame_overhead_example():
-    sim = Simulator(CFG16, seed=0)
-    frame = sim.stack.enter_frame([10, 20])
-    oh = sim.stack.frame_overhead(frame)
-    assert oh.original == 30
-    assert oh.aligned == 48
-    assert oh.percent == pytest.approx(60.0)
-
-
-def test_frame_overhead_zero_for_granule_multiples():
-    sim = Simulator(CFG16, seed=0)
-    frame = sim.stack.enter_frame([16, 32])
-    oh = sim.stack.frame_overhead(frame)
-    assert oh.aligned == oh.original == 48
-    assert oh.percent == 0.0
+def test_frame_aligned_size_pads_each_local_to_granules():
+    for sizes in ([10, 20], [16, 32]):
+        frame = Simulator(CFG16, seed=0).stack.enter_frame(sizes)
+        assert frame.aligned_size == 48
 
 
 def test_same_seed_same_tags():
@@ -226,6 +215,6 @@ def test_frame_base_tags_are_pinned():
     for cfg in (CFG16, MtConfig(tg=64, ts=4, precision_ext=True)):
         for seed in (0, 1, 12345):
             sim = Simulator(cfg, seed=seed)
-            seen.append([sim.stack.enter_frame([10, 40]).base_tag for _ in range(3)])
+            seen.append([sim.stack.enter_frame([10, 40]).slots[0].tag for _ in range(3)])
     assert seen == [[26, 178, 235], [100, 146, 97], [23, 221, 56],
                     [1, 6, 14], [14, 5, 11], [12, 1, 4]]

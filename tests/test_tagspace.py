@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagsim import MtConfig, ShadowStore, Simulator, StoreMode, TagPolicy, UsageError
-from tagsim.tagspace import (
-    ADDR_BITS,
-    ADDR_SPACE,
-    granule_index,
-    offset_ptr,
-    pack,
-    tag_storage_bits,
-    unpack,
-)
+from tagsim.tagspace import ADDR_BITS, ADDR_SPACE, offset_ptr, pack, unpack
 
 CFG16 = MtConfig(tg=16, ts=8)
 CFG64 = MtConfig(tg=64, ts=4)
@@ -133,13 +125,6 @@ def test_pack_unpack_roundtrip_property(addr, tag):
     assert word == (tag << 56) | addr
 
 
-def test_granule_index():
-    assert granule_index(0, CFG16) == 0
-    assert granule_index(15, CFG16) == 0
-    assert granule_index(16, CFG16) == 1
-    assert granule_index(0x100, CFG64) == 4
-
-
 # ----------------------------------------------------------------------
 # match rule
 
@@ -164,14 +149,6 @@ def test_tags_match_table(ptag, mtag, expect):
             assert (sim.check_user_range(word, 1) is None) is expect
 
 
-def test_tag_storage_bits():
-    assert tag_storage_bits(0, CFG16) == 0
-    assert tag_storage_bits(1, CFG16) == 8
-    assert tag_storage_bits(16, CFG16) == 8
-    assert tag_storage_bits(17, CFG16) == 16
-    assert tag_storage_bits(1 << 20, CFG64) == 4 * ((1 << 20) // 64)
-
-
 # ----------------------------------------------------------------------
 # shadow store
 
@@ -180,7 +157,7 @@ def test_shadow_default_is_match_all():
     shadow = ShadowStore(CFG16)
     assert shadow.get(0) == 0
     assert shadow.get(0x123456) == 0
-    assert shadow.bits_used() == 0
+    assert shadow.tags == {}
 
 
 def test_shadow_set_range_and_isolation():
@@ -197,9 +174,9 @@ def test_shadow_set_range_and_isolation():
 def test_shadow_zero_write_clears_entries():
     shadow = ShadowStore(CFG16)
     shadow.set_range(0x200, 16, 9)
-    assert shadow.bits_used() == 8
+    assert len(shadow.tags) == 1
     shadow.set_range(0x200, 16, 0)
-    assert shadow.bits_used() == 0
+    assert shadow.tags == {}
     assert shadow.get(0x200) == 0
 
 
@@ -234,7 +211,7 @@ def test_shadow_range_footprint_property(start, granules, tag):
     shadow = ShadowStore(cfg)
     base = start * cfg.tg
     shadow.set_range(base, granules * cfg.tg, tag)
-    assert shadow.bits_used() == granules * cfg.ts
+    assert len(shadow.tags) == granules
     if base:
         assert shadow.get(base - 1) == 0
     assert shadow.get(base + granules * cfg.tg) == 0
