@@ -183,10 +183,18 @@ def test_end_scope_validates_index_and_liveness():
 # frame size and determinism
 
 
-def test_frame_aligned_size_pads_each_local_to_granules():
-    for sizes in ([10, 20], [16, 32]):
-        frame = Simulator(CFG16, seed=0).stack.enter_frame(sizes)
-        assert frame.aligned_size == 48
+def test_frame_overhead_example():
+    frame = Simulator(CFG16, seed=0).stack.enter_frame([10, 20])
+    assert [s.aligned for s in frame.slots] == [16, 32]
+    assert frame.aligned_size == 48
+    declared = 30
+    assert (frame.aligned_size - declared) / declared * 100.0 == pytest.approx(60.0)
+
+
+def test_frame_overhead_zero_for_granule_multiples():
+    frame = Simulator(CFG16, seed=0).stack.enter_frame([16, 32])
+    assert [s.aligned for s in frame.slots] == [16, 32]
+    assert frame.aligned_size == 16 + 32
 
 
 def test_same_seed_same_tags():
