@@ -10,8 +10,9 @@ order.
 
 check_user_range models the kernel side: a syscall fed a user range
 must refuse it with an error code instead of trapping.  It never
-raises and never mutates anything; its verdict is defined to equal a
-one-byte-load loop over the range.
+raises a fault and never mutates anything; its verdict is defined to
+equal a one-byte-load loop over the range.  A negative length or a
+range that wraps the address space is a UsageError.
 """
 
 from __future__ import annotations

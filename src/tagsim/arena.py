@@ -21,7 +21,7 @@ chunk in reused memory first forgets every freed chunk it overlaps.  So
 owner lookup, the free check and that recycling are each one bisect,
 and the index never holds more chunks than the heap has granules.
 
-Tag policies:
+Tag policies, one per heap, fixed when the heap is built:
 
 * Random: uniform over the non-reserved tags.
 * AdjacentDistinct: uniform, but never equal to the effective tag on
@@ -141,17 +141,14 @@ class AllocatorStats:
     partial_fallbacks: int = 0
 
 
-_DEFAULT_POLICY = TagPolicy()
-
-
 class ArenaAllocator:
-    def __init__(self, memory, shadow, cfg: MtConfig, rng, policy: TagPolicy | None = None,
+    def __init__(self, memory, shadow, cfg: MtConfig, rng, policy: TagPolicy = TagPolicy(),
                  capacity: int = DEFAULT_HEAP_CAPACITY):
         self.memory = memory
         self.shadow = shadow
         self.cfg = cfg
         self.rng = rng
-        self.policy = policy if policy is not None else _DEFAULT_POLICY
+        self.policy = policy
         self.limit = HEAP_BASE + capacity
         self._brk = HEAP_BASE
         self._free: list[list[int]] = []  # [base, size] extents sorted by base
@@ -166,7 +163,7 @@ class ArenaAllocator:
     # ------------------------------------------------------------------
     # allocation
 
-    def malloc(self, size: int, policy: TagPolicy | None = None) -> int:
+    def malloc(self, size: int) -> int:
         """Allocate ``size`` bytes and return a tagged pointer word.
 
         size 0 is served as a single byte, so every allocation owns at
@@ -179,7 +176,7 @@ class ArenaAllocator:
         eff = size if size > 0 else 1
         aligned = (eff + tg - 1) & ~(tg - 1)
         base = self._place(aligned)
-        tag = self._choose_tag(policy or self.policy, base, aligned)
+        tag = self._choose_tag(base, aligned)
 
         if cfg.zero_on_tag and tag:
             self.memory.fill(base, aligned, 0x00)
@@ -244,7 +241,8 @@ class ArenaAllocator:
             raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
 
         if chunk.tag:
-            self.shadow.set_range(chunk.base, chunk.aligned, self._fresh_tag_excluding(chunk.tag))
+            self.shadow.set_range(chunk.base, chunk.aligned,
+                                  self._draw_excluding(chunk.tag, chunk.tag))
 
         st = self._stats
         st.frees += 1
@@ -309,23 +307,29 @@ class ArenaAllocator:
             return base
         raise AllocationError(f"arena exhausted: need {aligned} bytes")
 
-    def _choose_tag(self, policy: TagPolicy, base: int, aligned: int) -> int:
+    def _choose_tag(self, base: int, aligned: int) -> int:
+        policy = self.policy
         rng = self.rng
         usable = self.cfg.usable_tags
         if policy.kind is PolicyKind.RANDOM:
             return rng.choice(usable)
         if policy.kind is PolicyKind.ADJACENT_DISTINCT:
             left = self.effective_tag(base - 1) if base > HEAP_BASE else 0
-            right = self.effective_tag(base + aligned)
-            while True:
-                tag = rng.choice(usable)
-                if tag != left and tag != right:
-                    return tag
+            return self._draw_excluding(left, self.effective_tag(base + aligned))
         if policy.kind is PolicyKind.SAMPLED:
             if rng.random() < policy.rate:
                 return rng.choice(usable)
             return 0
         raise UsageError(f"unknown tag policy {policy.kind!r}")
+
+    def _draw_excluding(self, a: int, b: int) -> int:
+        """A usable tag other than a and b, drawn by rejection."""
+        usable = self.cfg.usable_tags
+        choice = self.rng.choice
+        while True:
+            tag = choice(usable)
+            if tag != a and tag != b:
+                return tag
 
     def effective_tag(self, addr: int) -> int:
         """Shadow tag at addr, resolving a PARTIAL marker to the real tag."""
@@ -334,14 +338,6 @@ class ArenaAllocator:
             gbase = (addr >> self.cfg.tg_shift) << self.cfg.tg_shift
             return read_partial_meta(self.memory, self.cfg, gbase)[1]
         return tag
-
-    def _fresh_tag_excluding(self, avoid: int) -> int:
-        usable = self.cfg.usable_tags
-        rng = self.rng
-        while True:
-            tag = rng.choice(usable)
-            if tag != avoid:
-                return tag
 
     def _evict_oldest(self) -> None:
         chunk = self._quarantine.popleft()

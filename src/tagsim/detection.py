@@ -57,13 +57,12 @@ def _reuse_depth(kind: ScenarioKind, cfg: MtConfig) -> int:
 
 
 def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
-                          policy: TagPolicy | None = None) -> Fraction | None:
+                          policy: TagPolicy = TagPolicy()) -> Fraction | None:
     """Exact per-trial detection probability, decided by the engine.
 
     Returns None where no closed verdict applies (Sampled policies mix
     protected and unprotected allocations).
     """
-    policy = policy or TagPolicy.random()
     if policy.kind is PolicyKind.SAMPLED:
         return None
     if kind in _DRAW_FREE or (kind is ScenarioKind.HEAP_USE_AFTER_FREE
@@ -80,24 +79,24 @@ def _sites(kind, cfg, policy):
     likely probe addresses in one granule, (pointer tag, weight) pairs)."""
     tg = cfg.tg
     if kind is ScenarioKind.HEAP_USE_AFTER_FREE:
-        sim = Simulator(cfg)
-        ptr = sim.malloc(tg, policy=policy)
+        sim = Simulator(cfg, policy=policy)
+        ptr = sim.malloc(tg)
         sim.free(ptr)
-        sim.malloc(tg, policy=policy)
+        sim.malloc(tg)
         addr = unpack(ptr, cfg)[0]
         yield sim, range(addr, addr + 1), _uniform_tag(sim, addr, reserved=True)
     elif kind is ScenarioKind.NON_LINEAR_OVERFLOW:
-        sim = Simulator(cfg)
-        addr = unpack(sim.malloc(tg, policy=policy), cfg)[0]
+        sim = Simulator(cfg, policy=policy)
+        addr = unpack(sim.malloc(tg), cfg)[0]
         yield sim, range(addr, addr + tg), _uniform_tag(sim, addr, reserved=True)
     elif kind in (ScenarioKind.LINEAR_OVERFLOW, ScenarioKind.LINEAR_UNDERFLOW):
         # overflow probes the second chunk's first granule, underflow the
         # first chunk's last; only the probed chunk's size shapes it
         overflow = kind is ScenarioKind.LINEAR_OVERFLOW
         for size in range(1, LINEAR_MAX_GRANULES * tg + 1):
-            sim = Simulator(cfg)
-            ptr_a = sim.malloc(tg if overflow else size, policy=policy)
-            ptr_b = sim.malloc(size if overflow else tg, policy=policy)
+            sim = Simulator(cfg, policy=policy)
+            ptr_a = sim.malloc(tg if overflow else size)
+            ptr_b = sim.malloc(size if overflow else tg)
             addr = (unpack(ptr_b, cfg)[0] & -tg) - (0 if overflow else tg)
             if policy.kind is PolicyKind.RANDOM:  # two independent usable tags
                 probes = _uniform_tag(sim, addr, reserved=False)
@@ -107,8 +106,8 @@ def _sites(kind, cfg, policy):
     elif kind is ScenarioKind.INTRA_GRANULE_OVERFLOW:
         for full in range(INTRA_FULL_GRANULES):
             for size in range(full * tg + 1, full * tg + tg - 1):
-                sim = Simulator(cfg)
-                addr, tag = unpack(sim.malloc(size, policy=policy), cfg)
+                sim = Simulator(cfg, policy=policy)
+                addr, tag = unpack(sim.malloc(size), cfg)
                 yield sim, range(addr + size, addr + ((size + tg - 1) & -tg)), [(tag, 1)]
     else:
         raise UsageError(f"unknown scenario kind {kind!r}")
@@ -145,7 +144,7 @@ def _rate(sim: Simulator, addrs: range, probes: tuple, memo: dict) -> Fraction:
 
 
 def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int = 0,
-                       policy: TagPolicy | None = None) -> DetectionReport:
+                       policy: TagPolicy = TagPolicy()) -> DetectionReport:
     """Empirical detection rate over ``trials`` independent instances.
 
     Heap-use-after-free takes its probabilistic reuse variant whenever
@@ -154,14 +153,13 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
-    policy = policy or TagPolicy.random()
     # trial i is exactly run_scenario(Scenario(..., seed=seed + i)); the
     # prototype is reusable because runners draw only from sim.rng
     runner = scenario_runner(kind)
     proto = Scenario(kind=kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
     detections = 0
     for i in range(trials):
-        if runner(Simulator(cfg, seed=seed + i), proto).detected:
+        if runner(Simulator(cfg, seed=seed + i, policy=policy), proto).detected:
             detections += 1
     theo = theoretical_detection(kind, cfg, policy=policy)
     config = {**cfg.to_dict(), "sampling_rate": policy.rate,

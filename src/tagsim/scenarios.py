@@ -7,6 +7,13 @@ either immediately or as a deferred store report drained at scenario
 end.  A fault anywhere else is a harness defect and raises
 ScenarioError instead of polluting the measurement.
 
+Setup that cannot fault runs unguarded: malloc raises only UsageError
+or AllocationError, and freeing the pointer malloc just returned always
+succeeds.  Three guards remain, each raising ScenarioError:
+use-after-scope loads the sibling slot, which must stay reachable;
+uninitialized-read range-checks the bytes it reads; and the drain at
+scenario end refuses a deferred report for any word but the bug's.
+
 Parameter distributions (sizes, offsets) are drawn from the trial's
 seeded RNG and are documented per scenario below.  Two scenarios are
 probabilistic by construction:
@@ -68,9 +75,14 @@ class ScenarioKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One seeded bug instance.  size/offset of None mean "draw from
-    the trial RNG"; reuse_depth > 0 turns heap-use-after-free into its
-    probabilistic reuse variant."""
+    """One seeded bug instance.
+
+    A size of None is drawn from the trial RNG only by the linear and
+    intra-granule kinds; the other heap kinds use tg, and the stack
+    kinds STACK_LOCAL_SIZE.  An offset of None is drawn by each kind
+    that reads one.  reuse_depth > 0 turns heap-use-after-free into its
+    probabilistic reuse variant.  policy is the heap's tag policy, which
+    run_scenario builds the Simulator with."""
 
     kind: ScenarioKind
     size: int | None = None
@@ -102,11 +114,11 @@ def scenario_runner(kind: ScenarioKind):
 
 def run_scenario(scenario: Scenario, cfg: MtConfig) -> ScenarioResult:
     runner = scenario_runner(scenario.kind)
-    sim = Simulator(cfg, seed=scenario.seed)
+    sim = Simulator(cfg, seed=scenario.seed, policy=scenario.policy)
     return runner(sim, scenario)
 
 
-def _bug_access(sim: Simulator, word: int, store: bool) -> tuple[bool, FaultReport | None]:
+def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
     """The single injected bug access, plus end-of-scenario drain.
 
     Deferred reports are attributed by pointer word; any report that is
@@ -118,47 +130,37 @@ def _bug_access(sim: Simulator, word: int, store: bool) -> tuple[bool, FaultRepo
         else:
             sim.load(word, 1)
     except TagMismatchError as err:
-        return True, err.report
-    drained = sim.sync()
+        return ScenarioResult(detected=True, report=err.report)
     mine = None
-    for report in drained:
+    for report in sim.sync():
         if report.word != word:
             raise ScenarioError(f"fault outside the injected bug access: {report.render()}")
         if mine is None:
             mine = report
-    return mine is not None, mine
+    return ScenarioResult(detected=mine is not None, report=mine)
 
 
-def _setup_guard(err: FaultError) -> ScenarioError:
-    return ScenarioError(f"scenario setup faulted: {err.report.render()}")
+def _setup_fault(report: FaultReport) -> ScenarioError:
+    return ScenarioError(f"scenario setup faulted: {report.render()}")
 
 
 def _heap_use_after_free(sim: Simulator, s: Scenario) -> ScenarioResult:
     # size: one granule unless given, keeping reuse an exact fit
     size = s.size if s.size is not None else sim.cfg.tg
-    try:
-        ptr = sim.malloc(size, policy=s.policy)
-        sim.free(ptr)
-    except FaultError as err:
-        raise _setup_guard(err) from err
-    addr, _ = unpack(ptr, sim.cfg)
+    ptr = sim.malloc(size)
+    sim.free(ptr)
     if s.reuse_depth > 0:
         # churn the dead extent through reuse_depth fresh allocations;
-        # exact-fit first fit brings every generation back to addr
-        try:
-            reused = None
-            for _ in range(s.reuse_depth):
-                if reused is not None:
-                    sim.free(reused)
-                reused = sim.malloc(size, policy=s.policy)
-        except FaultError as err:
-            raise _setup_guard(err) from err
+        # exact-fit first fit brings every generation back to ptr's address
+        reused = sim.malloc(size)
+        for _ in range(s.reuse_depth - 1):
+            sim.free(reused)
+            reused = sim.malloc(size)
         probe_tag = sim.rng.randrange(sim.cfg.n_tags)
-        probe = pack(addr, probe_tag, sim.cfg)
+        probe = pack(unpack(ptr, sim.cfg)[0], probe_tag, sim.cfg)
     else:
         probe = ptr  # the honest stale pointer; retag-on-free decides
-    detected, report = _bug_access(sim, probe, store=False)
-    return ScenarioResult(detected=detected, report=report)
+    return _bug_access(sim, probe, store=False)
 
 
 def _linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
@@ -166,20 +168,14 @@ def _linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     tg = sim.cfg.tg
     size_a = s.size if s.size is not None else sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
     size_b = sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
-    try:
-        ptr_a = sim.malloc(size_a, policy=s.policy)
-        sim.malloc(size_b, policy=s.policy)
-    except FaultError as err:
-        raise _setup_guard(err) from err
-    user_a, _ = unpack(ptr_a, sim.cfg)
-    # malloc serves size 0 as one byte
-    chunk_end = (user_a + max(size_a, 1) + tg - 1) & ~(tg - 1)
+    ptr_a = sim.malloc(size_a)
+    ptr_b = sim.malloc(size_b)
     delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
     if not 0 <= delta < tg:
         raise UsageError("linear-overflow offset must stay in the neighbor's first granule")
-    probe = offset_ptr(ptr_a, (chunk_end + delta) - user_a, sim.cfg)
-    detected, report = _bug_access(sim, probe, store=True)
-    return ScenarioResult(detected=detected, report=report)
+    base_b = unpack(ptr_b, sim.cfg)[0] & -tg
+    probe = pack(base_b + delta, unpack(ptr_a, sim.cfg)[1], sim.cfg)
+    return _bug_access(sim, probe, store=True)
 
 
 def _linear_underflow(sim: Simulator, s: Scenario) -> ScenarioResult:
@@ -187,38 +183,28 @@ def _linear_underflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     tg = sim.cfg.tg
     size_a = sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
     size_b = s.size if s.size is not None else sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
-    try:
-        sim.malloc(size_a, policy=s.policy)
-        ptr_b = sim.malloc(size_b, policy=s.policy)
-    except FaultError as err:
-        raise _setup_guard(err) from err
-    user_b, _ = unpack(ptr_b, sim.cfg)
-    chunk_base = user_b & ~(tg - 1)
+    sim.malloc(size_a)
+    ptr_b = sim.malloc(size_b)
     delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
     if not 0 <= delta < tg:
         raise UsageError("linear-underflow offset must stay in the neighbor's last granule")
-    probe = offset_ptr(ptr_b, (chunk_base - 1 - delta) - user_b, sim.cfg)
-    detected, report = _bug_access(sim, probe, store=True)
-    return ScenarioResult(detected=detected, report=report)
+    user_b, tag_b = unpack(ptr_b, sim.cfg)
+    probe = pack((user_b & -tg) - 1 - delta, tag_b, sim.cfg)
+    return _bug_access(sim, probe, store=True)
 
 
 def _non_linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     # wild pointer with an arbitrary tag lands in a tagged victim granule
     size = s.size if s.size is not None else sim.cfg.tg
-    try:
-        victim = sim.malloc(size, policy=s.policy)
-    except FaultError as err:
-        raise _setup_guard(err) from err
-    vaddr, _ = unpack(victim, sim.cfg)
+    victim = sim.malloc(size)
     # stay in the victim's first granule; malloc serves size 0 as one byte
     span = min(max(size, 1), sim.cfg.tg)
     delta = s.offset if s.offset is not None else sim.rng.randrange(span)
     if not 0 <= delta < span:
         raise UsageError(f"non-linear-overflow offset must lie in [0, {span})")
     probe_tag = sim.rng.randrange(sim.cfg.n_tags)
-    probe = pack(vaddr + delta, probe_tag, sim.cfg)
-    detected, report = _bug_access(sim, probe, store=False)
-    return ScenarioResult(detected=detected, report=report)
+    probe = pack(unpack(victim, sim.cfg)[0] + delta, probe_tag, sim.cfg)
+    return _bug_access(sim, probe, store=False)
 
 
 def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
@@ -240,13 +226,8 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     offset = s.offset if s.offset is not None else served + sim.rng.randrange(granule_end - served)
     if not served <= offset < granule_end:
         raise UsageError(f"intra-granule offset must lie in [{served}, {granule_end})")
-    try:
-        ptr = sim.malloc(size, policy=s.policy)
-    except FaultError as err:
-        raise _setup_guard(err) from err
-    probe = offset_ptr(ptr, offset, sim.cfg)
-    detected, report = _bug_access(sim, probe, store=True)
-    return ScenarioResult(detected=detected, report=report)
+    probe = offset_ptr(sim.malloc(size), offset, sim.cfg)
+    return _bug_access(sim, probe, store=True)
 
 
 def _use_after_return(sim: Simulator, s: Scenario) -> ScenarioResult:
@@ -254,8 +235,7 @@ def _use_after_return(sim: Simulator, s: Scenario) -> ScenarioResult:
     frame = sim.stack.enter_frame([size])
     stale = frame.local_ptr(0)
     sim.stack.exit_frame(frame)
-    detected, report = _bug_access(sim, stale, store=False)
-    return ScenarioResult(detected=detected, report=report)
+    return _bug_access(sim, stale, store=False)
 
 
 def _use_after_scope(sim: Simulator, s: Scenario) -> ScenarioResult:
@@ -266,9 +246,8 @@ def _use_after_scope(sim: Simulator, s: Scenario) -> ScenarioResult:
     try:
         sim.load(frame.local_ptr(1), 1)  # sibling must stay reachable
     except FaultError as err:
-        raise _setup_guard(err) from err
-    detected, report = _bug_access(sim, stale, store=False)
-    return ScenarioResult(detected=detected, report=report)
+        raise _setup_fault(err.report) from err
+    return _bug_access(sim, stale, store=False)
 
 
 def _uninitialized_read(sim: Simulator, s: Scenario) -> ScenarioResult:
@@ -280,20 +259,14 @@ def _uninitialized_read(sim: Simulator, s: Scenario) -> ScenarioResult:
     """
     size = s.size if s.size is not None else sim.cfg.tg
     served = max(size, 1)  # malloc serves size 0 as one byte
-    try:
-        ptr = sim.malloc(size, policy=s.policy)
-        chunks = []
-        done = 0
-        while done < served:
-            width = 8 if served - done >= 8 else 1
-            chunks.append(sim.load(offset_ptr(ptr, done, sim.cfg), width))
-            done += width
-    except FaultError as err:
-        raise _setup_guard(err) from err
-    observed = b"".join(chunks)
+    ptr = sim.malloc(size)
+    refused = sim.check_user_range(ptr, served)
+    if refused is not None:
+        raise _setup_fault(refused.report)
+    observed = sim.memory.read(unpack(ptr, sim.cfg)[0], served)
     if any(b not in (0, SENTINEL) for b in observed):
         raise ScenarioError("uninitialized read saw bytes that are neither zero nor sentinel")
-    detected = observed == bytes(len(observed))
+    detected = observed == bytes(served)
     return ScenarioResult(detected=detected, report=None, observed=observed)
 
 

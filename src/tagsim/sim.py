@@ -12,46 +12,41 @@ heap-only and simulator construction sits on the Monte-Carlo hot path.
 from __future__ import annotations
 
 from .access import AccessEngine, RangeCheckError
-from .arena import ArenaAllocator, TagPolicy, DEFAULT_HEAP_CAPACITY
+from .arena import ArenaAllocator, TagPolicy
 from .faults import FaultReport
 from .memory import SparseMemory
 from .rng import SplitMix64
-from .stack import StackTagger, DEFAULT_STACK_CAPACITY
+from .stack import StackTagger
 from .tagspace import MtConfig, ShadowStore
 
 
 class Simulator:
-    __slots__ = ("cfg", "seed", "rng", "memory", "shadow", "heap", "engine",
-                 "_stack", "_stack_capacity")
+    __slots__ = ("cfg", "seed", "rng", "memory", "shadow", "heap", "engine", "_stack")
 
     def __init__(self, cfg: MtConfig | None = None, seed: int = 0,
-                 policy: TagPolicy | None = None,
-                 heap_capacity: int = DEFAULT_HEAP_CAPACITY,
-                 stack_capacity: int = DEFAULT_STACK_CAPACITY):
+                 policy: TagPolicy = TagPolicy()):
         self.cfg = cfg if cfg is not None else MtConfig()
         self.seed = seed
         self.rng = SplitMix64(seed)
         self.memory = SparseMemory()
         self.shadow = ShadowStore(self.cfg)
-        self.heap = ArenaAllocator(self.memory, self.shadow, self.cfg, self.rng,
-                                   policy=policy, capacity=heap_capacity)
+        self.heap = ArenaAllocator(self.memory, self.shadow, self.cfg, self.rng, policy=policy)
         self.engine = AccessEngine(self.memory, self.shadow, self.cfg,
                                    owner=self.heap.find_owner)
         self._stack = None
-        self._stack_capacity = stack_capacity
 
     @property
     def stack(self) -> StackTagger:
         if self._stack is None:
             self._stack = StackTagger(self.memory, self.shadow, self.cfg, self.rng,
-                                      seed=self.seed, capacity=self._stack_capacity)
+                                      seed=self.seed)
         return self._stack
 
     # Convenience passthroughs; scenario and test code reads better
     # with sim.malloc(...) than sim.heap.malloc(...).
 
-    def malloc(self, size: int, policy: TagPolicy | None = None) -> int:
-        return self.heap.malloc(size, policy=policy)
+    def malloc(self, size: int) -> int:
+        return self.heap.malloc(size)
 
     def free(self, word: int) -> None:
         self.heap.free(word)

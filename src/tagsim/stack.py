@@ -108,11 +108,7 @@ class StackTagger:
         distinct from every slot tag so stale pointers always fault."""
         if not self._frames or self._frames[-1] is not frame:
             raise UsageError("frame exits must be LIFO; this frame is not on top")
-        slot_tags = {slot.tag for slot in frame.slots}
-        candidates = [t for t in self.cfg.usable_tags if t not in slot_tags]
-        if not candidates:
-            raise UsageError("frame uses every non-reserved tag; no distinct exit tag exists")
-        retag = self.rng.choice(candidates)
+        retag = self._draw_excluding({slot.tag for slot in frame.slots})
         self.shadow.set_range(frame.base, frame.aligned_size, retag)
         self._frames.pop()
         self._top = frame.base + frame.aligned_size
@@ -128,7 +124,13 @@ class StackTagger:
         slot = frame.slots[index]
         if not slot.in_scope:
             raise UsageError(f"slot {index} already went out of scope")
-        candidates = [t for t in self.cfg.usable_tags if t != slot.tag]
-        retag = self.rng.choice(candidates)
+        retag = self._draw_excluding({slot.tag})
         self.shadow.set_range(frame.base + slot.offset, slot.aligned, retag)
         slot.in_scope = False
+
+    def _draw_excluding(self, tags: set[int]) -> int:
+        """One draw from the usable tags not in ``tags``."""
+        candidates = [t for t in self.cfg.usable_tags if t not in tags]
+        if not candidates:
+            raise UsageError("frame uses every non-reserved tag; no distinct exit tag exists")
+        return self.rng.choice(candidates)

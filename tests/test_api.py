@@ -1,15 +1,17 @@
 """The package's public surface: its exports, the names the benchmark
-patches, and the README's Python examples."""
+patches, and the README's Python examples and CLI lines."""
 
 import contextlib
 import io
 import json
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import tagsim
+from tagsim.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -80,3 +82,49 @@ def test_readme_python_blocks_print_what_they_show():
         assert printed
         for line in printed:
             assert line in shown, line
+
+
+def _readme_cli_runs():
+    """(argv, exit code, shown lines) for each `tagsim` line of the
+    README's CLI block that states an exit code or shows output.  Shown
+    lines follow their command; a comment after a blank line describes
+    the next command and may state its exit code ("exits 1")."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"\n## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    runs, stated, current = [], None, None
+    for line in block.splitlines():
+        if line.startswith("tagsim "):
+            command, _, note = line.partition("#")
+            code = re.search(r"\bexits? (\d)\b", note)
+            current = [shlex.split(command)[1:], int(code.group(1)) if code else stated, []]
+            runs.append(current)
+            stated = None
+        elif not line.strip():
+            current = None
+        elif current is not None:
+            current[2].append(line.removeprefix("# "))
+        else:
+            code = re.search(r"\bexits? (\d)\b", line)
+            stated = int(code.group(1)) if code else stated
+    return [(argv, 0 if code is None else code, shown) for argv, code, shown in runs
+            if code is not None or shown]
+
+
+def _shown_pattern(shown: str) -> str:
+    """`...` and `..` stand for any run of non-blank characters."""
+    return "".join(r"\S+" if part in ("..", "...") else re.escape(part)
+                   for part in re.split(r"(\.{2,3})", shown))
+
+
+def test_readme_cli_lines_exit_and_print_what_they_show(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    runs = _readme_cli_runs()
+    assert len(runs) == 4
+    for argv, code, shown in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == code, argv
+        printed = out.getvalue().splitlines() if shown else []
+        assert len(printed) == len(shown), argv
+        for line, expected in zip(printed, shown):
+            assert re.fullmatch(_shown_pattern(expected), line), (argv, line)

@@ -6,15 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from tagsim import (
     AllocationError,
+    ArenaAllocator,
     DoubleFreeError,
     FaultError,
     InvalidFreeError,
     MtConfig,
+    ShadowStore,
     Simulator,
+    SparseMemory,
     TagPolicy,
     UsageError,
 )
 from tagsim.arena import ChunkState
+from tagsim.rng import SplitMix64
 from tagsim.tagspace import unpack
 
 CFG16 = MtConfig(tg=16, ts=8)
@@ -76,10 +80,11 @@ def test_distinct_allocations_get_own_granules(sim16):
 
 
 def test_arena_capacity_exhaustion():
-    sim = Simulator(CFG16, seed=0, heap_capacity=256)
-    sim.malloc(200)
+    heap = ArenaAllocator(SparseMemory(), ShadowStore(CFG16), CFG16, SplitMix64(0),
+                          capacity=256)
+    heap.malloc(200)
     with pytest.raises(AllocationError):
-        sim.malloc(200)
+        heap.malloc(200)
 
 
 # ----------------------------------------------------------------------
@@ -101,8 +106,8 @@ def test_zero_on_tag_leaves_untagged_sentinel():
     # sampled-out allocations carry no tag, so the zeroing that rides on
     # the tagging step never happens for them
     cfg = MtConfig(tg=16, ts=8, zero_on_tag=True)
-    sim = Simulator(cfg, seed=5)
-    p = sim.malloc(16, policy=TagPolicy.sampled(0.0))
+    sim = Simulator(cfg, seed=5, policy=TagPolicy.sampled(0.0))
+    p = sim.malloc(16)
     assert sim.load(p, 8) == b"\xaa" * 8
 
 
@@ -342,13 +347,15 @@ def test_untagged_chunk_free_skips_retag():
 
 
 def test_untagged_reuse_clears_stale_tags():
-    sim = Simulator(CFG16, seed=6)
+    # at this seed the first chunk is sampled in and its reuse sampled out
+    sim = Simulator(CFG16, seed=7, policy=TagPolicy.sampled(0.5))
     p = sim.malloc(16)
-    addr = unpack(p, sim.cfg)[0]
+    addr, tag = unpack(p, sim.cfg)
+    assert tag != 0
     sim.free(p)  # retags the granule
     assert sim.shadow.get(addr) != 0
     writes = sim.shadow.writes
-    q = sim.malloc(16, policy=TagPolicy.sampled(0.0))
+    q = sim.malloc(16)
     assert unpack(q, sim.cfg) == (addr, 0)
     assert sim.shadow.get(addr) == 0
     assert sim.shadow.writes == writes + 1  # one write per granule cleared

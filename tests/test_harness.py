@@ -13,6 +13,7 @@ from tagsim import (
     MtConfig,
     PolicyKind,
     Scenario,
+    ScenarioError,
     ScenarioKind,
     Simulator,
     StoreMode,
@@ -151,6 +152,16 @@ def test_uninitialized_read_zeroing():
         )
         assert not result.detected
         assert set(result.observed) == {0xAA}
+
+
+def test_uninitialized_read_refused_range_is_a_setup_fault(monkeypatch):
+    sim = Simulator(CFG16, seed=0)
+    addr, tag = unpack(sim.malloc(16), CFG16)
+    refused = sim.check_user_range(pack(addr, tag ^ 1, CFG16), 1)
+    assert refused is not None
+    monkeypatch.setattr(Simulator, "check_user_range", lambda self, word, length: refused)
+    with pytest.raises(ScenarioError, match="scenario setup faulted"):
+        run_scenario(Scenario(kind=ScenarioKind.UNINITIALIZED_READ), CFG16)
 
 
 def test_scenario_honours_explicit_geometry():

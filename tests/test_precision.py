@@ -172,7 +172,8 @@ def test_free_clears_partial_marking():
 
 
 def test_sampled_out_allocation_skips_partial_marking():
-    sim = Simulator(MtConfig(tg=16, ts=8, precision_ext=True), seed=3)
-    p = sim.malloc(10, policy=TagPolicy.sampled(0.0))
+    sim = Simulator(MtConfig(tg=16, ts=8, precision_ext=True), seed=3,
+                    policy=TagPolicy.sampled(0.0))
+    p = sim.malloc(10)
     assert unpack(p, sim.cfg)[1] == 0
     sim.load(offset_ptr(p, 12, sim.cfg), 1)  # untagged: whole granule open

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from tagsim import AllocationError, FaultError, MtConfig, Simulator, UsageError
+from tagsim import (AllocationError, FaultError, MtConfig, ShadowStore, Simulator, SparseMemory,
+                    StackTagger, UsageError)
 from tagsim.rng import SplitMix64, mix64
 
 CFG16 = MtConfig(tg=16, ts=8)
@@ -71,10 +72,10 @@ def test_empty_frame_rejected():
 
 
 def test_stack_overflow():
-    sim = Simulator(CFG16, seed=0, stack_capacity=64)
-    sim.stack.enter_frame([32])
+    stack = StackTagger(SparseMemory(), ShadowStore(CFG16), CFG16, SplitMix64(0), capacity=64)
+    stack.enter_frame([32])
     with pytest.raises(AllocationError):
-        sim.stack.enter_frame([64])
+        stack.enter_frame([64])
 
 
 def test_zero_on_tag_applies_to_stack_slots():
