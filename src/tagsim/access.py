@@ -1,12 +1,19 @@
 """Checked loads and stores, deferred store faults, and range checking.
 
 Every access derives its tag from the pointer word itself and checks
-each granule the access touches.  Loads are always precise: a mismatch
-raises before any data moves.  Stores obey the configured StoreMode;
-under IMPRECISE_STORES a mismatched store is suppressed (the write
-never reaches memory, so deferral cannot hide corruption) and a
-deferred FaultReport is queued until sync() drains it, in program
-order.
+each granule the access touches.  first_mismatch is that check: it
+returns the verdict for the first failing granule, raises nothing and
+changes nothing.  load, store and check_user_range wrap it and build a
+FaultReport only when they refuse; a caller that needs only the verdict
+(the exact theory, a scenario's bug access) calls it directly and
+builds the report later, or never.
+
+Loads are always precise: a mismatch raises before any data moves.
+Stores obey the configured StoreMode; under IMPRECISE_STORES a
+mismatched store is suppressed (the write never reaches memory, so
+deferral cannot hide corruption) and a deferred FaultReport, built at
+store time so its provenance is that of the fault, is queued until
+sync() drains it, in program order.
 
 check_user_range models the kernel side: a syscall fed a user range
 must refuse it with an error code instead of trapping.  It never
@@ -22,11 +29,12 @@ from dataclasses import dataclass
 from .errors import TagMismatchError, UsageError
 from .faults import AccessKind, FaultKind, FaultReport
 from .precision import partial_access_ok
-from .tagspace import ADDR_SPACE, MtConfig, StoreMode
+from .tagspace import ADDR_SPACE, MtConfig
 
 EFAULT = 14  # classic errno for a bad user-space address
 
 _WIDTHS = (1, 2, 4, 8)
+_ADDR_MASK = ADDR_SPACE - 1
 
 
 @dataclass(frozen=True)
@@ -48,41 +56,35 @@ class AccessEngine:
         self.cfg = cfg
         self._owner = owner  # callable addr -> Chunk | None, for provenance
         self._deferred: list[FaultReport] = []
-        self._tg_mask = cfg.tg - 1
-        self._shift = cfg.tg_shift
-        self._tag_shift = cfg.tag_shift
-        self._tag_mask = cfg.n_tags - 1
-        self._partial = cfg.partial_tag
-        self._precise = cfg.store_mode is StoreMode.PRECISE
+        (self._tg_mask, self._shift, self._tag_shift, self._tag_mask, self._partial,
+         self._precise) = cfg.access_constants
 
     def load(self, word: int, width: int = 1) -> bytes:
         if width not in _WIDTHS:
             raise UsageError(f"load width must be one of {_WIDTHS}, got {width}")
-        addr = word & (ADDR_SPACE - 1)
+        addr = word & _ADDR_MASK
         if addr + width > ADDR_SPACE:
             raise UsageError("access wraps the address space")
-        ptag = (word >> self._tag_shift) & self._tag_mask
-        miss = self._first_mismatch(addr, width, ptag)
+        miss = self.first_mismatch(word, width)
         if miss is None:
             return self.memory.read(addr, width)
-        raise TagMismatchError(self._report(AccessKind.LOAD, word, ptag, addr, miss, False))
+        raise TagMismatchError(self.report(AccessKind.LOAD, word, miss))
 
     def store(self, word: int, data: bytes) -> None:
         width = len(data)
         if width not in _WIDTHS:
             raise UsageError(f"store width must be one of {_WIDTHS}, got {width}")
-        addr = word & (ADDR_SPACE - 1)
+        addr = word & _ADDR_MASK
         if addr + width > ADDR_SPACE:
             raise UsageError("access wraps the address space")
-        ptag = (word >> self._tag_shift) & self._tag_mask
-        miss = self._first_mismatch(addr, width, ptag)
+        miss = self.first_mismatch(word, width)
         if miss is None:
             self.memory.write(addr, bytes(data))
             return
         if self._precise:
-            raise TagMismatchError(self._report(AccessKind.STORE, word, ptag, addr, miss, False))
+            raise TagMismatchError(self.report(AccessKind.STORE, word, miss))
         # imprecise mode: suppress the write, deliver the report later
-        self._deferred.append(self._report(AccessKind.STORE, word, ptag, addr, miss, True))
+        self._deferred.append(self.report(AccessKind.STORE, word, miss, deferred=True))
 
     def sync(self) -> list[FaultReport]:
         """Drain deferred store faults in program order."""
@@ -98,34 +100,33 @@ class AccessEngine:
             raise UsageError(f"range length must be >= 0, got {length}")
         if length == 0:
             return None
-        addr = word & (ADDR_SPACE - 1)
-        if addr + length > ADDR_SPACE:
+        if (word & _ADDR_MASK) + length > ADDR_SPACE:
             raise UsageError("range wraps the address space")
-        ptag = (word >> self._tag_shift) & self._tag_mask
-        miss = self._first_mismatch(addr, length, ptag)
+        miss = self.first_mismatch(word, length)
         if miss is None:
             return None
-        report = self._report(AccessKind.RANGE_CHECK, word, ptag, addr, miss, False)
-        return RangeCheckError(errno=EFAULT, report=report)
+        return RangeCheckError(errno=EFAULT, report=self.report(AccessKind.RANGE_CHECK, word, miss))
 
-    # ------------------------------------------------------------------
-
-    def _first_mismatch(self, addr: int, length: int, ptag: int):
-        """(granule base, mem tag, partial?) of the first failing
-        granule in address order, or None when all checks pass."""
+    def first_mismatch(self, word: int, length: int) -> tuple[int, int, bool] | None:
+        """(granule base, mem tag, partial?) of the first granule in
+        address order that refuses ``length`` bytes through ``word``, or
+        None when every check passes.  The range must not wrap the
+        address space and ``length`` must be positive; the wrappers
+        check both."""
+        addr = word & _ADDR_MASK
+        ptag = (word >> self._tag_shift) & self._tag_mask
         shift = self._shift
         tags = self.shadow.tags
         partial = self._partial
         g = addr >> shift
         last = (addr + length - 1) >> shift
-        tg = self._tg_mask + 1
         while g <= last:
             mtag = tags.get(g, 0)
             if mtag:
                 gbase = g << shift
-                if partial is not None and mtag == partial:
+                if mtag == partial:
                     seg_start = addr if addr > gbase else gbase
-                    seg_end = min(addr + length, gbase + tg)
+                    seg_end = min(addr + length, gbase + self._tg_mask + 1)
                     if not partial_access_ok(self.memory, self.cfg, gbase,
                                              seg_start - gbase, seg_end - seg_start, ptag):
                         return gbase, mtag, True
@@ -134,16 +135,20 @@ class AccessEngine:
             g += 1
         return None
 
-    def _report(self, access: AccessKind, word: int, ptag: int, addr: int,
-                miss, deferred: bool) -> FaultReport:
+    def report(self, access: AccessKind, word: int, miss: tuple[int, int, bool],
+               deferred: bool = False) -> FaultReport:
+        """The FaultReport for a refused access of ``word`` whose
+        first_mismatch verdict is ``miss``.  Provenance is read from the
+        heap now, so build it before anything else changes the heap."""
         gbase, mtag, partial = miss
+        addr = word & _ADDR_MASK
         fault_addr = addr if addr > gbase else gbase
         chunk = self._owner(fault_addr)
         return FaultReport(
             kind=FaultKind.TAG_MISMATCH,
             access=access,
             word=word,
-            ptr_tag=ptag,
+            ptr_tag=(word >> self._tag_shift) & self._tag_mask,
             mem_tag=mtag,
             granule_base=gbase,
             chunk_id=chunk.id if chunk else None,

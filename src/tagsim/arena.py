@@ -54,6 +54,12 @@ HEAP_BASE = 0x1000_0000
 DEFAULT_HEAP_CAPACITY = 1 << 30
 
 
+def served_size(size: int) -> int:
+    """The bytes malloc serves for a request of ``size``: size 0 is
+    served as one byte, so every allocation owns at least one granule."""
+    return size if size > 0 else 1
+
+
 class PolicyKind(enum.Enum):
     RANDOM = "random"
     ADJACENT_DISTINCT = "adjacent-distinct"
@@ -127,6 +133,12 @@ class Chunk:
                 f" aligned={self.aligned}, tag={self.tag}, state={self.state.value})")
 
 
+# Reading an enum member costs a descriptor call on Python 3.11, about
+# ten times a module global; malloc and free read these aliases.
+_RANDOM = PolicyKind.RANDOM
+_LIVE = ChunkState.LIVE
+
+
 @dataclass(slots=True)
 class AllocatorStats:
     allocations: int = 0
@@ -142,6 +154,9 @@ class AllocatorStats:
 
 
 class ArenaAllocator:
+    __slots__ = ("memory", "shadow", "cfg", "rng", "policy", "limit", "_brk", "_free",
+                 "_bases", "_by_base", "_quarantine", "_qbytes", "_next_id", "_stats")
+
     def __init__(self, memory, shadow, cfg: MtConfig, rng, policy: TagPolicy = TagPolicy(),
                  capacity: int = DEFAULT_HEAP_CAPACITY):
         self.memory = memory
@@ -166,22 +181,23 @@ class ArenaAllocator:
     def malloc(self, size: int) -> int:
         """Allocate ``size`` bytes and return a tagged pointer word.
 
-        size 0 is served as a single byte, so every allocation owns at
-        least one granule.
+        size 0 is served as a single byte (served_size).
         """
         if size < 0:
             raise UsageError(f"allocation size must be >= 0, got {size}")
         cfg = self.cfg
         tg = cfg.tg
-        eff = size if size > 0 else 1
-        aligned = (eff + tg - 1) & ~(tg - 1)
-        base = self._place(aligned)
+        eff = served_size(size)
+        aligned = (eff + tg - 1) & -tg
+        base = self._place(aligned) if self._free else None
+        if base is None:  # nothing to reuse: bump
+            base = self._brk
+            if base + aligned > self.limit:
+                raise AllocationError(f"arena exhausted: need {aligned} bytes")
+            self._brk = base + aligned
         tag = self._choose_tag(base, aligned)
 
-        if cfg.zero_on_tag and tag:
-            self.memory.fill(base, aligned, 0x00)
-        else:
-            self.memory.fill(base, aligned, SENTINEL)
+        self.memory.fill(base, aligned, 0x00 if tag and cfg.zero_on_tag else SENTINEL)
 
         remainder = eff & (tg - 1)
         if tag:
@@ -200,29 +216,31 @@ class ArenaAllocator:
         else:
             self.shadow.set_range(base, aligned, 0)  # clears retags left by earlier chunks
 
-        user_off = 0
-        if cfg.right_align and remainder:
-            user_off = aligned - eff
-
-        chunk = Chunk(id=self._next_id, base=base, requested=size, aligned=aligned,
-                      tag=tag, state=ChunkState.LIVE, user_off=user_off)
-        self._next_id += 1
-        insort(self._bases, base)
-        self._by_base[base] = chunk
+        user_off = aligned - eff if cfg.right_align and remainder else 0
+        chunk_id = self._next_id
+        self._next_id = chunk_id + 1
+        self._by_base[base] = Chunk(chunk_id, base, size, aligned, tag, _LIVE, user_off)
+        bases = self._bases
+        if not bases or base > bases[-1]:
+            bases.append(base)
+        else:
+            insort(bases, base)
 
         st = self._stats
         st.allocations += 1
         if tag:
             st.tagged_allocations += 1
-        st.live_requested_bytes += size
-        st.live_aligned_bytes += aligned
-        if st.live_requested_bytes > st.peak_requested_bytes:
-            st.peak_requested_bytes = st.live_requested_bytes
-        if st.live_aligned_bytes > st.peak_aligned_bytes:
-            st.peak_aligned_bytes = st.live_aligned_bytes
+        live = st.live_requested_bytes + size
+        st.live_requested_bytes = live
+        if live > st.peak_requested_bytes:
+            st.peak_requested_bytes = live
+        live = st.live_aligned_bytes + aligned
+        st.live_aligned_bytes = live
+        if live > st.peak_aligned_bytes:
+            st.peak_aligned_bytes = live
 
         # pack() inlined: tag and user address are in range by construction
-        return (tag << cfg.tag_shift) | chunk.user_addr
+        return (tag << cfg.tag_shift) | (base + user_off)
 
     def free(self, word: int) -> None:
         """Release the allocation that returned ``word``.
@@ -235,7 +253,7 @@ class ArenaAllocator:
         chunk = self.find_owner(addr)
         if chunk is None or chunk.user_addr != addr:
             raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
-        if chunk.state is not ChunkState.LIVE:
+        if chunk.state is not _LIVE:
             raise DoubleFreeError(self._free_report(FaultKind.DOUBLE_FREE, word, ptag, addr, chunk))
         if ptag != chunk.tag:
             raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
@@ -289,7 +307,9 @@ class ArenaAllocator:
     # ------------------------------------------------------------------
     # internals
 
-    def _place(self, aligned: int) -> int:
+    def _place(self, aligned: int) -> int | None:
+        """First fit by address on the free list, or None when no
+        extent fits and malloc bumps."""
         free = self._free
         for i, ext in enumerate(free):
             if ext[1] >= aligned:
@@ -301,17 +321,13 @@ class ArenaAllocator:
                     ext[1] -= aligned
                 self._recycle_overlaps(base, base + aligned)
                 return base
-        if self._brk + aligned <= self.limit:
-            base = self._brk
-            self._brk += aligned
-            return base
-        raise AllocationError(f"arena exhausted: need {aligned} bytes")
+        return None
 
     def _choose_tag(self, base: int, aligned: int) -> int:
         policy = self.policy
         rng = self.rng
         usable = self.cfg.usable_tags
-        if policy.kind is PolicyKind.RANDOM:
+        if policy.kind is _RANDOM:
             return rng.choice(usable)
         if policy.kind is PolicyKind.ADJACENT_DISTINCT:
             left = self.effective_tag(base - 1) if base > HEAP_BASE else 0

@@ -127,9 +127,10 @@ def _uniform_tag(sim: Simulator, addr: int, reserved: bool) -> list[tuple[int, i
 
 
 def _rate(sim: Simulator, addrs: range, probes: tuple, memo: dict) -> Fraction:
-    """Weighted share of one-byte probes at addrs that check_user_range
-    refuses.  The verdict depends only on the pointer tag and the
-    granule's shadow tag and bytes, so equal granule states share it."""
+    """Weighted share of one-byte probes at addrs that the engine's
+    first_mismatch refuses, the check behind load, store and
+    check_user_range.  The verdict depends only on the pointer tag and
+    the granule's shadow tag and bytes, so equal granule states share it."""
     cfg = sim.cfg
     gbase = addrs.start & -cfg.tg
     state = (sim.shadow.get(gbase), sim.memory.read(gbase, cfg.tg), probes)
@@ -137,7 +138,7 @@ def _rate(sim: Simulator, addrs: range, probes: tuple, memo: dict) -> Fraction:
     if verdicts is None:
         verdicts = memo[state] = [
             sum(w for tag, w in probes
-                if sim.check_user_range(pack(addr, tag, cfg), 1) is not None)
+                if sim.engine.first_mismatch(pack(addr, tag, cfg), 1) is not None)
             for addr in range(gbase, gbase + cfg.tg)]
     caught = sum(verdicts[addrs.start - gbase:addrs.stop - gbase])
     return Fraction(caught, len(addrs) * sum(w for _, w in probes))

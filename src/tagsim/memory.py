@@ -55,6 +55,16 @@ class SparseMemory:
             pos += take
 
     def fill(self, addr: int, n: int, value: int) -> None:
+        off = addr & _PAGE_MASK
+        if 0 < n and off + n <= _PAGE_SIZE:  # one page: most chunks and frame slots
+            pages = self._pages
+            page = pages.get(addr >> _PAGE_SHIFT)
+            if page is None:
+                page = pages[addr >> _PAGE_SHIFT] = bytearray(_PAGE_SIZE)
+                if not value:
+                    return  # a new page is all zeros already
+            page[off : off + n] = bytes((value,)) * n
+            return
         while n:
             off = addr & _PAGE_MASK
             take = min(n, _PAGE_SIZE - off)

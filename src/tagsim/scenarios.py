@@ -48,12 +48,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .arena import TagPolicy
-from .errors import FaultError, ScenarioError, TagMismatchError, UsageError
-from .faults import FaultReport
+from .arena import TagPolicy, served_size
+from .errors import FaultError, ScenarioError, UsageError
+from .faults import AccessKind, FaultReport
 from .memory import SENTINEL
 from .sim import Simulator
-from .tagspace import MtConfig, offset_ptr, pack, unpack
+from .tagspace import MtConfig, StoreMode, offset_ptr, pack, unpack
 
 # Geometry a runner draws when its Scenario leaves size and offset
 # unset.  theoretical_detection enumerates exactly these ranges.
@@ -92,11 +92,33 @@ class Scenario:
     policy: TagPolicy = TagPolicy()
 
 
-@dataclass(slots=True)
 class ScenarioResult:
-    detected: bool
-    report: FaultReport | None = None
-    observed: bytes | None = None
+    """What one scenario run saw: the verdict, the fault report that
+    detected the bug (None when nothing did) and, for
+    uninitialized-read, the bytes the read returned.
+
+    A refused bug access keeps only the engine's verdict (``fault``):
+    the report is built from the simulator the first time ``report`` is
+    read.  That is exact because nothing touches the simulator after
+    the bug access, and the Monte-Carlo estimator never reads it.
+    """
+
+    __slots__ = ("detected", "observed", "_report", "_fault")
+
+    def __init__(self, detected: bool, report: FaultReport | None = None,
+                 observed: bytes | None = None, fault: tuple | None = None):
+        self.detected = detected
+        self.observed = observed
+        self._report = report
+        self._fault = fault  # (engine, AccessKind, word, first_mismatch verdict, deferred)
+
+    @property
+    def report(self) -> FaultReport | None:
+        if self._fault is not None:
+            engine, access, word, miss, deferred = self._fault
+            self._report = engine.report(access, word, miss, deferred)
+            self._fault = None
+        return self._report
 
 
 def scenario_runner(kind: ScenarioKind):
@@ -118,26 +140,37 @@ def run_scenario(scenario: Scenario, cfg: MtConfig) -> ScenarioResult:
     return runner(sim, scenario)
 
 
+# enum members read as module globals: on Python 3.11 a member lookup
+# costs a descriptor call, and the bug access runs once per trial
+_LOAD, _STORE = AccessKind.LOAD, AccessKind.STORE
+_IMPRECISE = StoreMode.IMPRECISE_STORES
+
+
 def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
     """The single injected bug access, plus end-of-scenario drain.
 
-    Deferred reports are attributed by pointer word; any report that is
-    not ours means setup misbehaved.
+    The engine decides the access; nothing runs after it, so a passing
+    access moves no data and a refused one leaves its report to be built
+    on first read.  A mismatched store under IMPRECISE_STORES is a
+    deferred report, delivered after any that setup queued.  Deferred
+    reports are attributed by pointer word; any report that is not ours
+    means setup misbehaved.
     """
-    try:
-        if store:
-            sim.store(word, b"\x00")
-        else:
-            sim.load(word, 1)
-    except TagMismatchError as err:
-        return ScenarioResult(detected=True, report=err.report)
-    mine = None
-    for report in sim.sync():
+    engine = sim.engine
+    miss = engine.first_mismatch(word, 1)
+    deferred = store and sim.cfg.store_mode is _IMPRECISE
+    access = _STORE if store else _LOAD
+    if miss is not None and not deferred:
+        return ScenarioResult(detected=True, fault=(engine, access, word, miss, False))
+    pending = sim.sync()
+    for report in pending:
         if report.word != word:
             raise ScenarioError(f"fault outside the injected bug access: {report.render()}")
-        if mine is None:
-            mine = report
-    return ScenarioResult(detected=mine is not None, report=mine)
+    if pending:
+        return ScenarioResult(detected=True, report=pending[0])
+    if miss is not None:
+        return ScenarioResult(detected=True, fault=(engine, access, word, miss, True))
+    return ScenarioResult(detected=False)
 
 
 def _setup_fault(report: FaultReport) -> ScenarioError:
@@ -197,8 +230,7 @@ def _non_linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     # wild pointer with an arbitrary tag lands in a tagged victim granule
     size = s.size if s.size is not None else sim.cfg.tg
     victim = sim.malloc(size)
-    # stay in the victim's first granule; malloc serves size 0 as one byte
-    span = min(max(size, 1), sim.cfg.tg)
+    span = min(served_size(size), sim.cfg.tg)  # stay in the victim's first granule
     delta = s.offset if s.offset is not None else sim.rng.randrange(span)
     if not 0 <= delta < span:
         raise UsageError(f"non-linear-overflow offset must lie in [0, {span})")
@@ -219,7 +251,7 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
         size = s.size
     else:
         size = sim.rng.randrange(INTRA_FULL_GRANULES) * tg + sim.rng.randint(1, tg - 2)
-    served = max(size, 1)  # malloc serves size 0 as one byte
+    served = served_size(size)
     if served & (tg - 1) == 0:
         raise UsageError("intra-granule scenario needs a size that is not a granule multiple")
     granule_end = (served + tg - 1) & ~(tg - 1)
@@ -258,17 +290,19 @@ def _uninitialized_read(sim: Simulator, s: Scenario) -> ScenarioResult:
     simulator's uninitialized-fill sentinel shows through.
     """
     size = s.size if s.size is not None else sim.cfg.tg
-    served = max(size, 1)  # malloc serves size 0 as one byte
+    served = served_size(size)
     ptr = sim.malloc(size)
     refused = sim.check_user_range(ptr, served)
     if refused is not None:
         raise _setup_fault(refused.report)
     observed = sim.memory.read(unpack(ptr, sim.cfg)[0], served)
-    if any(b not in (0, SENTINEL) for b in observed):
+    if observed.translate(None, _ZERO_OR_SENTINEL):
         raise ScenarioError("uninitialized read saw bytes that are neither zero nor sentinel")
     detected = observed == bytes(served)
     return ScenarioResult(detected=detected, report=None, observed=observed)
 
+
+_ZERO_OR_SENTINEL = bytes((0, SENTINEL))
 
 _RUNNERS = {
     ScenarioKind.HEAP_USE_AFTER_FREE: _heap_use_after_free,

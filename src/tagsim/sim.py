@@ -7,6 +7,11 @@ choices, retags, scenario parameters) pulls from that RNG in program
 order, so a given (config, seed) pair replays bit-identically on any
 platform.  The stack tagger is built on first use; most trials are
 heap-only and simulator construction sits on the Monte-Carlo hot path.
+
+load and store raise a fault carrying its FaultReport at once.  A
+scenario run asks the engine for the verdict alone (engine.first_mismatch)
+and its ScenarioResult builds the report on first read, from this
+simulator, which nothing changes after the bug access.
 """
 
 from __future__ import annotations
@@ -25,14 +30,15 @@ class Simulator:
 
     def __init__(self, cfg: MtConfig | None = None, seed: int = 0,
                  policy: TagPolicy = TagPolicy()):
-        self.cfg = cfg if cfg is not None else MtConfig()
+        if cfg is None:
+            cfg = MtConfig()
+        self.cfg = cfg
         self.seed = seed
-        self.rng = SplitMix64(seed)
-        self.memory = SparseMemory()
-        self.shadow = ShadowStore(self.cfg)
-        self.heap = ArenaAllocator(self.memory, self.shadow, self.cfg, self.rng, policy=policy)
-        self.engine = AccessEngine(self.memory, self.shadow, self.cfg,
-                                   owner=self.heap.find_owner)
+        self.rng = rng = SplitMix64(seed)
+        self.memory = memory = SparseMemory()
+        self.shadow = shadow = ShadowStore(cfg)
+        self.heap = heap = ArenaAllocator(memory, shadow, cfg, rng, policy)
+        self.engine = AccessEngine(memory, shadow, cfg, heap.find_owner)
         self._stack = None
 
     @property

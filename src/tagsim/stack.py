@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arena import served_size
 from .errors import AllocationError, UsageError
 from .memory import SENTINEL
 from .rng import mix64
-from .tagspace import MtConfig, pack
+from .tagspace import MtConfig
 
 STACK_BASE = 0x7000_0000_0000
 DEFAULT_STACK_CAPACITY = 1 << 23
@@ -50,6 +51,8 @@ class Frame:
 
 
 class StackTagger:
+    __slots__ = ("memory", "shadow", "cfg", "rng", "seed", "floor", "_top", "_frames", "_seq")
+
     def __init__(self, memory, shadow, cfg: MtConfig, rng, seed: int = 0,
                  capacity: int = DEFAULT_STACK_CAPACITY):
         self.memory = memory
@@ -72,33 +75,33 @@ class StackTagger:
         for size in local_sizes:
             if size < 0:
                 raise UsageError(f"local size must be >= 0, got {size}")
-            eff = size if size > 0 else 1
-            aligned_sizes.append((eff + tg - 1) & ~(tg - 1))
+            aligned_sizes.append((served_size(size) + tg - 1) & ~(tg - 1))
         total = sum(aligned_sizes)
         fbase = self._top - total
         if fbase < self.floor:
             raise AllocationError(f"stack overflow: need {total} bytes")
 
         usable = cfg.usable_tags
+        n = len(usable)
         seq = self._seq
         self._seq += 1
-        base_index = mix64(fbase ^ mix64(seq ^ self.seed)) % len(usable)
+        base_index = mix64(fbase ^ mix64(seq ^ self.seed)) % n
 
+        set_range, fill = self.shadow.set_range, self.memory.fill
+        value = 0x00 if cfg.zero_on_tag else SENTINEL
+        tag_shift = cfg.tag_shift
         slots = []
         offset = 0
         for i, aligned in enumerate(aligned_sizes):
-            tag = usable[(base_index + i) % len(usable)]
+            tag = usable[(base_index + i) % n]
             slot_base = fbase + offset
-            self.shadow.set_range(slot_base, aligned, tag)
-            if cfg.zero_on_tag:
-                self.memory.fill(slot_base, aligned, 0x00)
-            else:
-                self.memory.fill(slot_base, aligned, SENTINEL)
-            slots.append(LocalSlot(offset=offset, aligned=aligned, tag=tag,
-                                   ptr=pack(slot_base, tag, cfg)))
+            set_range(slot_base, aligned, tag)
+            fill(slot_base, aligned, value)
+            # pack() inlined: tag and slot address are in range by construction
+            slots.append(LocalSlot(offset, aligned, tag, (tag << tag_shift) | slot_base))
             offset += aligned
 
-        frame = Frame(base=fbase, slots=slots, aligned_size=total)
+        frame = Frame(fbase, slots, total)
         self._top = fbase
         self._frames.append(frame)
         return frame
@@ -129,8 +132,18 @@ class StackTagger:
         slot.in_scope = False
 
     def _draw_excluding(self, tags: set[int]) -> int:
-        """One draw from the usable tags not in ``tags``."""
-        candidates = [t for t in self.cfg.usable_tags if t not in tags]
-        if not candidates:
+        """One draw from the usable tags not in ``tags``: the tag that
+        ``rng.choice`` of that list in ascending order would pick, found
+        without building the list.  The usable tags are 1..n (only 0 and
+        the top PARTIAL value are ever reserved), so the draw's k-th free
+        tag is k + 1 stepped past every excluded tag at or below it."""
+        n = len(self.cfg.usable_tags)
+        skip = sorted(t for t in tags if 0 < t <= n)
+        if len(skip) == n:
             raise UsageError("frame uses every non-reserved tag; no distinct exit tag exists")
-        return self.rng.choice(candidates)
+        tag = self.rng.randrange(n - len(skip)) + 1
+        for t in skip:
+            if t > tag:
+                break
+            tag += 1
+        return tag

@@ -114,6 +114,15 @@ class MtConfig:
     def usable_tags(self) -> tuple[int, ...]:
         return tuple(t for t in range(self.n_tags) if t not in self.reserved_tags)
 
+    @cached_property
+    def access_constants(self) -> tuple[int, int, int, int, int | None, bool]:
+        """What the access engine reads on every check, in one tuple:
+        (tg - 1, tg_shift, tag_shift, n_tags - 1, partial_tag, stores
+        precise?).  A simulator is built per trial, so its engine takes
+        these in one read instead of six."""
+        return (self.tg - 1, self.tg_shift, self.tag_shift, self.n_tags - 1,
+                self.partial_tag, self.store_mode is StoreMode.PRECISE)
+
     def to_dict(self) -> dict:
         return {
             "tg": self.tg,
@@ -190,6 +199,13 @@ class ShadowStore:
             raise UsageError(f"tag {tag} does not fit in {self.cfg.ts} bits")
         tags = self.tags
         first = addr >> self._shift
+        if length == tg:  # one granule: most chunks and every PARTIAL mark
+            if tag:
+                tags[first] = tag
+                self.writes += 1
+            elif tags.pop(first, None) is not None:
+                self.writes += 1
+            return
         count = length >> self._shift
         if tag:
             for g in range(first, first + count):

@@ -244,9 +244,11 @@ def test_theoretical_mode_switches():
 
 
 class _ScriptedTags(SplitMix64):
-    """The simulator's RNG, except that each tag choice (malloc, the
-    retag on free, frame and scope exit) comes from a script, so a bug
-    site can be built with any memory tag its policy allows."""
+    """The simulator's RNG, except that each tag draw comes from a
+    script, so a bug site can be built with any memory tag its policy
+    allows.  The script holds the tag itself for a choice (malloc, the
+    retag on free) and the index among the free tags for frame and
+    scope exit, which draw one with randrange."""
 
     def __init__(self, tags):
         super().__init__(0)
@@ -256,6 +258,11 @@ class _ScriptedTags(SplitMix64):
         tag = self.tags.pop(0)
         assert tag in seq, (tag, seq)
         return tag
+
+    def randrange(self, n):
+        index = self.tags.pop(0)
+        assert 0 <= index < n, (index, n)
+        return index
 
 
 def _scripted(cfg, policy, tags, seed=0):
@@ -325,15 +332,15 @@ def _full_product_blocks(kind, cfg, policy):
             seed_for_tag.setdefault(frame.slots[0].tag, seed)
         assert sorted(seed_for_tag) == list(usable)
         for tag, seed in seed_for_tag.items():
-            for retag in usable:
-                if retag != tag:  # frame and scope exit exclude the slot's tag
-                    sim = _scripted(cfg, policy, [retag], seed=seed)
-                    frame = sim.stack.enter_frame(local_sizes)
-                    if scope:
-                        sim.stack.end_scope(frame, 0)
-                    else:
-                        sim.stack.exit_frame(frame)
-                    yield sim, [unpack(frame.local_ptr(0), cfg)[0]], [tag]
+            # frame and scope exit draw among the usable tags but the slot's
+            for index in range(len(usable) - 1):
+                sim = _scripted(cfg, policy, [index], seed=seed)
+                frame = sim.stack.enter_frame(local_sizes)
+                if scope:
+                    sim.stack.end_scope(frame, 0)
+                else:
+                    sim.stack.exit_frame(frame)
+                yield sim, [unpack(frame.local_ptr(0), cfg)[0]], [tag]
 
 
 def _full_product(kind, cfg, policy):
@@ -344,10 +351,9 @@ def _full_product(kind, cfg, policy):
         return Fraction(sum(verdicts), len(verdicts))
     total, blocks = Fraction(0), 0
     for sim, addrs, ptags in _full_product_blocks(kind, cfg, policy):
-        # the engine's per-granule check under load, store and
-        # check_user_range, without building a fault report per refusal
-        first_mismatch = sim.engine._first_mismatch
-        caught = sum(first_mismatch(addr, 1, ptag) is not None
+        # the engine's verdict behind load, store and check_user_range
+        first_mismatch = sim.engine.first_mismatch
+        caught = sum(first_mismatch(pack(addr, ptag, cfg), 1) is not None
                      for addr in addrs for ptag in ptags)
         total += Fraction(caught, len(addrs) * len(ptags))
         blocks += 1
