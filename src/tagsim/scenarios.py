@@ -100,7 +100,8 @@ class ScenarioResult:
     A refused bug access keeps only the engine's verdict (``fault``):
     the report is built from the simulator the first time ``report`` is
     read.  That is exact because nothing touches the simulator after
-    the bug access, and the Monte-Carlo estimator never reads it.
+    the bug access, and the Monte-Carlo estimator never reads it.  Until
+    that first read the result keeps the simulator alive.
     """
 
     __slots__ = ("detected", "observed", "_report", "_fault")
