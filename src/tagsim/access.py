@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import TagMismatchError, UsageError
 from .faults import AccessKind, FaultKind, FaultReport
 from .precision import partial_access_ok
-from .tagspace import ADDR_SPACE, MtConfig
+from .tagspace import ADDR_SPACE, TAG_PAGE_MASK, TAG_PAGE_SHIFT, MtConfig
 
 EFAULT = 14  # classic errno for a bad user-space address
 
@@ -116,12 +116,13 @@ class AccessEngine:
         addr = word & _ADDR_MASK
         ptag = (word >> self._tag_shift) & self._tag_mask
         shift = self._shift
-        tags = self.shadow.tags
+        pages = self.shadow.pages
         partial = self._partial
         g = addr >> shift
         last = (addr + length - 1) >> shift
         while g <= last:
-            mtag = tags.get(g, 0)
+            page = pages.get(g >> TAG_PAGE_SHIFT)
+            mtag = page[g & TAG_PAGE_MASK] if page is not None else 0
             if mtag:
                 gbase = g << shift
                 if mtag == partial:

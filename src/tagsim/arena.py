@@ -12,7 +12,11 @@ Placement is deliberately boring so runs are reproducible: first fit by
 address among reusable extents, else bump allocation.  Chunk metadata
 lives out of band (in Python objects), so consecutive bump allocations
 are exactly address-adjacent, which is what the AdjacentDistinct policy
-needs to guarantee overflow detection into a neighbor.
+needs to guarantee overflow detection into a neighbor.  The free list
+(FreeList) keeps its extents in address-ordered blocks that each know
+their largest extent, so first fit skips whole blocks that cannot hold
+the request and scans one block of at most 2 * FREE_BLOCK extents: its
+cost grows with the number of blocks, not with the number of extents.
 
 The heap's one record of its chunks is an index of live, quarantined
 and freed chunks sorted by base address.  Indexed chunks never overlap:
@@ -153,6 +157,128 @@ class AllocatorStats:
     partial_fallbacks: int = 0
 
 
+# B: a block of the free list holds at most 2 * B extents, and a
+# block that grows past that splits into two halves of about B.
+FREE_BLOCK = 32
+
+
+class FreeList:
+    """Reusable extents, sorted by address, in blocks of at most
+    2 * FREE_BLOCK.  Block k keeps parallel lists ``bases[k]`` and
+    ``sizes[k]``, and ``firsts[k]``/``maxes[k]`` hold its first base and
+    its largest size.  Extents never touch: ``add`` coalesces across
+    block boundaries too.  So first fit walks the block maxima to the
+    first block that fits and scans that block alone.  ``maxes`` is
+    empty exactly when no extent is free."""
+
+    __slots__ = ("bases", "sizes", "firsts", "maxes")
+
+    def __init__(self):
+        self.bases: list[list[int]] = []
+        self.sizes: list[list[int]] = []
+        self.firsts: list[int] = []
+        self.maxes: list[int] = []
+
+    def take(self, size: int) -> int | None:
+        """Cut ``size`` bytes from the front of the lowest-address
+        extent that holds them and return their base, or None when no
+        extent does."""
+        maxes = self.maxes
+        k = 0
+        for top in maxes:
+            if top >= size:
+                break
+            k += 1
+        else:
+            return None
+        sizes = self.sizes[k]
+        i = 0
+        for have in sizes:
+            if have >= size:
+                break
+            i += 1
+        bases = self.bases[k]
+        base = bases[i]
+        if have == size:
+            self._remove(k, i)
+            return base
+        bases[i] = base + size
+        sizes[i] = have - size
+        if i == 0:
+            self.firsts[k] = base + size
+        if have == top:
+            maxes[k] = max(sizes)
+        return base
+
+    def add(self, base: int, size: int) -> None:
+        """Free [base, base+size), which overlaps no free extent, and
+        merge it with the extents it touches."""
+        firsts = self.firsts
+        if not firsts:
+            self.bases.append([base])
+            self.sizes.append([size])
+            firsts.append(base)
+            self.maxes.append(size)
+            return
+        # the block whose first base is the last at or below base; a
+        # base below every block goes to the front of block 0
+        k = bisect_right(firsts, base) - 1
+        if k < 0:
+            k = 0
+        bases, sizes, maxes = self.bases[k], self.sizes[k], self.maxes
+        i = bisect_left(bases, base)
+        end = base + size
+        # the right neighbour is the next extent of this block, else the
+        # first of the next block
+        rk, ri = (k, i) if i < len(bases) else (k + 1, 0)
+        touches_right = rk < len(firsts) and self.bases[rk][ri] == end
+        if i and bases[i - 1] + sizes[i - 1] == base:  # extends its left neighbour
+            merged = sizes[i - 1] + size
+            if touches_right:
+                merged += self.sizes[rk][ri]
+                self._remove(rk, ri)
+            sizes[i - 1] = merged
+            if merged > maxes[k]:
+                maxes[k] = merged
+            return
+        if touches_right:  # extends its right neighbour downwards
+            merged = self.sizes[rk][ri] + size
+            self.bases[rk][ri] = base
+            self.sizes[rk][ri] = merged
+            if ri == 0:
+                firsts[rk] = base
+            if merged > maxes[rk]:
+                maxes[rk] = merged
+            return
+        bases.insert(i, base)
+        sizes.insert(i, size)
+        if i == 0:
+            firsts[k] = base
+        if size > maxes[k]:
+            maxes[k] = size
+        if len(bases) > 2 * FREE_BLOCK:
+            half = len(bases) // 2
+            self.bases.insert(k + 1, bases[half:])
+            self.sizes.insert(k + 1, sizes[half:])
+            firsts.insert(k + 1, bases[half])
+            maxes.insert(k + 1, max(sizes[half:]))
+            del bases[half:], sizes[half:]
+            maxes[k] = max(sizes)
+
+    def _remove(self, k: int, i: int) -> None:
+        """Drop extent i of block k, and the block once it is empty."""
+        bases, sizes = self.bases[k], self.sizes[k]
+        if len(bases) == 1:
+            del self.bases[k], self.sizes[k], self.firsts[k], self.maxes[k]
+            return
+        size = sizes[i]
+        del bases[i], sizes[i]
+        if i == 0:
+            self.firsts[k] = bases[0]
+        if size == self.maxes[k]:
+            self.maxes[k] = max(sizes)
+
+
 class ArenaAllocator:
     __slots__ = ("memory", "shadow", "cfg", "rng", "policy", "limit", "_brk", "_free",
                  "_bases", "_by_base", "_quarantine", "_qbytes", "_next_id", "_stats")
@@ -166,7 +292,7 @@ class ArenaAllocator:
         self.policy = policy
         self.limit = HEAP_BASE + capacity
         self._brk = HEAP_BASE
-        self._free: list[list[int]] = []  # [base, size] extents sorted by base
+        self._free: FreeList | None = None  # made by the first free: most trials never free
         # live + quarantined + freed-not-recycled chunks, pairwise disjoint
         self._bases: list[int] = []  # sorted chunk bases
         self._by_base: dict[int, Chunk] = {}
@@ -189,13 +315,18 @@ class ArenaAllocator:
         tg = cfg.tg
         eff = served_size(size)
         aligned = (eff + tg - 1) & -tg
-        base = self._place(aligned) if self._free else None
+        free = self._free
+        base = free.take(aligned) if free is not None and free.maxes else None
         if base is None:  # nothing to reuse: bump
             base = self._brk
             if base + aligned > self.limit:
                 raise AllocationError(f"arena exhausted: need {aligned} bytes")
             self._brk = base + aligned
-        tag = self._choose_tag(base, aligned)
+        else:
+            self._recycle_overlaps(base, base + aligned)
+        policy = self.policy
+        tag = (self.rng.choice(cfg.usable_tags) if policy.kind is _RANDOM
+               else self._choose_tag(policy, base, aligned))
 
         self.memory.fill(base, aligned, 0x00 if tag and cfg.zero_on_tag else SENTINEL)
 
@@ -307,34 +438,17 @@ class ArenaAllocator:
     # ------------------------------------------------------------------
     # internals
 
-    def _place(self, aligned: int) -> int | None:
-        """First fit by address on the free list, or None when no
-        extent fits and malloc bumps."""
-        free = self._free
-        for i, ext in enumerate(free):
-            if ext[1] >= aligned:
-                base = ext[0]
-                if ext[1] == aligned:
-                    del free[i]
-                else:
-                    ext[0] += aligned
-                    ext[1] -= aligned
-                self._recycle_overlaps(base, base + aligned)
-                return base
-        return None
-
-    def _choose_tag(self, base: int, aligned: int) -> int:
-        policy = self.policy
-        rng = self.rng
-        usable = self.cfg.usable_tags
-        if policy.kind is _RANDOM:
-            return rng.choice(usable)
+    def _choose_tag(self, policy: TagPolicy, base: int, aligned: int) -> int:
+        """The tag of a new chunk under AdjacentDistinct or Sampled.
+        malloc draws a Random tag itself, one call shallower: a trial's
+        mallocs are mostly Random."""
         if policy.kind is PolicyKind.ADJACENT_DISTINCT:
             left = self.effective_tag(base - 1) if base > HEAP_BASE else 0
             return self._draw_excluding(left, self.effective_tag(base + aligned))
         if policy.kind is PolicyKind.SAMPLED:
+            rng = self.rng
             if rng.random() < policy.rate:
-                return rng.choice(usable)
+                return rng.choice(self.cfg.usable_tags)
             return 0
         raise UsageError(f"unknown tag policy {policy.kind!r}")
 
@@ -362,29 +476,9 @@ class ArenaAllocator:
 
     def _retire(self, chunk: Chunk) -> None:
         chunk.state = ChunkState.FREED
-        self._free_insert(chunk.base, chunk.aligned)
-
-    def _free_insert(self, base: int, size: int) -> None:
-        free = self._free
-        lo, hi = 0, len(free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if free[mid][0] < base:
-                lo = mid + 1
-            else:
-                hi = mid
-        # coalesce with the neighbors when the extents touch
-        if lo > 0 and free[lo - 1][0] + free[lo - 1][1] == base:
-            free[lo - 1][1] += size
-            if lo < len(free) and free[lo - 1][0] + free[lo - 1][1] == free[lo][0]:
-                free[lo - 1][1] += free[lo][1]
-                del free[lo]
-            return
-        if lo < len(free) and base + size == free[lo][0]:
-            free[lo][0] = base
-            free[lo][1] += size
-            return
-        free.insert(lo, [base, size])
+        if self._free is None:
+            self._free = FreeList()
+        self._free.add(chunk.base, chunk.aligned)
 
     def _recycle_overlaps(self, lo: int, hi: int) -> None:
         # Memory handed to a new chunk: forget freed chunks that lived

@@ -13,9 +13,9 @@ allocations.  When the partial-granule precision extension is enabled,
 the maximum tag value (2^ts - 1) is additionally reserved as the
 PARTIAL marker; see precision.py.
 
-Tags live in a sparse side table (one entry per granule that currently
-has a nonzero tag), which mirrors the storage cost of a real scheme:
-ts bits for every tg bytes of tagged memory.
+Tags live in a paged side table of one byte per granule, made page by
+page on the first nonzero write, which mirrors the storage of a real
+scheme: a dense array of ts bits for every tg bytes of tagged memory.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ from .errors import UsageError
 ADDR_BITS = 56
 ADDR_SPACE = 1 << ADDR_BITS
 WORD_BITS = 64
+
+# The shadow store's page: TAG_PAGE granules, one tag byte each.
+TAG_PAGE_SHIFT = 10
+TAG_PAGE = 1 << TAG_PAGE_SHIFT
+TAG_PAGE_MASK = TAG_PAGE - 1
+# each tag as one byte, so a range write builds its run without a bytes() call
+_TAG_BYTE = tuple(bytes((t,)) for t in range(256))
 
 _VALID_TG = (16, 32, 64)
 _VALID_TS = (4, 8)
@@ -160,26 +167,31 @@ def offset_ptr(word: int, delta: int, cfg: MtConfig) -> int:
 
 
 class ShadowStore:
-    """Sparse granule-index -> tag mapping.
+    """Granule tags, one byte per granule, in pages of TAG_PAGE granules.
 
-    Granules never explicitly tagged read as 0 (match-all).  Writing
-    tag 0 removes the entry, so ``tags`` holds only granules that
-    currently hold a nonzero tag.  ``writes`` counts granule tag
-    mutations and exists so tests can prove that untagged (sampled-out)
-    allocations touch the table zero times.
+    ``pages`` maps a page index (granule index >> TAG_PAGE_SHIFT) to a
+    bytearray of its granules' tags.  A page is made on the first
+    nonzero write into it; granules of a page that does not exist read
+    as 0 (match-all), and a zero write never makes one.  ``writes``
+    counts granule tag mutations: every granule a nonzero write names,
+    and every granule a zero write clears from a nonzero tag.  It exists
+    so tests can prove that untagged (sampled-out) allocations touch the
+    table zero times.
     """
 
-    __slots__ = ("cfg", "tags", "writes", "_tg", "_shift")
+    __slots__ = ("cfg", "pages", "writes", "_tg", "_shift")
 
     def __init__(self, cfg: MtConfig):
         self.cfg = cfg
-        self.tags: dict[int, int] = {}
+        self.pages: dict[int, bytearray] = {}
         self.writes = 0
         self._tg = cfg.tg
         self._shift = cfg.tg_shift
 
     def get(self, addr: int) -> int:
-        return self.tags.get(addr >> self._shift, 0)
+        g = addr >> self._shift
+        page = self.pages.get(g >> TAG_PAGE_SHIFT)
+        return page[g & TAG_PAGE_MASK] if page is not None else 0
 
     def set_range(self, addr: int, length: int, tag: int) -> None:
         """Tag every granule of [addr, addr+length).
@@ -197,21 +209,41 @@ class ShadowStore:
             raise UsageError("range outside the address space")
         if not 0 <= tag < self.cfg.n_tags:
             raise UsageError(f"tag {tag} does not fit in {self.cfg.ts} bits")
-        tags = self.tags
-        first = addr >> self._shift
+        pages = self.pages
+        g = addr >> self._shift
+        key = g >> TAG_PAGE_SHIFT
+        page = pages.get(key)
         if length == tg:  # one granule: most chunks and every PARTIAL mark
-            if tag:
-                tags[first] = tag
-                self.writes += 1
-            elif tags.pop(first, None) is not None:
+            if page is None:
+                if not tag:
+                    return
+                page = pages[key] = bytearray(TAG_PAGE)
+            g &= TAG_PAGE_MASK
+            if tag or page[g]:
+                page[g] = tag
                 self.writes += 1
             return
         count = length >> self._shift
+        off = g & TAG_PAGE_MASK
         if tag:
-            for g in range(first, first + count):
-                tags[g] = tag
             self.writes += count
-        else:
-            for g in range(first, first + count):
-                if tags.pop(g, None) is not None:
-                    self.writes += 1
+            run = _TAG_BYTE[tag]
+        while True:  # one slice per page
+            take = TAG_PAGE - off
+            if take > count:
+                take = count
+            if tag:
+                if page is None:
+                    page = pages[key] = bytearray(TAG_PAGE)
+                page[off : off + take] = run * take
+            elif page is not None:  # a zero write clears, and counts, only nonzero tags
+                cleared = take - page.count(0, off, off + take)
+                if cleared:
+                    self.writes += cleared
+                    page[off : off + take] = bytes(take)
+            count -= take
+            if not count:
+                return
+            key += 1
+            off = 0
+            page = pages.get(key)

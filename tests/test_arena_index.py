@@ -6,15 +6,23 @@ question with a scan from the newest chunk back.  Random operation
 sequences must get the same answers from both, and must leave the
 index disjoint and bounded by the heap's size.  A trace replayed
 through the real heap must also reach the peak that analyze_trace
-computes for it."""
+computes for it.
+
+The blocked free list is checked the same way, against a linear first
+fit: one address-sorted list of extents, scanned from the lowest
+address, with the placement and coalescing the heap had before its
+free list was split into blocks."""
 
 import random
+from bisect import bisect_right
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagsim import DoubleFreeError, InvalidFreeError, MtConfig, Simulator, TagPolicy
-from tagsim.arena import HEAP_BASE, ChunkState
+from tagsim import arena
+from tagsim.arena import FREE_BLOCK, HEAP_BASE, ChunkState, FreeList
 from tagsim.tagspace import unpack
 from tagsim.traces import Alloc, Free, analyze_trace
 
@@ -197,3 +205,165 @@ def test_heap_peak_equals_trace_analyzer_peak(cfg, policy, seed, steps):
             sim.free(words.pop(event.id))
     peak = analyze_trace(events, [cfg.tg], ts=cfg.ts).rows[0].peak_bytes
     assert sim.heap.stats().peak_aligned_bytes == peak
+
+
+# ----------------------------------------------------------------------
+# the blocked free list against a linear first fit
+
+
+class LinearFreeList:
+    """Free extents as one address-sorted list of [base, size] pairs,
+    with first fit and coalescing exactly as before the free list was
+    split into blocks."""
+
+    def __init__(self):
+        self.extents = []
+
+    @property
+    def maxes(self):
+        """Truthy when an extent is free; the heap asks nothing more."""
+        return self.extents
+
+    def take(self, size):
+        free = self.extents
+        for i, ext in enumerate(free):
+            if ext[1] >= size:
+                base = ext[0]
+                if ext[1] == size:
+                    del free[i]
+                else:
+                    ext[0] += size
+                    ext[1] -= size
+                return base
+        return None
+
+    def add(self, base, size):
+        free = self.extents
+        lo, hi = 0, len(free)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if free[mid][0] < base:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo > 0 and free[lo - 1][0] + free[lo - 1][1] == base:
+            free[lo - 1][1] += size
+            if lo < len(free) and free[lo - 1][0] + free[lo - 1][1] == free[lo][0]:
+                free[lo - 1][1] += free[lo][1]
+                del free[lo]
+            return
+        if lo < len(free) and base + size == free[lo][0]:
+            free[lo][0] = base
+            free[lo][1] += size
+            return
+        free.insert(lo, [base, size])
+
+
+def assert_blocks_sound(free):
+    """Every block is non-empty, sorted, at most 2 * FREE_BLOCK long and
+    holds its true first base and largest size; no two extents touch.
+    Returns the extents in address order."""
+    assert len(free.bases) == len(free.sizes) == len(free.firsts) == len(free.maxes)
+    extents = []
+    for bases, sizes, first, top in zip(free.bases, free.sizes, free.firsts, free.maxes):
+        assert 0 < len(bases) == len(sizes) <= 2 * arena.FREE_BLOCK
+        assert bases == sorted(bases)
+        assert first == bases[0]
+        assert top == max(sizes)
+        assert min(sizes) > 0
+        extents += [[b, n] for b, n in zip(bases, sizes)]
+    for (b1, n1), (b2, _) in zip(extents, extents[1:]):
+        assert b1 + n1 < b2, (hex(b1), n1, hex(b2))
+    return extents
+
+
+def add_counting(free, base, size, seen):
+    """free.add(base, size), noting in ``seen`` whether it merged into
+    the first extent of the next block and whether it split a block."""
+    blocks = len(free.firsts)
+    k = bisect_right(free.firsts, base) - 1
+    if 0 <= k < blocks - 1 and base + size == free.firsts[k + 1]:
+        seen["cross-block merge"] += 1
+    free.add(base, size)
+    if len(free.firsts) > blocks:
+        seen["split"] += 1
+
+
+def churn_free_lists(seed, steps, sizes, free_share):
+    """Drive a FreeList and a LinearFreeList with the same takes and
+    adds, the way a heap does: a take that finds nothing bumps, and an
+    add returns a random extent that was handed out.  Checks that both
+    place every take alike and hold the same extents after every step;
+    returns how often a merge crossed a block and a block split."""
+    rnd = random.Random(seed)
+    blocked, linear = FreeList(), LinearFreeList()
+    seen = {"cross-block merge": 0, "split": 0}
+    brk, used = 0, []
+    for _ in range(steps):
+        if used and rnd.random() < free_share:
+            base, size = used.pop(rnd.randrange(len(used)))
+            add_counting(blocked, base, size, seen)
+            linear.add(base, size)
+        else:
+            size = rnd.choice(sizes)
+            base = blocked.take(size) if blocked.maxes else None
+            assert base == linear.take(size)
+            if base is None:
+                base, brk = brk, brk + size
+            used.append((base, size))
+        assert assert_blocks_sound(blocked) == linear.extents
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       sizes=st.lists(st.sampled_from([16, 32, 48, 64, 112, 256, 1024, 4096]),
+                      min_size=1, max_size=5),
+       free_share=st.floats(min_value=0.3, max_value=0.6),
+       block=st.sampled_from([1, 2, 5, FREE_BLOCK]))
+def test_blocked_free_list_agrees_with_linear_first_fit(seed, sizes, free_share, block):
+    """Small blocks put a block boundary next to most extents."""
+    with mock.patch.object(arena, "FREE_BLOCK", block):
+        churn_free_lists(seed, 1500, sizes, free_share)
+
+
+def test_churn_splits_blocks_and_merges_across_them():
+    """At the real block size, a long churn reaches the block paths:
+    block splits, and merges into the first extent of the next block."""
+    seen = churn_free_lists(3, 20_000, [16, 32, 48, 112, 256], 0.45)
+    assert seen["split"] >= 5
+    assert seen["cross-block merge"] >= 5
+
+
+heap_configs = st.builds(make_config, st.sampled_from([16, 64]), st.sampled_from([0, 1024]),
+                         st.sampled_from(["plain", "precision_ext", "right_align"]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=heap_configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32),
+       script=st.integers(min_value=0, max_value=2**32))
+def test_heap_places_like_linear_first_fit(cfg, policy, seed, script):
+    """A heap on the blocked free list returns the same pointer words as
+    one whose free list is the linear reference, over enough churn to
+    hold far more than 2 * FREE_BLOCK free extents."""
+    sim, ref = Simulator(cfg, seed=seed, policy=policy), Simulator(cfg, seed=seed, policy=policy)
+    ref.heap._free = LinearFreeList()
+    rnd = random.Random(script)
+    live = []
+    most = 0
+    for step in range(2000):
+        # grow to a few hundred live chunks, then free and allocate alike
+        if step >= 500 and rnd.random() < 0.5:
+            word = live.pop(rnd.randrange(len(live)))
+            sim.free(word)
+            ref.free(word)
+        else:
+            size = rnd.choice((0, 1, 15, 16, 40, 100, 250, 700))
+            word = sim.malloc(size)
+            assert word == ref.malloc(size)
+            live.append(word)
+        if sim.heap._free is not None:
+            extents = assert_blocks_sound(sim.heap._free)
+            assert extents == ref.heap._free.extents
+            most = max(most, len(extents))
+    assert most > 2 * FREE_BLOCK

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagsim import MtConfig, ShadowStore, Simulator, StoreMode, TagPolicy, UsageError
-from tagsim.tagspace import ADDR_BITS, ADDR_SPACE, offset_ptr, pack, unpack
+from tagsim.tagspace import ADDR_BITS, ADDR_SPACE, TAG_PAGE, offset_ptr, pack, unpack
 
 CFG16 = MtConfig(tg=16, ts=8)
 CFG64 = MtConfig(tg=64, ts=4)
@@ -153,11 +153,16 @@ def test_tags_match_table(ptag, mtag, expect):
 # shadow store
 
 
+def tagged_granules(shadow):
+    """How many granules hold a nonzero tag."""
+    return sum(TAG_PAGE - page.count(0) for page in shadow.pages.values())
+
+
 def test_shadow_default_is_match_all():
     shadow = ShadowStore(CFG16)
     assert shadow.get(0) == 0
     assert shadow.get(0x123456) == 0
-    assert shadow.tags == {}
+    assert tagged_granules(shadow) == 0
 
 
 def test_shadow_set_range_and_isolation():
@@ -174,9 +179,9 @@ def test_shadow_set_range_and_isolation():
 def test_shadow_zero_write_clears_entries():
     shadow = ShadowStore(CFG16)
     shadow.set_range(0x200, 16, 9)
-    assert len(shadow.tags) == 1
+    assert tagged_granules(shadow) == 1
     shadow.set_range(0x200, 16, 0)
-    assert shadow.tags == {}
+    assert tagged_granules(shadow) == 0
     assert shadow.get(0x200) == 0
 
 
@@ -211,7 +216,65 @@ def test_shadow_range_footprint_property(start, granules, tag):
     shadow = ShadowStore(cfg)
     base = start * cfg.tg
     shadow.set_range(base, granules * cfg.tg, tag)
-    assert len(shadow.tags) == granules
+    assert tagged_granules(shadow) == granules
     if base:
         assert shadow.get(base - 1) == 0
     assert shadow.get(base + granules * cfg.tg) == 0
+
+
+class DictShadow:
+    """The shadow store as it was first written: one dict entry per
+    tagged granule, a zero write pops entries."""
+
+    def __init__(self, shift):
+        self.shift = shift
+        self.tags = {}
+        self.writes = 0
+
+    def get(self, addr):
+        return self.tags.get(addr >> self.shift, 0)
+
+    def set_range(self, addr, length, tag):
+        first = addr >> self.shift
+        for g in range(first, first + (length >> self.shift)):
+            if tag:
+                self.tags[g] = tag
+                self.writes += 1
+            elif self.tags.pop(g, None) is not None:
+                self.writes += 1
+
+
+# granule runs that start near a page boundary, span up to three pages,
+# or are one granule long; tag 0 about a third of the time
+range_writes = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=3),  # page
+    st.one_of(st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=0, max_value=TAG_PAGE - 1)),  # granule offset
+    st.one_of(st.just(1), st.integers(min_value=1, max_value=3 * TAG_PAGE)),
+    st.one_of(st.just(0), st.integers(min_value=1, max_value=255)),
+), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=st.sampled_from([CFG16, MtConfig(tg=32, ts=8), CFG64]), writes=range_writes,
+       probes=st.lists(st.integers(min_value=-4, max_value=5 * TAG_PAGE), max_size=30))
+def test_paged_shadow_agrees_with_dict_model(cfg, writes, probes):
+    """Random range writes, crossing page boundaries and zeroing over
+    partly tagged and untouched pages, leave the paged store reading
+    the same tags and counting the same writes as the dict model."""
+    shadow, model = ShadowStore(cfg), DictShadow(cfg.tg_shift)
+    written_pages = set()
+    for page, offset, count, tag in writes:
+        tag &= cfg.n_tags - 1
+        g = max(page * TAG_PAGE + offset, 0)
+        shadow.set_range(g * cfg.tg, count * cfg.tg, tag)
+        model.set_range(g * cfg.tg, count * cfg.tg, tag)
+        if tag:
+            written_pages.update(range(g // TAG_PAGE, (g + count - 1) // TAG_PAGE + 1))
+        assert shadow.writes == model.writes
+        for k in {g - 1, g, g + count - 1, g + count, *probes}:
+            if k >= 0:
+                assert shadow.get(k * cfg.tg + cfg.tg - 1) == model.get(k * cfg.tg), k
+        assert tagged_granules(shadow) == len(model.tags)
+        # a zero write never makes a page
+        assert set(shadow.pages) <= written_pages
