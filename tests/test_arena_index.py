@@ -335,12 +335,8 @@ def test_churn_splits_blocks_and_merges_across_them():
     assert seen["cross-block merge"] >= 5
 
 
-heap_configs = st.builds(make_config, st.sampled_from([16, 64]), st.sampled_from([0, 1024]),
-                         st.sampled_from(["plain", "precision_ext", "right_align"]))
-
-
 @settings(max_examples=25, deadline=None)
-@given(cfg=heap_configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32),
+@given(cfg=configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32),
        script=st.integers(min_value=0, max_value=2**32))
 def test_heap_places_like_linear_first_fit(cfg, policy, seed, script):
     """A heap on the blocked free list returns the same pointer words as

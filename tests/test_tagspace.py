@@ -245,7 +245,7 @@ class DictShadow:
 
 
 # granule runs that start near a page boundary, span up to three pages,
-# or are one granule long; tag 0 about a third of the time
+# or are one granule long; tag 0 about half the time
 range_writes = st.lists(st.tuples(
     st.integers(min_value=0, max_value=3),  # page
     st.one_of(st.integers(min_value=-3, max_value=3),
