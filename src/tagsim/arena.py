@@ -166,10 +166,10 @@ class FreeList:
     """Reusable extents, sorted by address, in blocks of at most
     2 * FREE_BLOCK.  Block k keeps parallel lists ``bases[k]`` and
     ``sizes[k]``, and ``firsts[k]``/``maxes[k]`` hold its first base and
-    its largest size.  Extents never touch: ``add`` coalesces across
-    block boundaries too.  So first fit walks the block maxima to the
-    first block that fits and scans that block alone.  ``maxes`` is
-    empty exactly when no extent is free."""
+    its largest size, so first fit walks the block maxima to the first
+    block that fits and scans that block alone.  Extents never touch:
+    ``add`` coalesces across block boundaries too.  ``maxes`` is empty
+    exactly when no extent is free."""
 
     __slots__ = ("bases", "sizes", "firsts", "maxes")
 
