@@ -173,11 +173,25 @@ def _cmd_simulate(args) -> int:
     return 1 if result.detected else 0
 
 
+def _parse_alignments(text: str) -> list[int]:
+    """The comma-separated --alignments list: every field an ASCII
+    integer, none empty and none repeated."""
+    alignments: list[int] = []
+    for field in text.split(","):
+        try:
+            if not field.strip() or not field.isascii():
+                raise ValueError
+            a = int(field)
+        except ValueError:
+            raise UsageError(f"bad --alignments value {text!r}") from None
+        if a in alignments:
+            raise UsageError(f"--alignments lists {a} twice")
+        alignments.append(a)
+    return alignments
+
+
 def _cmd_overhead(args) -> int:
-    try:
-        alignments = [int(a) for a in args.alignments.split(",") if a.strip()]
-    except ValueError:
-        raise UsageError(f"bad --alignments value {args.alignments!r}") from None
+    alignments = _parse_alignments(args.alignments)
     events = load_trace(args.trace)
     report = analyze_trace(events, alignments, ts=args.ts)
     if args.format == "json":

@@ -14,14 +14,17 @@ alignment, plus the tag-storage bytes needed at that granularity
 (ts bits per granule of peak footprint).
 
 ``load_trace`` and ``analyze_trace`` make one streaming pass over a
-trace file: events are parsed as the file is read and dropped once
-counted, so memory is bounded by the live allocations, not by the
-length of the trace.
+trace file: its lines are parsed as the file is read and counted as
+they are parsed, with no event object built, so memory is bounded by
+the live allocations, not by the length of the trace.  ``Alloc`` and
+``Free`` are built only for callers that iterate ``load_trace`` or
+``parse_trace`` themselves.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import accumulate, chain
 from dataclasses import dataclass, field
 
 from .errors import TraceError, UsageError
@@ -87,54 +90,126 @@ class OverheadReport:
         return "\n".join(lines)
 
 
-def _parse(chunks) -> Iterator[TraceEvent]:
-    """Yield the events of ``chunks``, strings that each end at a line
-    boundary (or at the end of the trace), numbering their
-    ``splitlines()`` in order: exactly the lines of the whole text.
+def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
+    """Yield, for each of ``chunks`` (strings that each end at a line
+    boundary, or at the end of the trace), a flat list of its events,
+    numbering their ``splitlines()`` in order: exactly the lines of the
+    whole text.  An event is its entry, preceded if ``numbered`` by its
+    line number (negated for a free) and its id.
+
+    ``entries`` maps the digits of a size to a pair (allocation entry,
+    free entry).  An allocation's entry is the first of its size's pair,
+    and the live record keeps the second, which becomes the entry of the
+    free that ends the allocation.
 
     This is the one parser of the grammar.  A line is an event only if
     it is ASCII, ``split(" ")`` gives exactly the right fields and every
     number is a run of digits.  Malformed lines and free/alloc misuse
-    raise TraceError naming the offending line.
+    raise TraceError naming the offending line, once the events before
+    it have been yielded.
     """
-    live: set[int] = set()
+    live: dict[int, object] = {}
     line_no = 0
     for chunk in chunks:
+        batch: list = []
         ascii_chunk = chunk.isascii()
-        for line in chunk.splitlines():
-            line_no += 1
-            if not ascii_chunk and not line.isascii():
-                # a trace file's non-ASCII bytes arrive as lone surrogates
-                raw = line.encode("utf-8", "surrogateescape")
-                raise TraceError(f"non-ASCII trace line {raw!r}", line=line_no)
-            fields = line.split(" ")
-            head = fields[0]
-            try:
+        error = None
+        try:
+            for line in chunk.splitlines():
+                line_no += 1
+                if not ascii_chunk and not line.isascii():
+                    # a trace file's non-ASCII bytes arrive as lone surrogates
+                    raw = line.encode("utf-8", "surrogateescape")
+                    raise TraceError(f"non-ASCII trace line {raw!r}", line=line_no)
+                fields = line.split(" ")
+                head = fields[0]
                 if head == "a" and len(fields) == 3 and fields[1].isdigit() and fields[2].isdigit():
                     aid = int(fields[1])
                     if aid in live:
-                        raise TraceError(f"allocation id {aid} is already live", line=line_no)
-                    live.add(aid)
-                    yield Alloc(aid, int(fields[2]), line_no)
+                        raise _already_live(aid, line_no)
+                    entry, live[aid] = entries[fields[2]]
+                    if numbered:
+                        batch += (line_no, aid)
+                    batch.append(entry)
                     continue
                 if head == "f" and len(fields) == 2 and fields[1].isdigit():
                     aid = int(fields[1])
                     if aid not in live:
-                        raise TraceError(f"free of unknown id {aid}", line=line_no)
-                    live.remove(aid)
-                    yield Free(aid, line_no)
+                        raise _unknown_free(aid, line_no)
+                    if numbered:
+                        batch += (-line_no, aid)
+                    batch.append(live.pop(aid))
                     continue
-            except ValueError as exc:  # more digits than int() converts
-                raise TraceError(str(exc), line=line_no) from None
-            stripped = line.lstrip()
-            if stripped and stripped[0] != "#":  # neither blank nor a comment
-                raise TraceError(f"unrecognized trace line {line!r}", line=line_no)
+                stripped = line.lstrip()
+                if stripped and stripped[0] != "#":  # neither blank nor a comment
+                    raise TraceError(f"unrecognized trace line {line!r}", line=line_no)
+        except ValueError as exc:  # more digits than int() converts
+            error = TraceError(str(exc), line=line_no)
+        except TraceError as exc:
+            error = exc
+        yield batch
+        if error is not None:
+            raise error
+
+
+def _already_live(aid: int, line: int) -> TraceError:
+    return TraceError(f"allocation id {aid} is already live", line=line)
+
+
+def _unknown_free(aid: int, line: int) -> TraceError:
+    return TraceError(f"free of unknown id {aid}", line=line)
+
+
+class _SizeEntries(dict):
+    """Entries for events: an allocation's entry is its size."""
+
+    def __missing__(self, digits: str) -> tuple[int, None]:
+        return int(digits), None
+
+
+def _parse(chunks) -> Iterator[TraceEvent]:
+    """Yield the events of ``chunks`` as ``_scan`` parses them."""
+    for batch in _scan(chunks, _SizeEntries(), numbered=True):
+        for i in range(0, len(batch), 3):
+            line, aid, size = batch[i:i + 3]
+            yield Alloc(aid, size, line) if line > 0 else Free(aid, -line)
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse trace text; malformed lines and free/alloc misuse raise
     TraceError naming the offending line."""
     return list(_parse((text,)))
+
+
+class _TraceEvents:
+    """The one-pass iterator ``load_trace`` returns.  Until it is
+    started, ``analyze_trace`` may count its blocks without building
+    any event."""
+
+    __slots__ = ("_blocks", "_events")
+
+    def __init__(self, blocks: Iterator[str]):
+        self._blocks = blocks
+        self._events: Iterator[TraceEvent] | None = None
+
+    def __iter__(self) -> _TraceEvents:
+        return self
+
+    def __next__(self) -> TraceEvent:
+        if self._events is None:
+            self._events = _parse(self._blocks)
+        return next(self._events)
+
+    def _take_blocks(self) -> Iterator[str] | None:
+        """The blocks, if no event was read yet; the iterator is spent
+        after this either way."""
+        if self._events is not None:
+            return None
+        self._events = iter(())
+        return self._blocks
+
+    def close(self) -> None:
+        self._blocks.close()
 
 
 def load_trace(path) -> Iterator[TraceEvent]:
@@ -147,7 +222,7 @@ def load_trace(path) -> Iterator[TraceEvent]:
     """
     blocks = _blocks(path)
     next(blocks)  # opens the file
-    return _parse(blocks)
+    return _TraceEvents(blocks)
 
 
 def _blocks(path, size: int = 1 << 16) -> Iterator[str]:
@@ -174,6 +249,48 @@ def _round_up(size: int, alignment: int) -> int:
     return -(-size // alignment) * alignment
 
 
+class _Charges(dict):
+    """A size's charge at each tracked alignment, and its negation,
+    computed once per size.  At most ``_CACHED_SIZES`` sizes are kept,
+    so that a trace of ever new sizes cannot grow its memory."""
+
+    def __init__(self, alignments):
+        super().__init__()
+        self.alignments = alignments
+
+    def __missing__(self, size) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # keyed by the size, or by its digits on a trace line
+        if len(self) >= _CACHED_SIZES:
+            self.clear()
+        charges = tuple(_round_up(int(size), a) for a in self.alignments)
+        pair = self[size] = charges, tuple(-c for c in charges)
+        return pair
+
+
+def _event_charges(events, charges: _Charges) -> Iterator[list]:
+    """The signed charges of Alloc and Free ``events``, in lists of at
+    most 4096, checking that every free ends a live allocation."""
+    live: dict[int, tuple[int, ...]] = {}
+    batch: list = []
+    for position, event in enumerate(events, start=1):
+        kind = type(event)
+        if kind is Alloc:
+            if event.id in live:
+                raise _already_live(event.id, event.line or position)
+            charge, live[event.id] = charges[event.size]
+        elif kind is Free:
+            charge = live.pop(event.id, None)
+            if charge is None:
+                raise _unknown_free(event.id, event.line or position)
+        else:
+            raise TraceError(f"unknown trace event {event!r}", line=position)
+        batch.append(charge)
+        if len(batch) == 4096:
+            yield batch
+            batch = []
+    yield batch
+
+
 def analyze_trace(events, alignments, ts: int) -> OverheadReport:
     """Replay ``events`` and report peak footprint per alignment.
 
@@ -184,7 +301,8 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
 
     ``events`` (Alloc and Free instances) is iterated once, so it may be
     the iterator ``load_trace`` returns; the replay keeps one entry per
-    live allocation.
+    live allocation.  An iterator from ``load_trace`` that has not been
+    started is counted as its lines are parsed, with no event built.
     """
     alignments = list(alignments)
     if not alignments:
@@ -196,37 +314,21 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
         raise UsageError(f"tag width must be >= 1, got {ts}")
 
     tracked = sorted(set(alignments) | {BASE_ALIGNMENT})
-    # a size's charge at each tracked alignment, computed once per size
-    charges_by_size: dict[int, tuple[int, ...]] = {}
-    live: dict[int, tuple[int, ...]] = {}
-    current = [0] * len(tracked)
-    peaks = [0] * len(tracked)
-    for position, event in enumerate(events, start=1):
-        kind = type(event)
-        if kind is Alloc:
-            if event.id in live:
-                raise TraceError(f"allocation id {event.id} is already live",
-                                 line=event.line or position)
-            charges = charges_by_size.get(event.size)
-            if charges is None:
-                if len(charges_by_size) >= _CACHED_SIZES:
-                    charges_by_size.clear()
-                charges = tuple(_round_up(event.size, a) for a in tracked)
-                charges_by_size[event.size] = charges
-            live[event.id] = charges
-            for i, c in enumerate(charges):
-                c += current[i]
-                current[i] = c
-                if c > peaks[i]:
-                    peaks[i] = c
-        elif kind is Free:
-            charges = live.pop(event.id, None)
-            if charges is None:
-                raise TraceError(f"free of unknown id {event.id}", line=event.line or position)
-            for i, c in enumerate(charges):
-                current[i] -= c
-        else:
-            raise TraceError(f"unknown trace event {event!r}", line=position)
+    charges = _Charges(tracked)
+    blocks = events._take_blocks() if type(events) is _TraceEvents else None
+    if blocks is None:
+        batches = _event_charges(events, charges)
+    else:
+        batches = _scan(blocks, charges)
+    width = len(tracked)
+    current = [0] * width
+    peaks = [0] * width
+    for batch in batches:
+        flat = list(chain.from_iterable(batch))
+        for i in range(width):
+            column = flat[i::width]  # the signed charges at tracked[i]
+            peaks[i] = max(peaks[i], max(accumulate(column, initial=current[i])))
+            current[i] += sum(column)
     peak = dict(zip(tracked, peaks))
 
     base_peak = peak[BASE_ALIGNMENT]

@@ -250,6 +250,20 @@ def test_overhead_bad_alignment_list(capsys, trace_file):
     assert "alignments" in err
 
 
+@pytest.mark.parametrize("value,message", [
+    ("8,,16", "bad --alignments value '8,,16'"),
+    ("8,16,", "bad --alignments value '8,16,'"),
+    ("", "bad --alignments value ''"),
+    ("8,\u0661\u0666", "bad --alignments value '8,\u0661\u0666'"),
+    ("16,16", "--alignments lists 16 twice"),
+    ("8,16,016", "--alignments lists 16 twice"),
+])
+def test_overhead_alignment_list_is_strict(capsys, trace_file, value, message):
+    code, out, err = run_cli(capsys, "overhead", trace_file, "--alignments", value)
+    assert (code, out) == (2, "")
+    assert err == f"tagsim: error: {message}\n"
+
+
 def test_overhead_missing_file(capsys):
     code, _, err = run_cli(capsys, "overhead", "no/such/trace.txt")
     assert code == 2

@@ -1,10 +1,15 @@
 """Bug-scenario corpus, Monte-Carlo estimation, theoretical rates, and
 the allocation-trace overhead analyzer."""
 
+import contextlib
+import functools
+import io
+import json
 import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +29,8 @@ from tagsim import (
     run_scenario,
     theoretical_detection,
 )
+import tagsim.traces
+from tagsim.cli import main
 from tagsim.faults import AccessKind
 from tagsim.rng import SplitMix64
 from tagsim.scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, STACK_LOCAL_SIZE,
@@ -611,6 +618,98 @@ def test_load_trace_reports_bad_lines_while_iterating(tmp_path):
     with pytest.raises(TraceError) as exc:
         next(events)
     assert exc.value.line == 2
+
+
+def test_analyze_counts_only_what_is_left_of_a_started_load_trace(tmp_path):
+    # once an event has been read, analyze_trace replays the rest as
+    # events: frees of allocations read before it are unknown to it
+    path = tmp_path / "trace.txt"
+    path.write_text("a 1 8\na 2 16\nf 2\nf 1\n")
+    events = load_trace(path)
+    assert next(events) == Alloc(id=1, size=8, line=1)
+    with pytest.raises(TraceError) as exc:
+        analyze_trace(events, [8], ts=8)
+    assert str(exc.value) == "line 4: free of unknown id 1"
+
+    path.write_text("a 1 8\na 2 16\nf 2\n")
+    events = load_trace(path)
+    next(events)
+    assert analyze_trace(events, [8, 16], ts=8).base_peak_bytes == 16
+    assert list(events) == []
+
+
+def test_analyze_spends_an_unstarted_load_trace(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text(GOOD_TRACE)
+    events = load_trace(path)
+    assert analyze_trace(events, [16], ts=8).base_peak_bytes == 136
+    assert list(events) == []
+
+
+def reference_overhead(text, alignments, ts):
+    """``overhead``'s (exit code, stdout, stderr) from the reference
+    parser and a plain per-event sum of rounded-up sizes."""
+    try:
+        events = reference_parse_trace(text)
+    except TraceError as exc:
+        return 2, "", f"tagsim: error: {exc}\n"
+    tracked = sorted(set(alignments) | {8})
+    sizes, current, peak = {}, dict.fromkeys(tracked, 0), dict.fromkeys(tracked, 0)
+    for event in events:
+        if isinstance(event, Alloc):
+            sizes[event.id] = event.size
+            sign, size = 1, event.size
+        else:
+            sign, size = -1, sizes.pop(event.id)
+        for a in tracked:
+            current[a] += sign * max(1, -(-size // a)) * a
+            peak[a] = max(peak[a], current[a])
+    base = peak[8]
+    rows = [{"alignment": a, "peak_bytes": peak[a],
+             "overhead_pct": (peak[a] - base) / base * 100.0 if base else 0.0,
+             "tag_storage_bytes": peak[a] * ts / (8 * a)} for a in alignments]
+    report = {"base_alignment": 8, "base_peak_bytes": base, "rows": rows}
+    return 0, json.dumps(report, sort_keys=True) + "\n", ""
+
+
+def run_overhead(path, alignments, ts):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["overhead", str(path), "--alignments", ",".join(map(str, alignments)),
+                     "--ts", str(ts)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_trace_text,
+       alignments=st.lists(st.sampled_from((1, 8, 16, 24, 64)), min_size=1, unique=True),
+       ts=st.integers(min_value=1, max_value=8),
+       block_size=st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+def test_overhead_matches_reference_parse_and_sum(tmp_path, text, alignments, ts, block_size):
+    path = tmp_path / "trace.txt"
+    path.write_text(text, encoding="ascii", newline="")
+    blocks = tagsim.traces._blocks
+    if block_size is not None:
+        # lines that span blocks
+        blocks = functools.partial(blocks, size=block_size)
+    with mock.patch.object(tagsim.traces, "_blocks", blocks):
+        assert run_overhead(path, alignments, ts) == reference_overhead(text, alignments, ts)
+
+
+def test_overhead_builds_no_event_objects(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text(GOOD_TRACE + "a 9 5000\n")
+
+    def no_event(*args, **kwargs):
+        raise AssertionError("overhead built an event object")
+
+    alignments = [1, 24, 64]
+    expected = reference_overhead(GOOD_TRACE + "a 9 5000\n", alignments, 8)
+    with mock.patch.object(tagsim.traces, "Alloc", no_event), \
+            mock.patch.object(tagsim.traces, "Free", no_event):
+        assert run_overhead(path, alignments, 8) == expected
+    assert expected[0] == 0
 
 
 def test_events_are_frozen_slotted_dataclasses():
