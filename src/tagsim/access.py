@@ -127,7 +127,9 @@ class AccessEngine:
                 gbase = g << shift
                 if mtag == partial:
                     seg_start = addr if addr > gbase else gbase
-                    seg_end = min(addr + length, gbase + self._tg_mask + 1)
+                    seg_end = gbase + self._tg_mask + 1
+                    if addr + length < seg_end:
+                        seg_end = addr + length
                     if not partial_access_ok(self.memory, self.cfg, gbase,
                                              seg_start - gbase, seg_end - seg_start, ptag):
                         return gbase, mtag, True

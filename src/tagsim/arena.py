@@ -52,10 +52,11 @@ from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageErr
 from .faults import AccessKind, FaultKind, FaultReport
 from .memory import SENTINEL
 from .precision import META_BYTES, mark_partial, read_partial_meta
-from .tagspace import MtConfig, unpack
+from .tagspace import ADDR_SPACE, MtConfig
 
 HEAP_BASE = 0x1000_0000
 DEFAULT_HEAP_CAPACITY = 1 << 30
+_ADDR_MASK = ADDR_SPACE - 1
 
 
 def served_size(size: int) -> int:
@@ -141,6 +142,7 @@ class Chunk:
 # ten times a module global; malloc and free read these aliases.
 _RANDOM = PolicyKind.RANDOM
 _LIVE = ChunkState.LIVE
+_QUARANTINED = ChunkState.QUARANTINED
 
 
 @dataclass(slots=True)
@@ -380,38 +382,50 @@ class ArenaAllocator:
         tag equal to the chunk's tag; anything else faults instead of
         corrupting allocator state.
         """
-        addr, ptag = unpack(word, self.cfg)
+        cfg = self.cfg
+        # unpack() inlined, as malloc inlines pack()
+        addr = word & _ADDR_MASK
+        ptag = (word >> cfg.tag_shift) & (cfg.n_tags - 1)
         chunk = self.find_owner(addr)
-        if chunk is None or chunk.user_addr != addr:
+        if chunk is None or chunk.base + chunk.user_off != addr:
             raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
         if chunk.state is not _LIVE:
             raise DoubleFreeError(self._free_report(FaultKind.DOUBLE_FREE, word, ptag, addr, chunk))
-        if ptag != chunk.tag:
+        tag = chunk.tag
+        if ptag != tag:
             raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
 
-        if chunk.tag:
-            self.shadow.set_range(chunk.base, chunk.aligned,
-                                  self._draw_excluding(chunk.tag, chunk.tag))
+        aligned = chunk.aligned
+        if tag:
+            self.shadow.set_range(chunk.base, aligned, self._draw_excluding(tag, tag))
 
         st = self._stats
         st.frees += 1
         st.live_requested_bytes -= chunk.requested
-        st.live_aligned_bytes -= chunk.aligned
+        st.live_aligned_bytes -= aligned
 
-        if self.cfg.quarantine_capacity > 0:
-            chunk.state = ChunkState.QUARANTINED
-            self._quarantine.append(chunk)
-            self._qbytes += chunk.aligned
-            while self._qbytes > self.cfg.quarantine_capacity:
-                self._evict_oldest()
+        capacity = cfg.quarantine_capacity
+        if capacity > 0:
+            chunk.state = _QUARANTINED
+            quarantine = self._quarantine
+            quarantine.append(chunk)
+            qbytes = self._qbytes + aligned
+            while qbytes > capacity:  # evict the oldest until the budget holds
+                oldest = quarantine.popleft()
+                qbytes -= oldest.aligned
+                self._retire(oldest)
+            self._qbytes = qbytes
         else:
             self._retire(chunk)
 
     def quarantine_flush(self) -> int:
         """Evict every quarantined chunk (FIFO order); returns the count."""
-        n = len(self._quarantine)
-        while self._quarantine:
-            self._evict_oldest()
+        quarantine = self._quarantine
+        n = len(quarantine)
+        for chunk in quarantine:
+            self._retire(chunk)
+        quarantine.clear()
+        self._qbytes = 0
         return n
 
     def stats(self) -> AllocatorStats:
@@ -468,11 +482,6 @@ class ArenaAllocator:
             gbase = (addr >> self.cfg.tg_shift) << self.cfg.tg_shift
             return read_partial_meta(self.memory, self.cfg, gbase)[1]
         return tag
-
-    def _evict_oldest(self) -> None:
-        chunk = self._quarantine.popleft()
-        self._qbytes -= chunk.aligned
-        self._retire(chunk)
 
     def _retire(self, chunk: Chunk) -> None:
         chunk.state = ChunkState.FREED

@@ -45,6 +45,14 @@ class SparseMemory:
 
     def write(self, addr: int, data: bytes) -> None:
         n = len(data)
+        off = addr & _PAGE_MASK
+        if 0 < n and off + n <= _PAGE_SIZE:  # one page: every checked store and PARTIAL mark
+            pages = self._pages
+            page = pages.get(addr >> _PAGE_SHIFT)
+            if page is None:
+                page = pages[addr >> _PAGE_SHIFT] = bytearray(_PAGE_SIZE)
+            page[off : off + n] = data
+            return
         pos = 0
         while pos < n:
             off = addr & _PAGE_MASK

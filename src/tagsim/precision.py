@@ -38,16 +38,26 @@ def mark_partial(memory, shadow, cfg, granule_base: int, n: int, real_tag: int) 
     last two bytes hold metadata and are never valid application
     bytes), and a non-reserved real_tag.
     """
+    tg = cfg.tg
+    partial = cfg.partial_tag
+    # the four checks as one test; the malloc path passes all of them
+    if not (partial is not None and not granule_base & (tg - 1)
+            and 0 < n <= tg - META_BYTES
+            and 0 <= real_tag < cfg.n_tags and real_tag not in cfg.reserved_tags):
+        raise _mark_refusal(cfg, granule_base, n, real_tag)
+    shadow.set_range(granule_base, tg, partial)
+    memory.write(granule_base + tg - META_BYTES, bytes((n, real_tag)))
+
+
+def _mark_refusal(cfg, granule_base: int, n: int, real_tag: int) -> UsageError:
+    """The error for the first of mark_partial's checks that fails."""
     if cfg.partial_tag is None:
-        raise UsageError("precision_ext is not enabled in this config")
+        return UsageError("precision_ext is not enabled in this config")
     if granule_base & (cfg.tg - 1):
-        raise UsageError(f"0x{granule_base:x} is not the base of a {cfg.tg}-byte granule")
+        return UsageError(f"0x{granule_base:x} is not the base of a {cfg.tg}-byte granule")
     if not 0 < n <= cfg.tg - META_BYTES:
-        raise UsageError(f"valid byte count {n} outside 1..{cfg.tg - META_BYTES}")
-    if not 0 <= real_tag < cfg.n_tags or real_tag in cfg.reserved_tags:
-        raise UsageError(f"real tag {real_tag} is reserved or out of range")
-    shadow.set_range(granule_base, cfg.tg, cfg.partial_tag)
-    memory.write(granule_base + cfg.tg - META_BYTES, bytes((n, real_tag)))
+        return UsageError(f"valid byte count {n} outside 1..{cfg.tg - META_BYTES}")
+    return UsageError(f"real tag {real_tag} is reserved or out of range")
 
 
 def read_partial_meta(memory, cfg, granule_base: int) -> bytes:

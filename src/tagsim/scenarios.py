@@ -163,7 +163,7 @@ def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
     access = _STORE if store else _LOAD
     if miss is not None and not deferred:
         return ScenarioResult(detected=True, fault=(engine, access, word, miss, False))
-    pending = sim.sync()
+    pending = engine.sync()
     for report in pending:
         if report.word != word:
             raise ScenarioError(f"fault outside the injected bug access: {report.render()}")
@@ -181,15 +181,16 @@ def _setup_fault(report: FaultReport) -> ScenarioError:
 def _heap_use_after_free(sim: Simulator, s: Scenario) -> ScenarioResult:
     # size: one granule unless given, keeping reuse an exact fit
     size = s.size if s.size is not None else sim.cfg.tg
-    ptr = sim.malloc(size)
-    sim.free(ptr)
+    heap = sim.heap
+    ptr = heap.malloc(size)
+    heap.free(ptr)
     if s.reuse_depth > 0:
         # churn the dead extent through reuse_depth fresh allocations;
         # exact-fit first fit brings every generation back to ptr's address
-        reused = sim.malloc(size)
+        reused = heap.malloc(size)
         for _ in range(s.reuse_depth - 1):
-            sim.free(reused)
-            reused = sim.malloc(size)
+            heap.free(reused)
+            reused = heap.malloc(size)
         probe_tag = sim.rng.randrange(sim.cfg.n_tags)
         probe = pack(unpack(ptr, sim.cfg)[0], probe_tag, sim.cfg)
     else:
@@ -202,8 +203,8 @@ def _linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     tg = sim.cfg.tg
     size_a = s.size if s.size is not None else sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
     size_b = sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
-    ptr_a = sim.malloc(size_a)
-    ptr_b = sim.malloc(size_b)
+    ptr_a = sim.heap.malloc(size_a)
+    ptr_b = sim.heap.malloc(size_b)
     delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
     if not 0 <= delta < tg:
         raise UsageError("linear-overflow offset must stay in the neighbor's first granule")
@@ -217,8 +218,8 @@ def _linear_underflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     tg = sim.cfg.tg
     size_a = sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
     size_b = s.size if s.size is not None else sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
-    sim.malloc(size_a)
-    ptr_b = sim.malloc(size_b)
+    sim.heap.malloc(size_a)
+    ptr_b = sim.heap.malloc(size_b)
     delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
     if not 0 <= delta < tg:
         raise UsageError("linear-underflow offset must stay in the neighbor's last granule")
@@ -230,7 +231,7 @@ def _linear_underflow(sim: Simulator, s: Scenario) -> ScenarioResult:
 def _non_linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     # wild pointer with an arbitrary tag lands in a tagged victim granule
     size = s.size if s.size is not None else sim.cfg.tg
-    victim = sim.malloc(size)
+    victim = sim.heap.malloc(size)
     span = min(served_size(size), sim.cfg.tg)  # stay in the victim's first granule
     delta = s.offset if s.offset is not None else sim.rng.randrange(span)
     if not 0 <= delta < span:
@@ -259,7 +260,7 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     offset = s.offset if s.offset is not None else served + sim.rng.randrange(granule_end - served)
     if not served <= offset < granule_end:
         raise UsageError(f"intra-granule offset must lie in [{served}, {granule_end})")
-    probe = offset_ptr(sim.malloc(size), offset, sim.cfg)
+    probe = offset_ptr(sim.heap.malloc(size), offset, sim.cfg)
     return _bug_access(sim, probe, store=True)
 
 
@@ -277,7 +278,7 @@ def _use_after_scope(sim: Simulator, s: Scenario) -> ScenarioResult:
     stale = frame.local_ptr(0)
     sim.stack.end_scope(frame, 0)
     try:
-        sim.load(frame.local_ptr(1), 1)  # sibling must stay reachable
+        sim.engine.load(frame.local_ptr(1), 1)  # sibling must stay reachable
     except FaultError as err:
         raise _setup_fault(err.report) from err
     return _bug_access(sim, stale, store=False)
@@ -292,7 +293,7 @@ def _uninitialized_read(sim: Simulator, s: Scenario) -> ScenarioResult:
     """
     size = s.size if s.size is not None else sim.cfg.tg
     served = served_size(size)
-    ptr = sim.malloc(size)
+    ptr = sim.heap.malloc(size)
     refused = sim.check_user_range(ptr, served)
     if refused is not None:
         raise _setup_fault(refused.report)

@@ -8,6 +8,10 @@ order, so a given (config, seed) pair replays bit-identically on any
 platform.  The stack tagger is built on first use; most trials are
 heap-only and simulator construction sits on the Monte-Carlo hot path.
 
+sim.malloc, free, load, store, sync and check_user_range hand out the
+bound methods of sim.heap and sim.engine themselves, looked up on each
+read, so a call through the facade runs no frame of its own.
+
 load and store raise a fault carrying its FaultReport at once.  A
 scenario run asks the engine for the verdict alone (engine.first_mismatch)
 and its ScenarioResult builds the report on first read, from this
@@ -16,9 +20,10 @@ simulator, which nothing changes after the bug access.
 
 from __future__ import annotations
 
-from .access import AccessEngine, RangeCheckError
+from operator import attrgetter
+
+from .access import AccessEngine
 from .arena import ArenaAllocator, TagPolicy
-from .faults import FaultReport
 from .memory import SparseMemory
 from .rng import SplitMix64
 from .stack import StackTagger
@@ -48,23 +53,9 @@ class Simulator:
                                       seed=self.seed)
         return self._stack
 
-    # Convenience passthroughs; scenario and test code reads better
-    # with sim.malloc(...) than sim.heap.malloc(...).
-
-    def malloc(self, size: int) -> int:
-        return self.heap.malloc(size)
-
-    def free(self, word: int) -> None:
-        self.heap.free(word)
-
-    def load(self, word: int, width: int = 1) -> bytes:
-        return self.engine.load(word, width)
-
-    def store(self, word: int, data: bytes) -> None:
-        self.engine.store(word, data)
-
-    def sync(self) -> list[FaultReport]:
-        return self.engine.sync()
-
-    def check_user_range(self, word: int, length: int) -> RangeCheckError | None:
-        return self.engine.check_user_range(word, length)
+    malloc = property(attrgetter("heap.malloc"))
+    free = property(attrgetter("heap.free"))
+    load = property(attrgetter("engine.load"))
+    store = property(attrgetter("engine.store"))
+    sync = property(attrgetter("engine.sync"))
+    check_user_range = property(attrgetter("engine.check_user_range"))

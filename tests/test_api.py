@@ -128,3 +128,62 @@ def test_readme_cli_lines_exit_and_print_what_they_show(monkeypatch):
         assert len(printed) == len(shown), argv
         for line, expected in zip(printed, shown):
             assert re.fullmatch(_shown_pattern(expected), line), (argv, line)
+
+
+def test_facade_hands_out_its_parts_bound_methods():
+    sim = tagsim.Simulator()
+    for name in ("malloc", "free"):
+        assert getattr(sim, name).__self__ is sim.heap, name
+    for name in ("load", "store", "sync", "check_user_range"):
+        assert getattr(sim, name).__self__ is sim.engine, name
+
+
+def test_facade_sees_class_level_patches_made_after_construction(monkeypatch):
+    # the benchmark's tracer patches these class attributes, and a caller
+    # that reads sim.malloc afterwards must reach the patched method
+    sim = tagsim.Simulator()
+    monkeypatch.setattr(tagsim.ArenaAllocator, "malloc", lambda heap, size: ("malloc", size))
+    monkeypatch.setattr(tagsim.AccessEngine, "load", lambda engine, word, width=1: ("load", word))
+    assert sim.malloc(24) == ("malloc", 24)
+    assert sim.load(0x40) == ("load", 0x40)
+
+
+# Installs bench/run.py's patches with a real Tracer, in its own process
+# like _PATCH_TARGETS, and runs a short heap replay and a short probe
+# through them; prints the calls each boundary recorded.
+_TRACED_CALLS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_run", "bench/run.py")
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+sys.path.insert(0, str(run.SRC))
+tagsim = run.load_tagsim()
+workloads = run.workloads
+tracer = run.tracing.Tracer(run.BOUNDARIES)
+boundaries = run.patches(tagsim, tracer, run.Counters(tagsim.ADDR_SPACE - 1))
+main = tracer.wrap("cli.main", tagsim.cli.main)
+cfg = tagsim.MtConfig(tg=16, ts=8, precision_ext=True, quarantine_capacity=1024)
+ops = workloads.heap_ops(5, 300, 40)
+peak = workloads.analyzer_peak(tagsim, ops, cfg)
+kinds = [arg for kind in workloads.PROBE_KINDS for arg in ("--kind", kind)]
+failed = []
+with tracer.installed(boundaries):
+    tracer.start()
+    outcome = workloads.replay_heap(tagsim, cfg, 5, ops, peak)
+    failed += outcome.errors
+    for label, flags in workloads.PROBE_CONFIGS:
+        rc, text = workloads.call_cli(main, ["probe", *kinds, "--trials", "12", *flags])
+        failed += [message for _, message in workloads.check_probe(rc, text, 12)]
+    tracer.stop()
+print(json.dumps({"failed": failed, "calls": dict(zip(run.BOUNDARIES, tracer.calls))}))
+"""
+
+
+def test_every_simulator_boundary_fires_under_the_benchmark_tracer():
+    proc = subprocess.run([sys.executable, "-c", _TRACED_CALLS], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["failed"] == []
+    silent = [name for name, calls in result["calls"].items()
+              if calls == 0 and not name.startswith("traces.")]
+    assert silent == []

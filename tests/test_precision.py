@@ -2,10 +2,11 @@
 and interaction with the allocator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagsim import FaultError, MtConfig, Simulator, TagPolicy, UsageError
 from tagsim.memory import SparseMemory
-from tagsim.precision import mark_partial, partial_access_ok, read_partial_meta
+from tagsim.precision import META_BYTES, mark_partial, partial_access_ok, read_partial_meta
 from tagsim.tagspace import ShadowStore, offset_ptr, pack, unpack
 
 PREC16 = MtConfig(tg=16, ts=8, precision_ext=True)
@@ -58,6 +59,52 @@ def test_mark_partial_requires_alignment_and_extension():
     plain = MtConfig(tg=16, ts=8)
     with pytest.raises(UsageError):
         mark_partial(memory, shadow, plain, 0x100, n=4, real_tag=1)
+
+
+def reference_mark_checks(cfg, granule_base, n, real_tag):
+    """mark_partial's four checks as four separate tests, in their
+    order: the message of the first that fails, or None."""
+    if cfg.partial_tag is None:
+        return "precision_ext is not enabled in this config"
+    if granule_base & (cfg.tg - 1):
+        return f"0x{granule_base:x} is not the base of a {cfg.tg}-byte granule"
+    if not 0 < n <= cfg.tg - META_BYTES:
+        return f"valid byte count {n} outside 1..{cfg.tg - META_BYTES}"
+    if not 0 <= real_tag < cfg.n_tags or real_tag in cfg.reserved_tags:
+        return f"real tag {real_tag} is reserved or out of range"
+    return None
+
+
+@st.composite
+def mark_calls(draw):
+    cfg = MtConfig(tg=draw(st.sampled_from((16, 32, 64))), ts=draw(st.sampled_from((4, 8))),
+                   precision_ext=draw(st.booleans()))
+    granule = draw(st.integers(min_value=0, max_value=64)) * cfg.tg
+    base = granule + draw(st.sampled_from((0, 0, 1, cfg.tg // 2, cfg.tg - 1)))
+    # each range with its edges drawn often: a check is wrong there first
+    tg, top = cfg.tg, cfg.n_tags
+    n = draw(st.one_of(st.sampled_from((-2, -1, 0, 1, tg - 3, tg - 2, tg - 1, tg, tg + 2)),
+                       st.integers(min_value=-2, max_value=tg + 2)))
+    real_tag = draw(st.one_of(st.sampled_from((-1, 0, 1, top - 2, top - 1, top)),
+                              st.integers(min_value=-1, max_value=top)))
+    return cfg, base, n, real_tag
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=mark_calls())
+def test_mark_partial_accepts_and_refuses_as_its_four_checks_did(call):
+    cfg, base, n, real_tag = call
+    expected = reference_mark_checks(cfg, base, n, real_tag)
+    memory, shadow = fresh(cfg)
+    if expected is None:
+        mark_partial(memory, shadow, cfg, base, n, real_tag)
+        assert shadow.get(base) == cfg.partial_tag
+        assert tuple(read_partial_meta(memory, cfg, base)) == (n, real_tag)
+    else:
+        with pytest.raises(UsageError) as refused:
+            mark_partial(memory, shadow, cfg, base, n, real_tag)
+        assert str(refused.value) == expected
+        assert shadow.writes == 0 and memory._pages == {}
 
 
 # ----------------------------------------------------------------------
