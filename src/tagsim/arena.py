@@ -79,6 +79,8 @@ class TagPolicy:
     rate: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, PolicyKind):
+            raise UsageError(f"unknown tag policy {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise UsageError(f"sampling rate must be in [0, 1], got {self.rate!r}")
 
@@ -418,16 +420,6 @@ class ArenaAllocator:
         else:
             self._retire(chunk)
 
-    def quarantine_flush(self) -> int:
-        """Evict every quarantined chunk (FIFO order); returns the count."""
-        quarantine = self._quarantine
-        n = len(quarantine)
-        for chunk in quarantine:
-            self._retire(chunk)
-        quarantine.clear()
-        self._qbytes = 0
-        return n
-
     def stats(self) -> AllocatorStats:
         """A snapshot of the counters, quarantine totals included."""
         return replace(self._stats, quarantine_bytes=self._qbytes,
@@ -459,12 +451,10 @@ class ArenaAllocator:
         if policy.kind is PolicyKind.ADJACENT_DISTINCT:
             left = self.effective_tag(base - 1) if base > HEAP_BASE else 0
             return self._draw_excluding(left, self.effective_tag(base + aligned))
-        if policy.kind is PolicyKind.SAMPLED:
-            rng = self.rng
-            if rng.random() < policy.rate:
-                return rng.choice(self.cfg.usable_tags)
-            return 0
-        raise UsageError(f"unknown tag policy {policy.kind!r}")
+        rng = self.rng  # Sampled
+        if rng.random() < policy.rate:
+            return rng.choice(self.cfg.usable_tags)
+        return 0
 
     def _draw_excluding(self, a: int, b: int) -> int:
         """A usable tag other than a and b, drawn by rejection."""

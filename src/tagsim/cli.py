@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .arena import TagPolicy
+from .arena import PolicyKind, TagPolicy
 from .detection import estimate_detection
 from .errors import AllocationError, ScenarioError, TraceError, UsageError
 from .scenarios import Scenario, ScenarioKind, run_scenario
@@ -39,12 +39,8 @@ def _kind_names() -> list[str]:
 
 
 def _parse_kind(name: str) -> ScenarioKind:
-    if name in _KIND_ALIASES:
-        return _KIND_ALIASES[name]
-    try:
-        return ScenarioKind(name)
-    except ValueError:
-        raise UsageError(f"unknown scenario {name!r}") from None
+    # argparse's choices have already refused a name that is neither
+    return _KIND_ALIASES.get(name) or ScenarioKind(name)
 
 
 def _add_ts_and_format(sub: argparse.ArgumentParser, default_format: str) -> None:
@@ -55,14 +51,15 @@ def _add_ts_and_format(sub: argparse.ArgumentParser, default_format: str) -> Non
 def _add_config_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
     _add_ts_and_format(sub, default_format)
     sub.add_argument("--tg", type=int, default=16, help="granule size in bytes")
-    sub.add_argument("--policy", choices=["random", "adjacent-distinct", "sampled"],
-                     default="random", help="tag assignment policy")
+    sub.add_argument("--policy", choices=[k.value for k in PolicyKind],
+                     default=PolicyKind.RANDOM.value, help="tag assignment policy")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--precision-ext", action="store_true",
                      help="byte-precise checking of partial final granules")
     sub.add_argument("--zero-on-tag", action="store_true",
                      help="zero memory while tagging it")
-    sub.add_argument("--store-mode", choices=["precise", "imprecise"], default="precise")
+    sub.add_argument("--store-mode", choices=[m.value for m in StoreMode],
+                     default=StoreMode.PRECISE.value)
     sub.add_argument("--quarantine", type=int, default=0, metavar="BYTES",
                      help="free-quarantine byte budget (0 disables)")
     sub.add_argument("--sampling-rate", type=float, default=None,
@@ -75,19 +72,18 @@ def _config_from(args) -> MtConfig:
         ts=args.ts,
         zero_on_tag=args.zero_on_tag,
         precision_ext=args.precision_ext,
-        store_mode=StoreMode.PRECISE if args.store_mode == "precise" else StoreMode.IMPRECISE_STORES,
+        store_mode=StoreMode(args.store_mode),
         quarantine_capacity=args.quarantine,
     )
 
 
 def _policy_from(args) -> TagPolicy:
-    if args.policy == "sampled":
+    kind = PolicyKind(args.policy)
+    if kind is PolicyKind.SAMPLED:
         return TagPolicy.sampled(1.0 if args.sampling_rate is None else args.sampling_rate)
     if args.sampling_rate is not None:
         raise UsageError("--sampling-rate requires --policy sampled")
-    if args.policy == "adjacent-distinct":
-        return TagPolicy.adjacent_distinct()
-    return TagPolicy.random()
+    return TagPolicy(kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,10 +209,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, TraceError, ScenarioError, AllocationError) as exc:
-        print(f"tagsim: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, TraceError, ScenarioError, AllocationError, OSError) as exc:
         print(f"tagsim: error: {exc}", file=sys.stderr)
         return 2
 

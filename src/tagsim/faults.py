@@ -3,6 +3,7 @@
 Every simulated trap is described by a FaultReport.  The plain-text
 rendering and the JSON rendering are part of the package's contract:
 tools diff them, so the key set and ordering below must not drift.
+The plain line is built from the JSON record, so the two cannot.
 """
 
 from __future__ import annotations
@@ -49,16 +50,9 @@ class FaultReport:
     partial: bool = False
 
     def render(self) -> str:
-        chunk = "-" if self.chunk_id is None else str(self.chunk_id)
-        state = self.chunk_state if self.chunk_state else "-"
-        return (
-            f"FAULT kind={self.kind.value} access={self.access.value}"
-            f" ptr=0x{self.word:016x} ptag=0x{self.ptr_tag:x} mtag=0x{self.mem_tag:x}"
-            f" chunk={chunk} state={state} deferred={1 if self.deferred else 0}"
-        )
+        return "FAULT " + " ".join([f"{k}={v}" for k, v in self.to_json_dict().items()])
 
     def to_json_dict(self) -> dict:
-        # Same keys as the plain rendering.
         return {
             "kind": self.kind.value,
             "access": self.access.value,

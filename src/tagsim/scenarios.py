@@ -12,7 +12,7 @@ or AllocationError, and freeing the pointer malloc just returned always
 succeeds.  Three guards remain, each raising ScenarioError:
 use-after-scope loads the sibling slot, which must stay reachable;
 uninitialized-read range-checks the bytes it reads; and the drain at
-scenario end refuses a deferred report for any word but the bug's.
+scenario end refuses every deferred report, since setup never stores.
 
 Parameter distributions (sizes, offsets) are drawn from the trial's
 seeded RNG and are documented per scenario below.  Two scenarios are
@@ -145,6 +145,7 @@ def run_scenario(scenario: Scenario, cfg: MtConfig) -> ScenarioResult:
 # costs a descriptor call, and the bug access runs once per trial
 _LOAD, _STORE = AccessKind.LOAD, AccessKind.STORE
 _IMPRECISE = StoreMode.IMPRECISE_STORES
+_OVERFLOW = ScenarioKind.LINEAR_OVERFLOW
 
 
 def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
@@ -152,10 +153,11 @@ def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
 
     The engine decides the access; nothing runs after it, so a passing
     access moves no data and a refused one leaves its report to be built
-    on first read.  A mismatched store under IMPRECISE_STORES is a
-    deferred report, delivered after any that setup queued.  Deferred
-    reports are attributed by pointer word; any report that is not ours
-    means setup misbehaved.
+    on first read.  A refused load or precise store returns at once,
+    with no drain.  Otherwise the queue is drained: the bug access
+    queues nothing and setup never stores, so any report there is a
+    setup defect.  A mismatched store under IMPRECISE_STORES is detected
+    as the deferred report it would have queued.
     """
     engine = sim.engine
     miss = engine.first_mismatch(word, 1)
@@ -164,11 +166,8 @@ def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
     if miss is not None and not deferred:
         return ScenarioResult(detected=True, fault=(engine, access, word, miss, False))
     pending = engine.sync()
-    for report in pending:
-        if report.word != word:
-            raise ScenarioError(f"fault outside the injected bug access: {report.render()}")
     if pending:
-        return ScenarioResult(detected=True, report=pending[0])
+        raise _setup_fault(pending[0])
     if miss is not None:
         return ScenarioResult(detected=True, fault=(engine, access, word, miss, True))
     return ScenarioResult(detected=False)
@@ -198,33 +197,28 @@ def _heap_use_after_free(sim: Simulator, s: Scenario) -> ScenarioResult:
     return _bug_access(sim, probe, store=False)
 
 
-def _linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
-    # two address-adjacent chunks; overflow off the end of the first
+def _linear_neighbour(sim: Simulator, s: Scenario) -> ScenarioResult:
+    """Two address-adjacent chunks, a below b.  linear-overflow stores
+    off the end of a into b's first granule through a's pointer;
+    linear-underflow stores off the front of b into a's last granule
+    through b's pointer.  The bug's own chunk takes s.size when given;
+    the other's size is always drawn."""
     tg = sim.cfg.tg
-    size_a = s.size if s.size is not None else sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
-    size_b = sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
+    overflow = s.kind is _OVERFLOW
+    largest = LINEAR_MAX_GRANULES * tg
+    size_a = sim.rng.randint(1, largest) if s.size is None or not overflow else s.size
+    size_b = sim.rng.randint(1, largest) if s.size is None or overflow else s.size
     ptr_a = sim.heap.malloc(size_a)
     ptr_b = sim.heap.malloc(size_b)
     delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
     if not 0 <= delta < tg:
-        raise UsageError("linear-overflow offset must stay in the neighbor's first granule")
-    base_b = unpack(ptr_b, sim.cfg)[0] & -tg
-    probe = pack(base_b + delta, unpack(ptr_a, sim.cfg)[1], sim.cfg)
-    return _bug_access(sim, probe, store=True)
-
-
-def _linear_underflow(sim: Simulator, s: Scenario) -> ScenarioResult:
-    # two address-adjacent chunks; underflow off the front of the second
-    tg = sim.cfg.tg
-    size_a = sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
-    size_b = s.size if s.size is not None else sim.rng.randint(1, LINEAR_MAX_GRANULES * tg)
-    sim.heap.malloc(size_a)
-    ptr_b = sim.heap.malloc(size_b)
-    delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
-    if not 0 <= delta < tg:
-        raise UsageError("linear-underflow offset must stay in the neighbor's last granule")
+        side = "first" if overflow else "last"
+        raise UsageError(f"{s.kind.value} offset must stay in the neighbor's {side} granule")
     user_b, tag_b = unpack(ptr_b, sim.cfg)
-    probe = pack((user_b & -tg) - 1 - delta, tag_b, sim.cfg)
+    if overflow:
+        probe = pack((user_b & -tg) + delta, unpack(ptr_a, sim.cfg)[1], sim.cfg)
+    else:
+        probe = pack((user_b & -tg) - 1 - delta, tag_b, sim.cfg)
     return _bug_access(sim, probe, store=True)
 
 
@@ -308,8 +302,8 @@ _ZERO_OR_SENTINEL = bytes((0, SENTINEL))
 
 _RUNNERS = {
     ScenarioKind.HEAP_USE_AFTER_FREE: _heap_use_after_free,
-    ScenarioKind.LINEAR_OVERFLOW: _linear_overflow,
-    ScenarioKind.LINEAR_UNDERFLOW: _linear_underflow,
+    ScenarioKind.LINEAR_OVERFLOW: _linear_neighbour,
+    ScenarioKind.LINEAR_UNDERFLOW: _linear_neighbour,
     ScenarioKind.NON_LINEAR_OVERFLOW: _non_linear_overflow,
     ScenarioKind.INTRA_GRANULE_OVERFLOW: _intra_granule_overflow,
     ScenarioKind.USE_AFTER_RETURN: _use_after_return,

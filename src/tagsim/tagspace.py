@@ -21,7 +21,7 @@ scheme: a dense array of ts bits for every tg bytes of tagged memory.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .errors import UsageError
@@ -131,15 +131,7 @@ class MtConfig:
                 self.partial_tag, self.store_mode is StoreMode.PRECISE)
 
     def to_dict(self) -> dict:
-        return {
-            "tg": self.tg,
-            "ts": self.ts,
-            "zero_on_tag": self.zero_on_tag,
-            "precision_ext": self.precision_ext,
-            "right_align": self.right_align,
-            "store_mode": self.store_mode.value,
-            "quarantine_capacity": self.quarantine_capacity,
-        }
+        return {**asdict(self), "store_mode": self.store_mode.value}
 
 
 def pack(addr: int, tag: int, cfg: MtConfig) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import accumulate, chain
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import TraceError, UsageError
 
@@ -59,14 +59,6 @@ class OverheadRow:
     overhead_pct: float
     tag_storage_bytes: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alignment": self.alignment,
-            "peak_bytes": self.peak_bytes,
-            "overhead_pct": self.overhead_pct,
-            "tag_storage_bytes": self.tag_storage_bytes,
-        }
-
 
 @dataclass(frozen=True)
 class OverheadReport:
@@ -75,11 +67,9 @@ class OverheadReport:
     rows: tuple[OverheadRow, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "base_alignment": self.base_alignment,
-            "base_peak_bytes": self.base_peak_bytes,
-            "rows": [row.to_json_dict() for row in self.rows],
-        }
+        record = asdict(self)
+        record["rows"] = list(record["rows"])  # a JSON array reads back as a list
+        return record
 
     def render(self) -> str:
         lines = [f"base alignment {self.base_alignment}: peak {self.base_peak_bytes} bytes"]

@@ -287,17 +287,6 @@ def test_quarantine_fifo_eviction_under_pressure():
     assert st.quarantine_bytes == 128
 
 
-def test_quarantine_flush():
-    sim = Simulator(quarantined_cfg(4096), seed=9)
-    words = [sim.malloc(32) for _ in range(5)]
-    for w in words:
-        sim.free(w)
-    assert sim.heap.quarantine_flush() == 5
-    st = sim.heap.stats()
-    assert st.quarantine_chunks == 0
-    assert st.quarantine_bytes == 0
-
-
 def test_zero_quarantine_recycles_immediately():
     sim = Simulator(CFG16, seed=0)
     p = sim.malloc(16)
@@ -360,6 +349,11 @@ def test_untagged_reuse_clears_stale_tags():
     assert sim.shadow.get(addr) == 0
     assert sim.shadow.writes == writes + 1  # one write per granule cleared
     sim.store(q, b"\x22")  # reachable through the untagged pointer
+
+
+def test_unknown_policy_kind_is_refused_at_construction():
+    with pytest.raises(UsageError, match="unknown tag policy 'bogus'"):
+        TagPolicy("bogus")
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,6 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("stale-free"), indices),
     st.tuples(st.just("wrong-tag-free"), indices),
     st.tuples(st.just("interior-free"), indices, st.integers(min_value=-64, max_value=300)),
-    st.tuples(st.just("flush")),
 ), max_size=60)
 
 
@@ -120,8 +119,6 @@ def run_ops(sim, ops, step_check):
             addr = ref.chunks[op[1] % len(ref.chunks)].base + op[2]
             if not is_live_user_addr(heap, addr):
                 assert free_fault(sim, addr) == expected_fault(*ref.classify_free(addr))
-        elif name == "flush":
-            heap.quarantine_flush()
         step_check(sim, ref)
 
 

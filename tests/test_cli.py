@@ -197,6 +197,10 @@ def test_simulate_non_linear_overflow_rejects_offsets_off_the_victim(capsys, siz
                    "intra-granule-overflow", "use-after-return", "use-after-scope",
                    "uninitialized-read")
       for depth in ("0", "2")],
+    ("linear-overflow", ("--offset", "16"),
+     "linear-overflow offset must stay in the neighbor's first granule"),
+    ("linear-underflow", ("--offset", "16"),
+     "linear-underflow offset must stay in the neighbor's last granule"),
     ("intra-granule", ("--reuse-depth", "1"),
      "--reuse-depth does not apply to scenario intra-granule-overflow"),
     ("heap-use-after-free", ("--reuse-depth", "-1"),

@@ -30,6 +30,7 @@ from tagsim import (
     theoretical_detection,
 )
 import tagsim.traces
+from tagsim import scenarios
 from tagsim.cli import main
 from tagsim.faults import AccessKind
 from tagsim.rng import SplitMix64
@@ -169,6 +170,18 @@ def test_uninitialized_read_refused_range_is_a_setup_fault(monkeypatch):
     monkeypatch.setattr(Simulator, "check_user_range", lambda self, word, length: refused)
     with pytest.raises(ScenarioError, match="scenario setup faulted"):
         run_scenario(Scenario(kind=ScenarioKind.UNINITIALIZED_READ), CFG16)
+
+
+def test_setup_report_on_the_bug_word_is_a_setup_fault():
+    # setup never stores, so a report the drain yields is a setup defect,
+    # even one on the bug's own word: it must not count as the detection
+    cfg = MtConfig(tg=16, ts=8, store_mode=StoreMode.IMPRECISE_STORES)
+    sim = Simulator(cfg, seed=0)
+    addr, tag = unpack(sim.malloc(16), cfg)
+    word = pack(addr, tag ^ 1, cfg)
+    sim.store(word, b"\x00")  # queues a deferred report on word
+    with pytest.raises(ScenarioError, match="scenario setup faulted"):
+        scenarios._bug_access(sim, word, store=True)
 
 
 def test_scenario_honours_explicit_geometry():
