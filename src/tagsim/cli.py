@@ -5,7 +5,9 @@
     tagsim overhead  <trace> --alignments 8,16,32,64   trace RAM analysis
 
 Exit codes: 0 success; 1 when `simulate` detects its injected bug (so
-shell scripts can assert detection); 2 for usage or input errors.
+shell scripts can assert detection); 2 for usage or input errors; 141
+(128 + SIGPIPE), with nothing on stderr, when the reader of stdout
+closes it early, as `| head -1` does.
 JSON output is deterministic: identical arguments and seed produce
 byte-identical bytes.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arena import PolicyKind, TagPolicy
@@ -209,13 +212,23 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        raise  # not an input error: entry() ends the run quietly
     except (UsageError, TraceError, ScenarioError, AllocationError, OSError) as exc:
         print(f"tagsim: error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush
+        # at exit writes nothing and reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

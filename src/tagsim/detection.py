@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .arena import PolicyKind, TagPolicy
 from .errors import UsageError
+from .rng import PREMIX_STREAMS, premixed_rows
 from .scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, Scenario, ScenarioKind,
                         run_scenario, scenario_runner)
 from .sim import Simulator
@@ -144,6 +145,27 @@ def _rate(sim: Simulator, addrs: range, probes: tuple, memo: dict) -> Fraction:
     return Fraction(caught, len(addrs) * sum(w for _, w in probes))
 
 
+# k is read off one trial; this bounds the lane constants it can ask for
+_PREMIX_MAX_WORDS = 8
+
+
+def _trial_sims(cfg: MtConfig, seed: int, policy: TagPolicy, trials: int):
+    """Simulator(cfg, seed + i, policy) for i in range(trials), in order,
+    each to be run before the next is asked for.  Trial 0 draws one word
+    at a time, and the words it drew, k, are premixed for each later
+    batch of PREMIX_STREAMS trials; a trial that draws more mixes the
+    rest itself."""
+    first = Simulator(cfg, seed, policy)
+    yield first
+    k = min(first.rng.words_since(seed), _PREMIX_MAX_WORDS)
+    for start in range(1, trials, PREMIX_STREAMS):
+        rows = premixed_rows(seed + start, k) if k else [()] * PREMIX_STREAMS
+        for i, row in zip(range(start, min(start + PREMIX_STREAMS, trials)), rows):
+            sim = Simulator(cfg, seed + i, policy)
+            sim.rng.premix(row)
+            yield sim
+
+
 def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int = 0,
                        policy: TagPolicy = TagPolicy()) -> DetectionReport:
     """Empirical detection rate over ``trials`` independent instances.
@@ -159,8 +181,8 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
     runner = scenario_runner(kind)
     proto = Scenario(kind=kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
     detections = 0
-    for i in range(trials):
-        if runner(Simulator(cfg, seed=seed + i, policy=policy), proto).detected:
+    for sim in _trial_sims(cfg, seed, policy, trials):
+        if runner(sim, proto).detected:
             detections += 1
     theo = theoretical_detection(kind, cfg, policy=policy)
     config = {**cfg.to_dict(), "sampling_rate": policy.rate,

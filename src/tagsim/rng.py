@@ -7,30 +7,92 @@ stream instead: two machine words of state, constant-time seeding,
 identical output on every platform, and ample quality for drawing tag
 values.  Sequential seeds are fine by construction; splitmix64's
 finalizer decorrelates them.
+
+mix64 is the finalizer and the reference for every word a stream
+draws.  Trial i of a Monte-Carlo run draws from the stream seeded
+seed + i, so the first words of many trials are known before any of
+them runs.  premixed_rows computes the first k words of PREMIX_STREAMS
+consecutive streams at once: one Python int holds every state in its
+own 128-bit lane, so each shift, xor and multiply of mix64 runs once
+over all of them.  A stream handed its row by SplitMix64.premix serves
+those words first and mixes the rest one at a time, so the words it
+draws, and their order, do not change.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
+
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_GAMMA_INV = pow(_GAMMA, -1, 1 << 64)
 _INV_2_53 = 1.0 / (1 << 53)
+# the finalizer: xor-shift by _S1, multiply by _M1, xor-shift by _S2,
+# multiply by _M2, xor-shift by _S3
+_S1, _S2, _S3 = 30, 27, 31
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+PREMIX_STREAMS = 256  # the rows premixed_rows returns
 
 
 def mix64(x: int) -> int:
     """The word a SplitMix64 whose state is x draws next; a cheap hash of x."""
     z = (x + _GAMMA) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+    z = ((z ^ (z >> _S1)) * _M1) & _M64
+    z = ((z ^ (z >> _S2)) * _M2) & _M64
+    return z ^ (z >> _S3)
+
+
+@functools.cache
+def _lanes(k: int):
+    """The constants for rows of k words: each state's offset from the
+    first seed, plus the +GAMMA of mix64's first step; a 1 in each lane;
+    each lane's low 64 bits set; and the lanes' layout, a 64-bit word
+    and 8 bytes of headroom, since a 64 x 64-bit product fits in 128."""
+    n = PREMIX_STREAMS * k
+    lanes = struct.Struct("<" + "Q8x" * n)
+
+    def packed(words) -> int:
+        return int.from_bytes(lanes.pack(*words), "little")
+
+    # lane j*k + (k-1-w) holds word w of stream j, so a row reads last word first
+    offsets = [(j + (k - w) * _GAMMA) & _M64 for j in range(PREMIX_STREAMS) for w in range(k)]
+    return packed(offsets), packed([1] * n), packed([_M64] * n), lanes
+
+
+def premixed_rows(seed: int, k: int) -> list[list[int]]:
+    """The first k words that SplitMix64(seed + j) draws, for each j in
+    range(PREMIX_STREAMS): row j, last word first, as premix takes it."""
+    offsets, ones, low, lanes = _lanes(k)
+    z = (offsets + (seed & _M64) * ones) & low
+    z = ((z ^ ((z >> _S1) & low)) * _M1) & low
+    z = ((z ^ ((z >> _S2) & low)) * _M2) & low
+    words = list(lanes.unpack((z ^ ((z >> _S3) & low)).to_bytes(lanes.size, "little")))
+    return [words[i:i + k] for i in range(0, len(words), k)]
 
 
 class SplitMix64:
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_premixed")
 
     def __init__(self, seed: int = 0):
         self._state = seed & _M64
+        self._premixed = ()
+
+    def premix(self, words: list[int]) -> None:
+        """Serve ``words``, the next len(words) words of this stream last
+        word first (a row of premixed_rows), as the next draws."""
+        self._premixed = words
+        self._state = (self._state + len(words) * _GAMMA) & _M64
+
+    def words_since(self, seed: int) -> int:
+        """Words drawn or premixed since the stream was seeded with seed."""
+        return ((self._state - seed) * _GAMMA_INV) & _M64
 
     def next_word(self) -> int:
+        premixed = self._premixed
+        if premixed:
+            return premixed.pop()
         state = self._state
         self._state = (state + _GAMMA) & _M64
         return mix64(state)

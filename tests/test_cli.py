@@ -2,6 +2,7 @@
 JSON output."""
 
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -405,3 +406,20 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "tagsim" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["simulate", "heap-use-after-free"],
+                                  ["probe", "--trials", "20"],
+                                  ["overhead", BUNDLED_TRACE]], ids=lambda a: a[0])
+def test_closed_stdout_exits_141_quietly(argv):
+    """A reader that is gone before the first write, as after `| head -1`:
+    exit 128 + SIGPIPE with nothing on stderr, not an input error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(tagsim.cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tagsim.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -413,14 +413,19 @@ def test_estimate_rejects_bad_trials():
         estimate_detection(ScenarioKind.NON_LINEAR_OVERFLOW, CFG64, trials=0)
 
 
-def test_estimate_matches_manual_replay():
+@pytest.mark.parametrize("policy", [TagPolicy.random(), TagPolicy.adjacent_distinct(),
+                                    TagPolicy.sampled(0.5)], ids=lambda p: p.kind.value)
+@pytest.mark.parametrize("cfg", [CFG64, CFG_B], ids=["A", "B"])  # the benchmark's configs
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_estimate_matches_manual_replay(kind, cfg, policy):
     """estimate_detection is exactly per-trial run_scenario with seeds
-    seed+0 .. seed+trials-1."""
-    trials, seed = 60, 17
-    report = estimate_detection(ScenarioKind.NON_LINEAR_OVERFLOW, CFG64,
-                                trials=trials, seed=seed)
+    seed+0 .. seed+trials-1; 600 trials cross two premixed batches."""
+    trials, seed = 600, 17
+    report = estimate_detection(kind, cfg, trials=trials, seed=seed, policy=policy)
+    reuse = int(kind is ScenarioKind.HEAP_USE_AFTER_FREE and cfg.quarantine_capacity == 0)
     manual = sum(
-        run_scenario(Scenario(kind=ScenarioKind.NON_LINEAR_OVERFLOW, seed=seed + i), CFG64).detected
+        run_scenario(Scenario(kind=kind, reuse_depth=reuse, seed=seed + i, policy=policy),
+                     cfg).detected
         for i in range(trials)
     )
     assert report.detections == manual

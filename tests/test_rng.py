@@ -1,0 +1,59 @@
+"""Premixed trial streams: the lane form of the SplitMix64 finalizer
+against mix64, and the Monte-Carlo trial generator's streams against
+one-at-a-time SplitMix64 streams."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from tagsim import MtConfig, TagPolicy
+from tagsim.detection import _trial_sims
+from tagsim.rng import PREMIX_STREAMS, SplitMix64, mix64, premixed_rows
+
+M64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=-(1 << 70), max_value=1 << 70), k=st.integers(1, 8))
+@example(seed=0, k=1)
+@example(seed=M64, k=8)
+@example(seed=-1, k=3)
+@example(seed=-5, k=2)
+@example(seed=(1 << 64) - GAMMA, k=1)  # the first state's +GAMMA lands on 2^64
+@example(seed=(1 << 64) - GAMMA - 100, k=4)  # later streams wrap on +GAMMA
+@example(seed=(1 << 64) - 3, k=5)  # seed + j itself wraps
+def test_premixed_rows_are_mix64_of_each_stream(seed, k):
+    rows = premixed_rows(seed, k)
+    assert len(rows) == PREMIX_STREAMS
+    for j, row in enumerate(rows):
+        assert row == [mix64((seed + j + w * GAMMA) & M64) for w in reversed(range(k))], j
+
+
+def test_premixed_stream_draws_on_past_its_row():
+    rng = SplitMix64(41)
+    rng.premix(premixed_rows(41, 3)[0])
+    reference = SplitMix64(41)
+    assert [rng.next_word() for _ in range(7)] == [reference.next_word() for _ in range(7)]
+    assert rng.words_since(41) == 7
+
+
+WORDS = 12
+TRIALS = 2 * PREMIX_STREAMS + 3  # crosses two batch boundaries
+# what trial i >= 1 draws while it runs: none, fewer than k, k and more than k
+# for k = 3; trial 0 sets k
+LATER_DRAWS = (0, 1, 3, 5)
+
+
+@pytest.mark.parametrize("first_draws", [0, 3, 9])
+@pytest.mark.parametrize("seed", [0, -5, (1 << 64) - 3])
+def test_trial_sims_draw_the_streams_of_seed_plus_i(seed, first_draws):
+    streams = []
+    for i, sim in enumerate(_trial_sims(MtConfig(), seed, TagPolicy(), TRIALS)):
+        assert sim.seed == seed + i
+        draws = first_draws if i == 0 else LATER_DRAWS[i % len(LATER_DRAWS)]
+        streams.append((sim.rng, [sim.rng.next_word() for _ in range(draws)]))
+    assert len(streams) == TRIALS
+    for i, (rng, words) in enumerate(streams):
+        words += [rng.next_word() for _ in range(WORDS - len(words))]
+        reference = SplitMix64(seed + i)
+        assert words == [reference.next_word() for _ in range(WORDS)], i
