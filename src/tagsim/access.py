@@ -29,12 +29,13 @@ from dataclasses import dataclass
 from .errors import TagMismatchError, UsageError
 from .faults import AccessKind, FaultKind, FaultReport
 from .precision import partial_access_ok
-from .tagspace import ADDR_SPACE, TAG_PAGE_MASK, TAG_PAGE_SHIFT, MtConfig
+from .tagspace import ADDR_SPACE, TAG_PAGE_MASK, TAG_PAGE_SHIFT, MtConfig, StoreMode
 
 EFAULT = 14  # classic errno for a bad user-space address
 
 _WIDTHS = (1, 2, 4, 8)
 _ADDR_MASK = ADDR_SPACE - 1
+_PRECISE = StoreMode.PRECISE
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,7 @@ class RangeCheckError:
 
 
 class AccessEngine:
-    __slots__ = ("memory", "shadow", "cfg", "_owner", "_deferred",
-                 "_tg_mask", "_shift", "_tag_shift", "_tag_mask", "_partial", "_precise")
+    __slots__ = ("memory", "shadow", "cfg", "_owner", "_deferred", "_constants")
 
     def __init__(self, memory, shadow, cfg: MtConfig, owner):
         self.memory = memory
@@ -56,8 +56,7 @@ class AccessEngine:
         self.cfg = cfg
         self._owner = owner  # callable addr -> Chunk | None, for provenance
         self._deferred: list[FaultReport] = []
-        (self._tg_mask, self._shift, self._tag_shift, self._tag_mask, self._partial,
-         self._precise) = cfg.access_constants
+        self._constants = cfg.access_constants  # unpacked by each check
 
     def load(self, word: int, width: int = 1) -> bytes:
         if width not in _WIDTHS:
@@ -81,7 +80,7 @@ class AccessEngine:
         if miss is None:
             self.memory.write(addr, bytes(data))
             return
-        if self._precise:
+        if self.cfg.store_mode is _PRECISE:
             raise TagMismatchError(self.report(AccessKind.STORE, word, miss))
         # imprecise mode: suppress the write, deliver the report later
         self._deferred.append(self.report(AccessKind.STORE, word, miss, deferred=True))
@@ -113,11 +112,10 @@ class AccessEngine:
         None when every check passes.  The range must not wrap the
         address space and ``length`` must be positive; the wrappers
         check both."""
+        tg_mask, shift, tag_shift, tag_mask, partial = self._constants
         addr = word & _ADDR_MASK
-        ptag = (word >> self._tag_shift) & self._tag_mask
-        shift = self._shift
+        ptag = (word >> tag_shift) & tag_mask
         pages = self.shadow.pages
-        partial = self._partial
         g = addr >> shift
         last = (addr + length - 1) >> shift
         while g <= last:
@@ -127,7 +125,7 @@ class AccessEngine:
                 gbase = g << shift
                 if mtag == partial:
                     seg_start = addr if addr > gbase else gbase
-                    seg_end = gbase + self._tg_mask + 1
+                    seg_end = gbase + tg_mask + 1
                     if addr + length < seg_end:
                         seg_end = addr + length
                     if not partial_access_ok(self.memory, self.cfg, gbase,
@@ -144,6 +142,7 @@ class AccessEngine:
         first_mismatch verdict is ``miss``.  Provenance is read from the
         heap now, so build it before anything else changes the heap."""
         gbase, mtag, partial = miss
+        _, _, tag_shift, tag_mask, _ = self._constants
         addr = word & _ADDR_MASK
         fault_addr = addr if addr > gbase else gbase
         chunk = self._owner(fault_addr)
@@ -151,7 +150,7 @@ class AccessEngine:
             kind=FaultKind.TAG_MISMATCH,
             access=access,
             word=word,
-            ptr_tag=(word >> self._tag_shift) & self._tag_mask,
+            ptr_tag=(word >> tag_shift) & tag_mask,
             mem_tag=mtag,
             granule_base=gbase,
             chunk_id=chunk.id if chunk else None,

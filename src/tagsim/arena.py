@@ -46,7 +46,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageError
 from .faults import AccessKind, FaultKind, FaultReport
@@ -149,6 +149,9 @@ _QUARANTINED = ChunkState.QUARANTINED
 
 @dataclass(slots=True)
 class AllocatorStats:
+    """A heap's counters at one moment, as ArenaAllocator.stats() copies
+    them out of the heap."""
+
     allocations: int = 0
     frees: int = 0
     tagged_allocations: int = 0
@@ -156,8 +159,8 @@ class AllocatorStats:
     live_aligned_bytes: int = 0
     peak_requested_bytes: int = 0
     peak_aligned_bytes: int = 0
-    quarantine_bytes: int = 0  # filled in by ArenaAllocator.stats()
-    quarantine_chunks: int = 0  # likewise
+    quarantine_bytes: int = 0
+    quarantine_chunks: int = 0
     partial_fallbacks: int = 0
 
 
@@ -285,7 +288,9 @@ class FreeList:
 
 class ArenaAllocator:
     __slots__ = ("memory", "shadow", "cfg", "rng", "policy", "limit", "_brk", "_free",
-                 "_bases", "_by_base", "_quarantine", "_qbytes", "_next_id", "_stats")
+                 "_bases", "_by_base", "_quarantine", "_qbytes", "_next_id", "_frees",
+                 "_tagged", "_live_requested", "_live_aligned", "_peak_requested",
+                 "_peak_aligned", "_partial_fallbacks")
 
     def __init__(self, memory, shadow, cfg: MtConfig, rng, policy: TagPolicy = TagPolicy(),
                  capacity: int = DEFAULT_HEAP_CAPACITY):
@@ -296,14 +301,21 @@ class ArenaAllocator:
         self.policy = policy
         self.limit = HEAP_BASE + capacity
         self._brk = HEAP_BASE
-        self._free: FreeList | None = None  # made by the first free: most trials never free
+        # A heap is built per Monte-Carlo trial and most trials never
+        # free, so the containers only a free needs come with their first
+        # use: the first retired chunk makes _free, the first quarantined
+        # one makes _quarantine.
+        self._free: FreeList | None = None
+        self._quarantine: deque[Chunk] | None = None
         # live + quarantined + freed-not-recycled chunks, pairwise disjoint
         self._bases: list[int] = []  # sorted chunk bases
         self._by_base: dict[int, Chunk] = {}
-        self._quarantine: deque[Chunk] = deque()
         self._qbytes = 0
-        self._next_id = 1
-        self._stats = AllocatorStats()
+        self._next_id = 1  # so allocations = _next_id - 1
+        # the counters behind stats(), which copies them into an AllocatorStats
+        self._frees = self._tagged = self._partial_fallbacks = 0
+        self._live_requested = self._live_aligned = 0
+        self._peak_requested = self._peak_aligned = 0
 
     # ------------------------------------------------------------------
     # allocation
@@ -345,7 +357,7 @@ class ArenaAllocator:
                     # remainder tg-1 leaves no room for the in-granule
                     # metadata; fall back to whole-granule tagging
                     self.shadow.set_range(base, aligned, tag)
-                    self._stats.partial_fallbacks += 1
+                    self._partial_fallbacks += 1
             else:
                 self.shadow.set_range(base, aligned, tag)
         else:
@@ -361,18 +373,16 @@ class ArenaAllocator:
         else:
             insort(bases, base)
 
-        st = self._stats
-        st.allocations += 1
         if tag:
-            st.tagged_allocations += 1
-        live = st.live_requested_bytes + size
-        st.live_requested_bytes = live
-        if live > st.peak_requested_bytes:
-            st.peak_requested_bytes = live
-        live = st.live_aligned_bytes + aligned
-        st.live_aligned_bytes = live
-        if live > st.peak_aligned_bytes:
-            st.peak_aligned_bytes = live
+            self._tagged += 1
+        live = self._live_requested + size
+        self._live_requested = live
+        if live > self._peak_requested:
+            self._peak_requested = live
+        live = self._live_aligned + aligned
+        self._live_aligned = live
+        if live > self._peak_aligned:
+            self._peak_aligned = live
 
         # pack() inlined: tag and user address are in range by construction
         return (tag << cfg.tag_shift) | (base + user_off)
@@ -401,15 +411,16 @@ class ArenaAllocator:
         if tag:
             self.shadow.set_range(chunk.base, aligned, self._draw_excluding(tag, tag))
 
-        st = self._stats
-        st.frees += 1
-        st.live_requested_bytes -= chunk.requested
-        st.live_aligned_bytes -= aligned
+        self._frees += 1
+        self._live_requested -= chunk.requested
+        self._live_aligned -= aligned
 
         capacity = cfg.quarantine_capacity
         if capacity > 0:
             chunk.state = _QUARANTINED
             quarantine = self._quarantine
+            if quarantine is None:
+                quarantine = self._quarantine = deque()
             quarantine.append(chunk)
             qbytes = self._qbytes + aligned
             while qbytes > capacity:  # evict the oldest until the budget holds
@@ -422,8 +433,19 @@ class ArenaAllocator:
 
     def stats(self) -> AllocatorStats:
         """A snapshot of the counters, quarantine totals included."""
-        return replace(self._stats, quarantine_bytes=self._qbytes,
-                       quarantine_chunks=len(self._quarantine))
+        quarantine = self._quarantine
+        return AllocatorStats(
+            allocations=self._next_id - 1,
+            frees=self._frees,
+            tagged_allocations=self._tagged,
+            live_requested_bytes=self._live_requested,
+            live_aligned_bytes=self._live_aligned,
+            peak_requested_bytes=self._peak_requested,
+            peak_aligned_bytes=self._peak_aligned,
+            quarantine_bytes=self._qbytes,
+            quarantine_chunks=len(quarantine) if quarantine is not None else 0,
+            partial_fallbacks=self._partial_fallbacks,
+        )
 
     def find_owner(self, addr: int) -> Chunk | None:
         """The chunk whose granule span covers addr, if any."""

@@ -149,23 +149,6 @@ def _rate(sim: Simulator, addrs: range, probes: tuple, memo: dict) -> Fraction:
 _PREMIX_MAX_WORDS = 8
 
 
-def _trial_sims(cfg: MtConfig, seed: int, policy: TagPolicy, trials: int):
-    """Simulator(cfg, seed + i, policy) for i in range(trials), in order,
-    each to be run before the next is asked for.  Trial 0 draws one word
-    at a time, and the words it drew, k, are premixed for each later
-    batch of PREMIX_STREAMS trials; a trial that draws more mixes the
-    rest itself."""
-    first = Simulator(cfg, seed, policy)
-    yield first
-    k = min(first.rng.words_since(seed), _PREMIX_MAX_WORDS)
-    for start in range(1, trials, PREMIX_STREAMS):
-        rows = premixed_rows(seed + start, k) if k else [()] * PREMIX_STREAMS
-        for i, row in zip(range(start, min(start + PREMIX_STREAMS, trials)), rows):
-            sim = Simulator(cfg, seed + i, policy)
-            sim.rng.premix(row)
-            yield sim
-
-
 def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int = 0,
                        policy: TagPolicy = TagPolicy()) -> DetectionReport:
     """Empirical detection rate over ``trials`` independent instances.
@@ -180,10 +163,20 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
     # prototype is reusable because runners draw only from sim.rng
     runner = scenario_runner(kind)
     proto = Scenario(kind=kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
-    detections = 0
-    for sim in _trial_sims(cfg, seed, policy, trials):
-        if runner(sim, proto).detected:
-            detections += 1
+    # Trial 0 draws one word at a time, and the words it drew, k, are
+    # premixed for each later batch of up to PREMIX_STREAMS trials; a
+    # trial that draws more mixes the rest itself.
+    first = Simulator(cfg, seed, policy)
+    detections = 1 if runner(first, proto).detected else 0
+    k = min(first.rng.words_since(seed), _PREMIX_MAX_WORDS)
+    for start in range(seed + 1, seed + trials, PREMIX_STREAMS):
+        count = min(PREMIX_STREAMS, seed + trials - start)
+        rows = premixed_rows(start, k, count) if k else [()] * count
+        for trial_seed, row in zip(range(start, start + count), rows):
+            sim = Simulator(cfg, trial_seed, policy)
+            sim.rng.premix(row)
+            if runner(sim, proto).detected:
+                detections += 1
     theo = theoretical_detection(kind, cfg, policy=policy)
     config = {**cfg.to_dict(), "sampling_rate": policy.rate,
               "policy": policy.kind.value, "seed": seed}

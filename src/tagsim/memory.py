@@ -8,7 +8,12 @@ never-touched memory return zero bytes.
 
 from __future__ import annotations
 
+from .errors import UsageError
+
 SENTINEL = 0xAA  # fill for uninitialized heap and stack bytes when zero_on_tag is off
+# each byte value as a one-byte bytes, so a fill (and a shadow tag run)
+# builds its run by one repeat, with no bytes() call
+BYTE_OF = tuple(bytes((b,)) for b in range(256))
 
 _PAGE_SHIFT = 12
 _PAGE_SIZE = 1 << _PAGE_SHIFT
@@ -24,11 +29,13 @@ class SparseMemory:
     def read(self, addr: int, n: int) -> bytes:
         pages = self._pages
         off = addr & _PAGE_MASK
-        if off + n <= _PAGE_SIZE:
+        if 0 <= n <= _PAGE_SIZE - off:
             page = pages.get(addr >> _PAGE_SHIFT)
             if page is None:
                 return bytes(n)
             return bytes(page[off : off + n])
+        if n < 0:
+            raise UsageError(f"read length must be >= 0, got {n}")
         out = bytearray()
         while n:
             take = min(n, _PAGE_SIZE - off)
@@ -64,20 +71,27 @@ class SparseMemory:
 
     def fill(self, addr: int, n: int, value: int) -> None:
         off = addr & _PAGE_MASK
-        if 0 < n and off + n <= _PAGE_SIZE:  # one page: most chunks and frame slots
+        # one page: most chunks and stack frames; a value outside the
+        # table, or a bad length, falls through to the checks below
+        if 0 < n <= _PAGE_SIZE - off and 0 <= value <= 0xFF:
             pages = self._pages
             page = pages.get(addr >> _PAGE_SHIFT)
             if page is None:
                 page = pages[addr >> _PAGE_SHIFT] = bytearray(_PAGE_SIZE)
                 if not value:
                     return  # a new page is all zeros already
-            page[off : off + n] = bytes((value,)) * n
+            page[off : off + n] = BYTE_OF[value] * n
             return
+        if n < 0:
+            raise UsageError(f"fill length must be >= 0, got {n}")
+        if not 0 <= value <= 0xFF:
+            raise UsageError(f"fill value must be a byte, got {value}")
+        run = memoryview(BYTE_OF[value] * min(n, _PAGE_SIZE))  # built once, sliced per page
         while n:
             off = addr & _PAGE_MASK
             take = min(n, _PAGE_SIZE - off)
             page = self._page(addr >> _PAGE_SHIFT)
-            page[off : off + take] = bytes([value]) * take
+            page[off : off + take] = run[:take]
             addr += take
             n -= take
 

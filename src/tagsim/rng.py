@@ -61,14 +61,22 @@ def _lanes(k: int):
     return packed(offsets), packed([1] * n), packed([_M64] * n), lanes
 
 
-def premixed_rows(seed: int, k: int) -> list[list[int]]:
+def premixed_rows(seed: int, k: int, count: int = PREMIX_STREAMS) -> list[list[int]]:
     """The first k words that SplitMix64(seed + j) draws, for each j in
-    range(PREMIX_STREAMS): row j, last word first, as premix takes it."""
+    range(count), count at most PREMIX_STREAMS: row j, last word first,
+    as premix takes it."""
     offsets, ones, low, lanes = _lanes(k)
+    if count < PREMIX_STREAMS:
+        # stream j's lanes are j*k to j*k+k-1, the low end of each
+        # constant, so the first count streams are its low count*k lanes;
+        # every lane above them then stays 0 and unpacks to unused words
+        cut = (1 << (128 * k * count)) - 1
+        offsets, ones = offsets & cut, ones & cut
     z = (offsets + (seed & _M64) * ones) & low
     z = ((z ^ ((z >> _S1) & low)) * _M1) & low
     z = ((z ^ ((z >> _S2) & low)) * _M2) & low
-    words = list(lanes.unpack((z ^ ((z >> _S3) & low)).to_bytes(lanes.size, "little")))
+    words = lanes.unpack((z ^ ((z >> _S3) & low)).to_bytes(lanes.size, "little"))
+    words = list(words[:count * k])
     return [words[i:i + k] for i in range(0, len(words), k)]
 
 

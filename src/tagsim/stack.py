@@ -87,8 +87,7 @@ class StackTagger:
         self._seq += 1
         base_index = mix64(fbase ^ mix64(seq ^ self.seed)) % n
 
-        set_range, fill = self.shadow.set_range, self.memory.fill
-        value = 0x00 if cfg.zero_on_tag else SENTINEL
+        set_range = self.shadow.set_range
         tag_shift = cfg.tag_shift
         slots = []
         offset = 0
@@ -96,10 +95,11 @@ class StackTagger:
             tag = usable[(base_index + i) % n]
             slot_base = fbase + offset
             set_range(slot_base, aligned, tag)
-            fill(slot_base, aligned, value)
             # pack() inlined: tag and slot address are in range by construction
             slots.append(LocalSlot(offset, aligned, tag, (tag << tag_shift) | slot_base))
             offset += aligned
+        # the slots tile the frame, so one fill covers them all
+        self.memory.fill(fbase, total, 0x00 if cfg.zero_on_tag else SENTINEL)
 
         frame = Frame(fbase, slots, total)
         self._top = fbase

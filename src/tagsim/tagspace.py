@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .errors import UsageError
+from .memory import BYTE_OF
 
 ADDR_BITS = 56
 ADDR_SPACE = 1 << ADDR_BITS
@@ -34,8 +35,6 @@ WORD_BITS = 64
 TAG_PAGE_SHIFT = 10
 TAG_PAGE = 1 << TAG_PAGE_SHIFT
 TAG_PAGE_MASK = TAG_PAGE - 1
-# each tag as one byte, so a range write builds its run without a bytes() call
-_TAG_BYTE = tuple(bytes((t,)) for t in range(256))
 
 _VALID_TG = (16, 32, 64)
 _VALID_TS = (4, 8)
@@ -122,13 +121,12 @@ class MtConfig:
         return tuple(t for t in range(self.n_tags) if t not in self.reserved_tags)
 
     @cached_property
-    def access_constants(self) -> tuple[int, int, int, int, int | None, bool]:
+    def access_constants(self) -> tuple[int, int, int, int, int | None]:
         """What the access engine reads on every check, in one tuple:
-        (tg - 1, tg_shift, tag_shift, n_tags - 1, partial_tag, stores
-        precise?).  A simulator is built per trial, so its engine takes
-        these in one read instead of six."""
-        return (self.tg - 1, self.tg_shift, self.tag_shift, self.n_tags - 1,
-                self.partial_tag, self.store_mode is StoreMode.PRECISE)
+        (tg - 1, tg_shift, tag_shift, n_tags - 1, partial_tag).  A
+        simulator is built per trial, so its engine keeps this tuple as
+        it is, in one slot, and each check unpacks it once."""
+        return (self.tg - 1, self.tg_shift, self.tag_shift, self.n_tags - 1, self.partial_tag)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "store_mode": self.store_mode.value}
@@ -219,7 +217,7 @@ class ShadowStore:
         off = g & TAG_PAGE_MASK
         if tag:
             self.writes += count
-            run = _TAG_BYTE[tag]
+            run = BYTE_OF[tag]
         while True:  # one slice per page
             take = TAG_PAGE - off
             if take > count:

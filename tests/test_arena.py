@@ -17,7 +17,7 @@ from tagsim import (
     TagPolicy,
     UsageError,
 )
-from tagsim.arena import ChunkState
+from tagsim.arena import AllocatorStats, ChunkState
 from tagsim.rng import SplitMix64
 from tagsim.tagspace import unpack
 
@@ -429,6 +429,51 @@ def test_stats_are_a_snapshot():
     before = sim.heap.stats()
     sim.malloc(16)
     assert before.allocations == 0
+
+
+heap_programs = st.lists(st.one_of(st.tuples(st.just("malloc"), st.integers(0, 300)),
+                                   st.tuples(st.just("free"), st.integers(0, 63))),
+                         max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tg=st.sampled_from([16, 64]), ts=st.sampled_from([4, 8]),
+       quarantine=st.sampled_from([0, 64, 4096]), precision_ext=st.booleans(),
+       sampled=st.booleans(), seed=st.integers(0, 2**32), program=heap_programs)
+def test_stats_equal_counts_recomputed_from_the_operations(tg, ts, quarantine, precision_ext,
+                                                           sampled, seed, program):
+    cfg = MtConfig(tg=tg, ts=ts, quarantine_capacity=quarantine, precision_ext=precision_ext)
+    policy = TagPolicy.sampled(0.5) if sampled else TagPolicy.random()
+    sim = Simulator(cfg, seed=seed, policy=policy)
+    model = AllocatorStats()
+    live = []  # (word, requested, aligned) in malloc order
+    held = []  # aligned sizes in the quarantine, oldest first
+    for op, arg in program:
+        if op == "malloc":
+            word = sim.malloc(arg)
+            served = max(arg, 1)
+            aligned = -(-served // tg) * tg
+            tagged = unpack(word, cfg)[1] != 0
+            live.append((word, arg, aligned))
+            model.allocations += 1
+            model.tagged_allocations += tagged
+            model.partial_fallbacks += tagged and precision_ext and served % tg > tg - 2
+            model.live_requested_bytes += arg
+            model.live_aligned_bytes += aligned
+        elif live:
+            word, requested, aligned = live.pop(arg % len(live))
+            sim.free(word)
+            model.frees += 1
+            model.live_requested_bytes -= requested
+            model.live_aligned_bytes -= aligned
+            if quarantine:
+                held.append(aligned)
+                while sum(held) > quarantine:
+                    held.pop(0)
+        model.peak_requested_bytes = max(model.peak_requested_bytes, model.live_requested_bytes)
+        model.peak_aligned_bytes = max(model.peak_aligned_bytes, model.live_aligned_bytes)
+        model.quarantine_bytes, model.quarantine_chunks = sum(held), len(held)
+        assert sim.heap.stats() == model, (op, arg)
 
 
 def test_stats_repr_is_pinned():

@@ -1,8 +1,10 @@
-"""SparseMemory against a flat bytearray model of the same address window."""
+"""SparseMemory against a flat bytearray model of the same address window,
+and its refusal of bad lengths and fill values."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagsim import SparseMemory
+from tagsim import SparseMemory, UsageError
 from tagsim.memory import _PAGE_MASK, _PAGE_SHIFT, _PAGE_SIZE
 
 BASE = 0x1000_0000  # page-aligned start of the modelled window
@@ -55,4 +57,58 @@ def test_empty_write_makes_no_page():
     memory = SparseMemory()
     memory.write(BASE + 5, b"")
     memory.write(BASE + _PAGE_SIZE, bytearray())
+    assert memory._pages == {}
+
+
+def reference_fill(memory: SparseMemory, addr: int, n: int, value: int) -> None:
+    """The page-by-page loop that every fill ran before fill built its
+    run once."""
+    while n:
+        off = addr & _PAGE_MASK
+        take = min(n, _PAGE_SIZE - off)
+        memory._page(addr >> _PAGE_SHIFT)[off : off + take] = bytes([value]) * take
+        addr += take
+        n -= take
+
+
+fill_lengths = st.one_of(st.integers(min_value=0, max_value=80),
+                         st.integers(min_value=_PAGE_SIZE - 8, max_value=2 * _PAGE_SIZE + 40))
+fills = st.lists(st.tuples(offsets, fill_lengths, st.sampled_from([0x00, 0xAA, 0x5C])),
+                 max_size=12).map(lambda fs: [(off, min(n, WINDOW - off), v) for off, n, v in fs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fills=fills)
+def test_fill_matches_a_flat_model_and_the_page_loop(fills):
+    memory, reference = SparseMemory(), SparseMemory()
+    flat = bytearray(WINDOW)
+    for off, n, value in fills:
+        memory.fill(BASE + off, n, value)
+        if n and (off & _PAGE_MASK) + n <= _PAGE_SIZE and not value:
+            # the one-page path makes the page and writes no zeros into it
+            reference._page((BASE + off) >> _PAGE_SHIFT)
+        reference_fill(reference, BASE + off, n, value)
+        flat[off : off + n] = bytes([value]) * n
+    assert memory.read(BASE, WINDOW) == bytes(flat)
+    assert sorted(memory._pages) == sorted(reference._pages)
+
+
+def test_a_negative_length_is_a_usage_error_that_changes_nothing():
+    memory = SparseMemory()
+    memory.fill(0x1000, 64, 0xAA)  # 0x1000 is on a touched page, 0x9000 is not
+    with pytest.raises(UsageError, match="length"):
+        memory.fill(0x1000, -5, 0xAA)
+    for addr in (0x1000, 0x9000):
+        with pytest.raises(UsageError, match="length"):
+            memory.read(addr, -1)
+    assert memory.read(0x1000, 64) == b"\xaa" * 64
+    assert memory.read(0x1000 + _PAGE_SIZE - 8, 8) == bytes(8)
+
+
+@pytest.mark.parametrize("value", [-1, 256])
+def test_a_fill_value_that_is_not_a_byte_is_a_usage_error(value):
+    memory = SparseMemory()
+    for n in (16, 2 * _PAGE_SIZE):
+        with pytest.raises(UsageError, match="value"):
+            memory.fill(BASE, n, value)
     assert memory._pages == {}

@@ -1,13 +1,14 @@
 """Premixed trial streams: the lane form of the SplitMix64 finalizer
-against mix64, and the Monte-Carlo trial generator's streams against
-one-at-a-time SplitMix64 streams."""
+against mix64, and the streams that the Monte-Carlo trial loop hands its
+trials against one-at-a-time SplitMix64 streams."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tagsim import MtConfig, TagPolicy
-from tagsim.detection import _trial_sims
+from tagsim import MtConfig, ScenarioKind, TagPolicy, estimate_detection
+from tagsim import detection
 from tagsim.rng import PREMIX_STREAMS, SplitMix64, mix64, premixed_rows
+from tagsim.scenarios import ScenarioResult
 
 M64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -37,22 +38,39 @@ def test_premixed_stream_draws_on_past_its_row():
     assert rng.words_since(41) == 7
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("count", [1, 2, 255])
+def test_a_partial_batch_is_the_first_rows_of_the_full_batch(count, k):
+    seed = (1 << 64) - 100 * GAMMA  # its streams' states wrap past 2^64
+    assert premixed_rows(seed, k, count) == premixed_rows(seed, k)[:count]
+
+
 WORDS = 12
-TRIALS = 2 * PREMIX_STREAMS + 3  # crosses two batch boundaries
 # what trial i >= 1 draws while it runs: none, fewer than k, k and more than k
 # for k = 3; trial 0 sets k
 LATER_DRAWS = (0, 1, 3, 5)
 
 
+# 2 and 3 trials leave a partial first batch, 257 one full batch and 258
+# a one-trial second batch, and 2 * PREMIX_STREAMS + 3 crosses two
+# batch boundaries
+@pytest.mark.parametrize("trials", [2, 3, 257, 258, 2 * PREMIX_STREAMS + 3])
 @pytest.mark.parametrize("first_draws", [0, 3, 9])
 @pytest.mark.parametrize("seed", [0, -5, (1 << 64) - 3])
-def test_trial_sims_draw_the_streams_of_seed_plus_i(seed, first_draws):
+def test_trials_draw_the_streams_of_seed_plus_i(monkeypatch, seed, first_draws, trials):
     streams = []
-    for i, sim in enumerate(_trial_sims(MtConfig(), seed, TagPolicy(), TRIALS)):
+
+    def recording_runner(sim, scenario):
+        i = len(streams)
         assert sim.seed == seed + i
         draws = first_draws if i == 0 else LATER_DRAWS[i % len(LATER_DRAWS)]
         streams.append((sim.rng, [sim.rng.next_word() for _ in range(draws)]))
-    assert len(streams) == TRIALS
+        return ScenarioResult(detected=i % 2 == 0)
+
+    monkeypatch.setattr(detection, "scenario_runner", lambda kind: recording_runner)
+    report = estimate_detection(ScenarioKind.UNINITIALIZED_READ, MtConfig(), trials, seed=seed)
+    assert len(streams) == trials
+    assert report.detections == (trials + 1) // 2
     for i, (rng, words) in enumerate(streams):
         words += [rng.next_word() for _ in range(WORDS - len(words))]
         reference = SplitMix64(seed + i)
