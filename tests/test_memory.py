@@ -84,9 +84,6 @@ def test_fill_matches_a_flat_model_and_the_page_loop(fills):
     flat = bytearray(WINDOW)
     for off, n, value in fills:
         memory.fill(BASE + off, n, value)
-        if n and (off & _PAGE_MASK) + n <= _PAGE_SIZE and not value:
-            # the one-page path makes the page and writes no zeros into it
-            reference._page((BASE + off) >> _PAGE_SHIFT)
         reference_fill(reference, BASE + off, n, value)
         flat[off : off + n] = bytes([value]) * n
     assert memory.read(BASE, WINDOW) == bytes(flat)
