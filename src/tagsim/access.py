@@ -145,16 +145,5 @@ class AccessEngine:
         _, _, tag_shift, tag_mask, _ = self._constants
         addr = word & _ADDR_MASK
         fault_addr = addr if addr > gbase else gbase
-        chunk = self._owner(fault_addr)
-        return FaultReport(
-            kind=FaultKind.TAG_MISMATCH,
-            access=access,
-            word=word,
-            ptr_tag=(word >> tag_shift) & tag_mask,
-            mem_tag=mtag,
-            granule_base=gbase,
-            chunk_id=chunk.id if chunk else None,
-            chunk_state=chunk.state.value if chunk else None,
-            deferred=deferred,
-            partial=partial,
-        )
+        return FaultReport.of(FaultKind.TAG_MISMATCH, access, word, (word >> tag_shift) & tag_mask,
+                              mtag, gbase, self._owner(fault_addr), deferred, partial)

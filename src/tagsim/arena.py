@@ -520,13 +520,4 @@ class ArenaAllocator:
     def _free_report(self, kind: FaultKind, word: int, ptag: int, addr: int,
                      chunk: Chunk | None) -> FaultReport:
         gbase = (addr >> self.cfg.tg_shift) << self.cfg.tg_shift
-        return FaultReport(
-            kind=kind,
-            access=AccessKind.FREE,
-            word=word,
-            ptr_tag=ptag,
-            mem_tag=self.shadow.get(addr),
-            granule_base=gbase,
-            chunk_id=chunk.id if chunk else None,
-            chunk_state=chunk.state.value if chunk else None,
-        )
+        return FaultReport.of(kind, AccessKind.FREE, word, ptag, self.shadow.get(addr), gbase, chunk)

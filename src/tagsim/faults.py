@@ -49,6 +49,15 @@ class FaultReport:
     deferred: bool = False
     partial: bool = False
 
+    @classmethod
+    def of(cls, kind: FaultKind, access: AccessKind, word: int, ptr_tag: int, mem_tag: int,
+           granule_base: int, chunk, deferred: bool = False, partial: bool = False) -> FaultReport:
+        """The report of a trap whose faulting address lies in the heap
+        ``chunk`` (None if in none): the one place a report reads its
+        provenance from a chunk."""
+        provenance = (None, None) if chunk is None else (chunk.id, chunk.state.value)
+        return cls(kind, access, word, ptr_tag, mem_tag, granule_base, *provenance, deferred, partial)
+
     def render(self) -> str:
         return "FAULT " + " ".join([f"{k}={v}" for k, v in self.to_json_dict().items()])
 

@@ -18,7 +18,8 @@ trace file: its lines are parsed as the file is read and counted as
 they are parsed, with no event object built, so memory is bounded by
 the live allocations, not by the length of the trace.  ``Alloc`` and
 ``Free`` are built only for callers that iterate ``load_trace`` or
-``parse_trace`` themselves.
+``parse_trace`` themselves.  Events handed to ``analyze_trace`` are
+written back as trace lines, so the one parser checks them too.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
     """Yield, for each of ``chunks`` (strings that each end at a line
     boundary, or at the end of the trace), a flat list of its events,
     numbering their ``splitlines()`` in order: exactly the lines of the
-    whole text.  An event is its entry, preceded if ``numbered`` by its
-    line number (negated for a free) and its id.
+    whole text.  An int chunk instead skips that many line numbers and
+    yields nothing.  An event is its entry, preceded if ``numbered`` by
+    its line number (negated for a free) and its id.
 
     ``entries`` maps the digits of a size to a pair (allocation entry,
     free entry).  An allocation's entry is the first of its size's pair,
@@ -101,6 +103,9 @@ def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
     live: dict[int, object] = {}
     line_no = 0
     for chunk in chunks:
+        if type(chunk) is int:  # that many lines skipped
+            line_no += chunk
+            continue
         batch: list = []
         ascii_chunk = chunk.isascii()
         error = None
@@ -116,7 +121,7 @@ def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
                 if head == "a" and len(fields) == 3 and fields[1].isdigit() and fields[2].isdigit():
                     aid = int(fields[1])
                     if aid in live:
-                        raise _already_live(aid, line_no)
+                        raise TraceError(f"allocation id {aid} is already live", line=line_no)
                     entry, live[aid] = entries[fields[2]]
                     if numbered:
                         batch += (line_no, aid)
@@ -125,7 +130,7 @@ def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
                 if head == "f" and len(fields) == 2 and fields[1].isdigit():
                     aid = int(fields[1])
                     if aid not in live:
-                        raise _unknown_free(aid, line_no)
+                        raise TraceError(f"free of unknown id {aid}", line=line_no)
                     if numbered:
                         batch += (-line_no, aid)
                     batch.append(live.pop(aid))
@@ -140,14 +145,6 @@ def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
         yield batch
         if error is not None:
             raise error
-
-
-def _already_live(aid: int, line: int) -> TraceError:
-    return TraceError(f"allocation id {aid} is already live", line=line)
-
-
-def _unknown_free(aid: int, line: int) -> TraceError:
-    return TraceError(f"free of unknown id {aid}", line=line)
 
 
 class _SizeEntries(dict):
@@ -248,37 +245,42 @@ class _Charges(dict):
         super().__init__()
         self.alignments = alignments
 
-    def __missing__(self, size) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # keyed by the size, or by its digits on a trace line
+    def __missing__(self, digits: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if len(self) >= _CACHED_SIZES:
             self.clear()
-        charges = tuple(_round_up(int(size), a) for a in self.alignments)
-        pair = self[size] = charges, tuple(-c for c in charges)
+        charges = tuple(_round_up(int(digits), a) for a in self.alignments)
+        pair = self[digits] = charges, tuple(-c for c in charges)
         return pair
 
 
-def _event_charges(events, charges: _Charges) -> Iterator[list]:
-    """The signed charges of Alloc and Free ``events``, in lists of at
-    most 4096, checking that every free ends a live allocation."""
-    live: dict[int, tuple[int, ...]] = {}
-    batch: list = []
-    for position, event in enumerate(events, start=1):
+def _event_text(events) -> Iterator[str | int]:
+    """Alloc and Free ``events`` written as trace lines for ``_scan``,
+    in blocks of at most 256.  An event whose ``line`` lies ahead keeps
+    it, after an int block that skips the lines between; any other event
+    takes the line after the last.  A field is written as its ``repr``,
+    so only a non-negative int reads back as a number."""
+    lines: list[str] = []
+    line = 0  # the line of the last event written
+    for event in events:
         kind = type(event)
-        if kind is Alloc:
-            if event.id in live:
-                raise _already_live(event.id, event.line or position)
-            charge, live[event.id] = charges[event.size]
-        elif kind is Free:
-            charge = live.pop(event.id, None)
-            if charge is None:
-                raise _unknown_free(event.id, event.line or position)
-        else:
-            raise TraceError(f"unknown trace event {event!r}", line=position)
-        batch.append(charge)
-        if len(batch) == 4096:
-            yield batch
-            batch = []
-    yield batch
+        try:
+            if kind is not Alloc and kind is not Free:
+                raise ValueError(f"unknown trace event {event!r}")
+            text = f"a {event.id!r} {event.size!r}" if kind is Alloc else f"f {event.id!r}"
+        except ValueError as exc:  # or an int with more digits than repr() writes
+            yield "\n".join(lines)
+            raise TraceError(str(exc), line=line + 1) from None
+        ahead = event.line
+        if type(ahead) is int and ahead > line + 1:
+            yield "\n".join(lines)
+            yield ahead - line - 1
+            lines, line = [], ahead - 1
+        lines.append(text)
+        line += 1
+        if len(lines) == 256:
+            yield "\n".join(lines)
+            lines = []
+    yield "\n".join(lines)
 
 
 def analyze_trace(events, alignments, ts: int) -> OverheadReport:
@@ -293,23 +295,26 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
     the iterator ``load_trace`` returns; the replay keeps one entry per
     live allocation.  An iterator from ``load_trace`` that has not been
     started is counted as its lines are parsed, with no event built.
+    Other events are parsed as the trace lines they write, so an id or
+    size that is not a non-negative int raises TraceError naming its
+    line, as a free/alloc misuse does.
     """
     alignments = list(alignments)
     if not alignments:
         raise UsageError("need at least one alignment")
     for a in alignments:
+        if type(a) is not int:
+            raise UsageError(f"alignment must be an int, got {a!r}")
         if a < 1:
             raise UsageError(f"alignment must be >= 1, got {a}")
+    if type(ts) is not int:
+        raise UsageError(f"tag width must be an int, got {ts!r}")
     if ts < 1:
         raise UsageError(f"tag width must be >= 1, got {ts}")
 
     tracked = sorted(set(alignments) | {BASE_ALIGNMENT})
-    charges = _Charges(tracked)
     blocks = events._take_blocks() if type(events) is _TraceEvents else None
-    if blocks is None:
-        batches = _event_charges(events, charges)
-    else:
-        batches = _scan(blocks, charges)
+    batches = _scan(blocks or _event_text(events), _Charges(tracked))
     width = len(tracked)
     current = [0] * width
     peaks = [0] * width

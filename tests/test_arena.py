@@ -18,6 +18,7 @@ from tagsim import (
     UsageError,
 )
 from tagsim.arena import AllocatorStats, ChunkState
+from tagsim.faults import AccessKind, FaultKind, FaultReport
 from tagsim.rng import SplitMix64
 from tagsim.tagspace import unpack
 
@@ -147,17 +148,27 @@ def test_double_free_faults(sim16):
 
 def test_free_with_wrong_tag_faults(sim16):
     p = sim16.malloc(16)
+    chunk = chunk_of(sim16, p)
     bumped = p ^ (1 << 56)  # flip a tag bit, keep the address
-    with pytest.raises(InvalidFreeError):
+    with pytest.raises(InvalidFreeError) as exc:
         sim16.free(bumped)
+    assert exc.value.report == FaultReport(
+        kind=FaultKind.INVALID_FREE, access=AccessKind.FREE, word=bumped,
+        ptr_tag=chunk.tag ^ 1, mem_tag=chunk.tag, granule_base=chunk.base,
+        chunk_id=1, chunk_state="live", deferred=False, partial=False)
     # the chunk is still live and usable afterwards
     sim16.store(p, b"\x01")
     sim16.free(p)
 
 
 def test_free_of_unknown_address_faults(sim16):
-    with pytest.raises(InvalidFreeError):
-        sim16.free(0x5000)
+    for addr in (0x5000, 0x5009):  # the report names the granule's base
+        with pytest.raises(InvalidFreeError) as exc:
+            sim16.free(addr)
+        assert exc.value.report == FaultReport(
+            kind=FaultKind.INVALID_FREE, access=AccessKind.FREE, word=addr,
+            ptr_tag=0, mem_tag=0, granule_base=0x5000,
+            chunk_id=None, chunk_state=None, deferred=False, partial=False)
 
 
 def test_free_of_interior_pointer_faults(sim16):

@@ -2,11 +2,13 @@
 the allocation-trace overhead analyzer."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
 import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -711,8 +713,15 @@ def test_overhead_matches_reference_parse_and_sum(tmp_path, text, alignments, ts
     if block_size is not None:
         # lines that span blocks
         blocks = functools.partial(blocks, size=block_size)
+    expected = reference_overhead(text, alignments, ts)
     with mock.patch.object(tagsim.traces, "_blocks", blocks):
-        assert run_overhead(path, alignments, ts) == reference_overhead(text, alignments, ts)
+        assert run_overhead(path, alignments, ts) == expected
+    if expected[0] == 0:
+        # the events handed in, with and without their lines
+        events = reference_parse_trace(text)
+        for replay in (events, [dataclasses.replace(e, line=0) for e in events]):
+            report = analyze_trace(iter(replay), alignments, ts=ts)
+            assert json.dumps(report.to_json_dict(), sort_keys=True) + "\n" == expected[1]
 
 
 def test_overhead_builds_no_event_objects(tmp_path):
@@ -797,12 +806,36 @@ def test_analyze_validates_inputs():
         analyze_trace(events, [0], ts=8)
     with pytest.raises(UsageError):
         analyze_trace(events, [8], ts=0)
+    for alignment in (8.5, 16.0, "16", True):
+        with pytest.raises(UsageError, match="alignment must be an int"):
+            analyze_trace(events, [16, alignment], ts=8)
+    for ts in (8.5, 4.0, "8"):
+        with pytest.raises(UsageError, match="tag width must be an int"):
+            analyze_trace(events, [8], ts=ts)
 
 
-def test_analyze_revalidates_event_stream():
+@pytest.mark.parametrize("events, line", [
+    ([Free(id=4, line=7)], 7),
+    ([Alloc(1, -100), Alloc(2, 200)], 1),  # a negative size, once charged as -96
+    ([Alloc(1, 2.5)], 1),
+    ([Alloc(1, "12")], 1),
+    ([Alloc(-1, 8)], 1),
+    ([Alloc(1, 8), object()], 2),
+    ([Alloc(1, 8), Free(1), Free(1)], 3),
+    ([Alloc(1, 8), Alloc(1, 8)], 2),
+    ([Alloc(1, 8, line=3), Free(2, line=10)], 10),
+    ([Alloc(1, 8, line=5), Alloc(1, 8, line=2)], 6),  # a line behind: the next
+    ([Alloc(i, 8) for i in range(300)] + [Free(300)], 301),
+    ([Alloc(i, 8) for i in range(300)] + [Free(300, line=400)], 400),
+    ([Free(4, line=10**9)], 10**9),
+])
+def test_analyze_revalidates_event_stream(events, line):
+    start = time.process_time()
     with pytest.raises(TraceError) as exc:
-        analyze_trace([Free(id=4, line=7)], [8], ts=8)
-    assert exc.value.line == 7
+        analyze_trace(events, [8], ts=8)
+    assert exc.value.line == line
+    # a line far ahead is skipped to, not counted up to
+    assert time.process_time() - start < 1.0
 
 
 def test_empty_trace_reports_zero():
