@@ -14,16 +14,26 @@ alignment, plus the tag-storage bytes needed at that granularity
 (ts bits per granule of peak footprint).
 
 ``load_trace`` and ``analyze_trace`` make one streaming pass over a
-trace file: its lines are parsed as the file is read and counted as
-they are parsed, with no event object built, so memory is bounded by
-the live allocations, not by the length of the trace.  ``Alloc`` and
-``Free`` are built only for callers that iterate ``load_trace`` or
-``parse_trace`` themselves.  Events handed to ``analyze_trace`` are
-written back as trace lines, so the one parser checks them too.
+trace file: it is read in blocks cut at line breaks (any that
+``splitlines()`` knows and the file can hold), whose lines are parsed
+as the file is read and counted as they are parsed, with no event
+object built, so memory is bounded by the live allocations, not by the
+length of the trace.  ``Alloc`` and ``Free`` are built only for callers
+that iterate ``load_trace`` or ``parse_trace`` themselves.  Events
+handed to ``analyze_trace`` are written back as trace lines, so the one
+parser checks them too.
+
+When ``analyze_trace`` counts, a block of plain event lines (canonical
+ids, newline breaks, numbers of at most 18 digits) is split once and
+walked with no check per line; any other block, comments and odd line
+breaks included, is parsed line by line.  Both paths key a live
+allocation by its id's canonical digit string, and give the same
+report and the same errors.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from itertools import accumulate, chain
 from dataclasses import asdict, dataclass, field
@@ -35,6 +45,16 @@ BASE_ALIGNMENT = 8
 # analyze_trace caches the charges of at most this many distinct sizes,
 # so that a trace of ever new sizes cannot grow its memory
 _CACHED_SIZES = 1 << 16
+
+# the line breaks of str.splitlines() that a trace file read with
+# universal newlines can hold
+_LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e"
+
+# a chunk of event lines only, each ended by a newline but maybe the
+# last, with ids in canonical form (no leading zeros) and numbers short
+# enough that int() never meets its digit limit
+_ID = "(?:0|[1-9][0-9]{0,17})"
+_EVENT_BLOCK = re.compile(rf"(?:(?:a {_ID} [0-9]{{1,18}}|f {_ID})(?:\n|\Z))*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,59 +112,101 @@ def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
     ``entries`` maps the digits of a size to a pair (allocation entry,
     free entry).  An allocation's entry is the first of its size's pair,
     and the live record keeps the second, which becomes the entry of the
-    free that ends the allocation.
+    free that ends the allocation.  Live allocations are keyed by the
+    canonical digit string of their id, with no leading zeros, so
+    ``a 1 8`` then ``f 01`` frees id 1, and an id is printed as that
+    string.
 
     This is the one parser of the grammar.  A line is an event only if
     it is ASCII, ``split(" ")`` gives exactly the right fields and every
     number is a run of digits.  Malformed lines and free/alloc misuse
     raise TraceError naming the offending line, once the events before
     it have been yielded.
+
+    Unless ``numbered``, a chunk that ``_EVENT_BLOCK`` fullmatches is
+    split once into its fields and walked with no check per line.  Its
+    events fill its lines, so a misuse is on the line after those of the
+    events before it.  Every other chunk, comments, blank lines, other
+    line breaks, leading zeros and long numbers included, takes the line
+    loop, ``_line_events``.  Both give the same events and errors.
     """
-    live: dict[int, object] = {}
+    live: dict[str, object] = {}
     line_no = 0
     for chunk in chunks:
         if type(chunk) is int:  # that many lines skipped
             line_no += chunk
             continue
         batch: list = []
-        ascii_chunk = chunk.isascii()
-        error = None
-        try:
-            for line in chunk.splitlines():
-                line_no += 1
-                if not ascii_chunk and not line.isascii():
-                    # a trace file's non-ASCII bytes arrive as lone surrogates
-                    raw = line.encode("utf-8", "surrogateescape")
-                    raise TraceError(f"non-ASCII trace line {raw!r}", line=line_no)
-                fields = line.split(" ")
-                head = fields[0]
-                if head == "a" and len(fields) == 3 and fields[1].isdigit() and fields[2].isdigit():
-                    aid = int(fields[1])
-                    if aid in live:
-                        raise TraceError(f"allocation id {aid} is already live", line=line_no)
-                    entry, live[aid] = entries[fields[2]]
-                    if numbered:
-                        batch += (line_no, aid)
-                    batch.append(entry)
-                    continue
-                if head == "f" and len(fields) == 2 and fields[1].isdigit():
-                    aid = int(fields[1])
-                    if aid not in live:
-                        raise TraceError(f"free of unknown id {aid}", line=line_no)
-                    if numbered:
-                        batch += (-line_no, aid)
-                    batch.append(live.pop(aid))
-                    continue
-                stripped = line.lstrip()
-                if stripped and stripped[0] != "#":  # neither blank nor a comment
-                    raise TraceError(f"unrecognized trace line {line!r}", line=line_no)
-        except ValueError as exc:  # more digits than int() converts
-            error = TraceError(str(exc), line=line_no)
-        except TraceError as exc:
-            error = exc
+        if numbered or not _EVENT_BLOCK.fullmatch(chunk):
+            line_no, error = _line_events(chunk, line_no, live, entries, numbered, batch)
+        else:
+            error = None
+            fields = iter(chunk.split())
+            try:
+                for head, aid in zip(fields, fields):
+                    if head == "f":
+                        batch.append(live.pop(aid))
+                    elif aid in live:
+                        raise KeyError(aid)
+                    else:
+                        entry, live[aid] = entries[next(fields)]
+                        batch.append(entry)
+            except KeyError:
+                error = _misuse(head, aid, line_no + len(batch) + 1)
+            line_no += len(batch)
         yield batch
         if error is not None:
             raise error
+
+
+def _misuse(head: str, aid: str, line: int) -> TraceError:
+    """The error of event ``head`` (``a`` or ``f``) that finds ``aid``
+    already live, or not live."""
+    if head == "a":
+        return TraceError(f"allocation id {aid} is already live", line=line)
+    return TraceError(f"free of unknown id {aid}", line=line)
+
+
+def _line_events(chunk: str, line_no: int, live: dict, entries, numbered: bool,
+                 batch: list) -> tuple[int, TraceError | None]:
+    """``_scan``'s line loop: add the events of ``chunk``, whose lines
+    follow line ``line_no``, to ``batch``.  Return the number of the
+    last line read and the TraceError that stopped the loop, or None."""
+    ascii_chunk = chunk.isascii()
+    try:
+        for line in chunk.splitlines():
+            line_no += 1
+            if not ascii_chunk and not line.isascii():
+                # a trace file's non-ASCII bytes arrive as lone surrogates
+                raw = line.encode("utf-8", "surrogateescape")
+                raise TraceError(f"non-ASCII trace line {raw!r}", line=line_no)
+            fields = line.split(" ")
+            head = fields[0]
+            if head == "a" and len(fields) == 3 and fields[1].isdigit() and fields[2].isdigit():
+                aid = str(int(fields[1]))
+                if aid in live:
+                    raise _misuse(head, aid, line_no)
+                entry, live[aid] = entries[fields[2]]
+                if numbered:
+                    batch += (line_no, aid)
+                batch.append(entry)
+                continue
+            if head == "f" and len(fields) == 2 and fields[1].isdigit():
+                aid = str(int(fields[1]))
+                if aid not in live:
+                    raise _misuse(head, aid, line_no)
+                if numbered:
+                    batch += (-line_no, aid)
+                batch.append(live.pop(aid))
+                continue
+            stripped = line.lstrip()
+            if stripped and stripped[0] != "#":  # neither blank nor a comment
+                raise TraceError(f"unrecognized trace line {line!r}", line=line_no)
+    except ValueError as exc:  # more digits than int() converts
+        return line_no, TraceError(str(exc), line=line_no)
+    except TraceError as exc:
+        return line_no, exc
+    return line_no, None
 
 
 class _SizeEntries(dict):
@@ -159,7 +221,7 @@ def _parse(chunks) -> Iterator[TraceEvent]:
     for batch in _scan(chunks, _SizeEntries(), numbered=True):
         for i in range(0, len(batch), 3):
             line, aid, size = batch[i:i + 3]
-            yield Alloc(aid, size, line) if line > 0 else Free(aid, -line)
+            yield Alloc(int(aid), size, line) if line > 0 else Free(int(aid), -line)
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
@@ -212,14 +274,17 @@ def load_trace(path) -> Iterator[TraceEvent]:
     return _TraceEvents(blocks)
 
 
-def _blocks(path, size: int = 1 << 16) -> Iterator[str]:
+def _blocks(path, size: int = 1 << 14) -> Iterator[str]:
     """Open the trace file, yield "", then yield its text in blocks cut
-    after their last newline, so that no line is split between two."""
+    after their last line break, so that no line is split between two.
+    A break is any of ``_LINE_BREAKS``: universal newlines turn a
+    carriage return, alone or before a newline, into a newline, and a
+    non-ASCII byte arrives as a lone surrogate, which breaks no line."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         yield ""
         tail = ""
         while block := fh.read(size):
-            cut = block.rfind("\n") + 1
+            cut = max(map(block.rfind, _LINE_BREAKS)) + 1
             if cut:
                 yield tail + block[:cut]
                 tail = block[cut:]

@@ -381,6 +381,33 @@ def test_overhead_memory_is_bounded_by_live_allocations(capsys, tmp_path):
     assert long_peak < 1.5 * short_peak, (short_peak, long_peak)
 
 
+def test_overhead_reads_a_trace_of_other_line_breaks_in_blocks(capsys, tmp_path, monkeypatch):
+    # a form feed ends a line as a newline does, so a trace of form-feed
+    # lines is read in the same blocks as its newline twin, not as one
+    # block that grows with the trace
+    newline, form_feed = tmp_path / "newline.txt", tmp_path / "form_feed.txt"
+    _write_churn_trace(newline, 50_000, live_target=1000)
+    form_feed.write_text(newline.read_text().replace("\n", "\x0c"))
+    blocks = []
+    original = tagsim.traces._blocks
+
+    def counting(*args, **kwargs):
+        for block in original(*args, **kwargs):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(tagsim.traces, "_blocks", counting)
+    reads = {}
+    for path in (newline, form_feed):
+        blocks.clear()
+        peak = _traced_peak(capsys, path)
+        reads[path.name] = len(blocks), peak, run_cli(capsys, "overhead", str(path))
+    (nl_blocks, nl_peak, nl_run), (ff_blocks, ff_peak, ff_run) = reads.values()
+    assert ff_run == nl_run and nl_run[0] == 0
+    assert ff_blocks == nl_blocks > 2
+    assert ff_peak < 1.5 * nl_peak, (nl_peak, ff_peak)
+
+
 # ----------------------------------------------------------------------
 # parser plumbing
 

@@ -40,6 +40,7 @@ from tagsim.scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, STACK_LO
                               scenario_runner)
 from tagsim.tagspace import pack, unpack
 from tagsim.traces import Alloc, Free, _blocks, _parse, analyze_trace, load_trace, parse_trace
+from test_cli import _write_churn_trace
 
 CFG64 = MtConfig(tg=64, ts=4)
 CFG16 = MtConfig(tg=16, ts=8)
@@ -564,14 +565,19 @@ def parse_outcome(parse, *args):
 _TRACE_CHARS = "af#0123456789 \t-+_\r\n\x0b\x0c\x1c\x1d\x1e"
 _LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 _ODD_LINES = ["", " ", "#", "# a 1 8", "\t# x", "a 1", "a 01 8", "f +1", "a -1 8", "a 1 8 ",
-              " f 1", "a  1 8", "a\t1 8", "f 1_0", "f 9", "x 2 3"]
+              " f 1", "a  1 8", "a\t1 8", "f 1_0", "f 9", "x 2 3",
+              # at the edge of the parser's fast path: leading zeros, and
+              # ids and sizes of 18 digits (in it) and 19 (out of it)
+              "f 007", "a 0 0", "a 6 123456789012345678", "a 6 1234567890123456789",
+              "a 123456789012345678 1", "f 123456789012345678",
+              "a 1234567890123456789 1", "f 1234567890123456789"]
 
 
 @st.composite
-def _trace_texts(draw):
+def _trace_texts(draw, breaks=st.sampled_from(_LINE_BREAKS)):
     """Mostly valid traces, so that parsing gets past the first lines,
     with odd lines, double allocations and raw characters mixed in, and
-    every line break between lines."""
+    ``breaks`` (by default every line break) between lines."""
     lines, live = [], []
     for op in draw(st.lists(st.integers(0, 15), max_size=16)):
         if op < 7 or (op < 12 and not live):
@@ -586,10 +592,18 @@ def _trace_texts(draw):
             lines.append(draw(st.sampled_from(_ODD_LINES)))
         else:
             lines.append(draw(st.text(alphabet=_TRACE_CHARS, max_size=6)))
-    return "".join(line + draw(st.sampled_from(_LINE_BREAKS)) for line in lines)
+    return "".join(line + draw(breaks) for line in lines)
 
 
 _trace_text = st.one_of(st.text(alphabet=_TRACE_CHARS, max_size=40), _trace_texts())
+
+
+@st.composite
+def _newline_texts(draw):
+    """Traces with newline breaks only, the last one maybe missing, so
+    that whole blocks are plain event lines."""
+    text = draw(_trace_texts(breaks=st.just("\n")))
+    return text[:-1] if text and draw(st.booleans()) else text
 
 
 @settings(max_examples=400, deadline=None,
@@ -722,6 +736,63 @@ def test_overhead_matches_reference_parse_and_sum(tmp_path, text, alignments, ts
         for replay in (events, [dataclasses.replace(e, line=0) for e in events]):
             report = analyze_trace(iter(replay), alignments, ts=ts)
             assert json.dumps(report.to_json_dict(), sort_keys=True) + "\n" == expected[1]
+
+
+def analysis_outcome(analyze):
+    """The report of ``analyze()``, or its TraceError's line and message."""
+    try:
+        return analyze().to_json_dict()
+    except TraceError as exc:
+        return ("error", exc.line, str(exc))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_trace_text, _newline_texts()),
+       block_size=st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+def test_parser_fast_path_matches_the_line_loop(tmp_path, text, block_size):
+    path = tmp_path / "trace.txt"
+    path.write_text(text, encoding="ascii", newline="")
+    blocks = tagsim.traces._blocks
+    if block_size is not None:
+        blocks = functools.partial(blocks, size=block_size)
+    try:
+        events = reference_parse_trace(text)
+        replays = (events, [dataclasses.replace(e, line=0) for e in events])
+    except TraceError:
+        replays = ()
+
+    def outcomes():
+        with mock.patch.object(tagsim.traces, "_blocks", blocks):
+            found = [analysis_outcome(lambda: analyze_trace(load_trace(path), [8, 16, 64], ts=4))]
+        for replay in replays:
+            found.append(analysis_outcome(lambda: analyze_trace(iter(replay), [8, 16, 64], ts=4)))
+        return found
+
+    fast = outcomes()
+    # a pattern that matches no block sends every block through the line loop
+    with mock.patch.object(tagsim.traces, "_EVENT_BLOCK", re.compile("(?!)")):
+        assert outcomes() == fast
+
+
+def test_a_churn_trace_takes_the_line_loop_only_for_its_first_block(tmp_path):
+    # without the fast path every block would take the line loop, and
+    # every other test would still pass
+    path = tmp_path / "churn.txt"
+    _write_churn_trace(path, 20_000, live_target=500)
+    text = "# churn trace\n" + path.read_text()
+    path.write_text(text)
+    looped = []
+    line_events = tagsim.traces._line_events
+
+    def counting(chunk, *args):
+        looped.append(chunk)
+        return line_events(chunk, *args)
+
+    with mock.patch.object(tagsim.traces, "_line_events", counting):
+        assert run_overhead(path, [16, 64], 8) == reference_overhead(text, [16, 64], 8)
+    assert len(looped) == 1
+    assert text.startswith(looped[0]) and len(looped[0]) < len(text) // 8
 
 
 def test_overhead_builds_no_event_objects(tmp_path):
