@@ -274,7 +274,7 @@ def load_trace(path) -> Iterator[TraceEvent]:
     return _TraceEvents(blocks)
 
 
-def _blocks(path, size: int = 1 << 14) -> Iterator[str]:
+def _blocks(path, size: int = 1 << 16) -> Iterator[str]:
     """Open the trace file, yield "", then yield its text in blocks cut
     after their last line break, so that no line is split between two.
     A break is any of ``_LINE_BREAKS``: universal newlines turn a

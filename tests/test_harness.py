@@ -779,7 +779,7 @@ def test_a_churn_trace_takes_the_line_loop_only_for_its_first_block(tmp_path):
     # without the fast path every block would take the line loop, and
     # every other test would still pass
     path = tmp_path / "churn.txt"
-    _write_churn_trace(path, 20_000, live_target=500)
+    _write_churn_trace(path, 60_000, live_target=500)
     text = "# churn trace\n" + path.read_text()
     path.write_text(text)
     looped = []
