@@ -47,6 +47,9 @@ _SIMULATE_CONFIGS = [
 
 _TG = 16  # the simulate configs' granule size
 
+# each bad trace ends on a line that `overhead` refuses
+_BAD_TRACES = ["double-free", "unknown-free", "non-ascii", "malformed", "reused-id"]
+
 
 def invocations() -> list[list[str]]:
     kinds = [kind.value for kind in ScenarioKind]
@@ -69,8 +72,11 @@ def invocations() -> list[list[str]]:
             for size in (0, 1, _TG - 1, _TG + 1):
                 runs.append(["simulate", kind, "--size", str(size), "--offset", str(_TG - 1),
                              *config])
-    runs.append(["overhead", "traces/tiny.txt", "--alignments", "8,16,32,64",
-                 "--format", "plain"])
+    for fmt in ("plain", "json"):
+        runs.append(["overhead", "traces/tiny.txt", "--alignments", "8,16,32,64",
+                     "--format", fmt])
+    for name in _BAD_TRACES:
+        runs.append(["overhead", f"tests/bad_traces/{name}.txt", "--alignments", "8,16"])
     return runs
 
 
