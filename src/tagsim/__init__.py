@@ -30,7 +30,7 @@ from .scenarios import Scenario, ScenarioKind, run_scenario
 from .sim import Simulator
 from .stack import StackTagger
 from .tagspace import ADDR_SPACE, MtConfig, ShadowStore, StoreMode
-from .traces import Alloc, Free, analyze_trace, load_trace, parse_trace
+from .traces import Alloc, Free, analyze_trace, load_trace
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "analyze_trace",
     "estimate_detection",
     "load_trace",
-    "parse_trace",
     "run_scenario",
     "theoretical_detection",
 ]

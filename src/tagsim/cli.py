@@ -191,8 +191,8 @@ def _parse_alignments(text: str) -> list[int]:
 
 def _cmd_overhead(args) -> int:
     alignments = _parse_alignments(args.alignments)
-    events = load_trace(args.trace)
-    report = analyze_trace(events, alignments, ts=args.ts)
+    trace = load_trace(args.trace)
+    report = analyze_trace(trace, alignments, ts=args.ts)
     if args.format == "json":
         _emit_json(report.to_json_dict())
     else:

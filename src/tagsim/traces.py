@@ -13,30 +13,31 @@ and the report compares the peak of that sum against the 8-byte base
 alignment, plus the tag-storage bytes needed at that granularity
 (ts bits per granule of peak footprint).
 
-``load_trace`` and ``analyze_trace`` make one streaming pass over a
-trace file: it is read in blocks cut at line breaks (any that
-``splitlines()`` knows and the file can hold), whose lines are parsed
-as the file is read and counted as they are parsed, with no event
-object built, so memory is bounded by the live allocations, not by the
-length of the trace.  ``Alloc`` and ``Free`` are built only for callers
-that iterate ``load_trace`` or ``parse_trace`` themselves.  Events
-handed to ``analyze_trace`` are written back as trace lines, so the one
-parser checks them too.
+``load_trace`` opens a trace file, and ``analyze_trace`` counts it in
+one streaming pass: it is read in blocks cut at line breaks (any that
+``splitlines()`` knows and the file can hold), whose lines are counted
+as they are parsed, with no event object built.  So memory does not
+grow with the length of the trace.  It is bounded by the live
+allocations plus a cache of the charges of at most ``_CACHED_SIZES``
+(65,536) distinct sizes: about 35 MB when full, at the 0.5 KB a size
+holds at four alignments.  ``Alloc`` and ``Free`` events handed to
+``analyze_trace`` are written back as trace lines, so the one parser
+checks them too.
 
-When ``analyze_trace`` counts, a block of plain event lines (canonical
-ids, newline breaks, numbers of at most 18 digits) is split once and
-walked with no check per line; any other block, comments and odd line
-breaks included, is parsed line by line.  Both paths key a live
-allocation by its id's canonical digit string, and give the same
-report and the same errors.
+A block of plain event lines (canonical ids, newline breaks, numbers of
+at most 18 digits) is split once and walked with no check per line;
+any other block, comments and odd line breaks included, is parsed line
+by line.  Both paths key a live allocation by its id's canonical digit
+string, and give the same report and the same errors.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from contextlib import closing
 from itertools import accumulate, chain
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import TraceError, UsageError
 
@@ -61,16 +62,11 @@ _EVENT_BLOCK = re.compile(rf"(?:(?:a {_ID} [0-9]{{1,18}}|f {_ID})(?:\n|\Z))*")
 class Alloc:
     id: int
     size: int
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Free:
     id: int
-    line: int = field(default=0, compare=False)
-
-
-TraceEvent = Alloc | Free
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,11 @@ class OverheadReport:
         return "\n".join(lines)
 
 
-def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
+def _scan(chunks, entries) -> Iterator[list]:
     """Yield, for each of ``chunks`` (strings that each end at a line
-    boundary, or at the end of the trace), a flat list of its events,
+    boundary, or at the end of the trace), the entries of its events,
     numbering their ``splitlines()`` in order: exactly the lines of the
-    whole text.  An int chunk instead skips that many line numbers and
-    yields nothing.  An event is its entry, preceded if ``numbered`` by
-    its line number (negated for a free) and its id.
+    whole text.
 
     ``entries`` maps the digits of a size to a pair (allocation entry,
     free entry).  An allocation's entry is the first of its size's pair,
@@ -123,22 +117,19 @@ def _scan(chunks, entries, numbered: bool = False) -> Iterator[list]:
     raise TraceError naming the offending line, once the events before
     it have been yielded.
 
-    Unless ``numbered``, a chunk that ``_EVENT_BLOCK`` fullmatches is
-    split once into its fields and walked with no check per line.  Its
-    events fill its lines, so a misuse is on the line after those of the
-    events before it.  Every other chunk, comments, blank lines, other
-    line breaks, leading zeros and long numbers included, takes the line
-    loop, ``_line_events``.  Both give the same events and errors.
+    A chunk that ``_EVENT_BLOCK`` fullmatches is split once into its
+    fields and walked with no check per line.  Its events fill its
+    lines, so a misuse is on the line after those of the events before
+    it.  Every other chunk, comments, blank lines, other line breaks,
+    leading zeros and long numbers included, takes the line loop,
+    ``_line_events``.  Both give the same events and errors.
     """
     live: dict[str, object] = {}
     line_no = 0
     for chunk in chunks:
-        if type(chunk) is int:  # that many lines skipped
-            line_no += chunk
-            continue
         batch: list = []
-        if numbered or not _EVENT_BLOCK.fullmatch(chunk):
-            line_no, error = _line_events(chunk, line_no, live, entries, numbered, batch)
+        if not _EVENT_BLOCK.fullmatch(chunk):
+            line_no, error = _line_events(chunk, line_no, live, entries, batch)
         else:
             error = None
             fields = iter(chunk.split())
@@ -167,7 +158,7 @@ def _misuse(head: str, aid: str, line: int) -> TraceError:
     return TraceError(f"free of unknown id {aid}", line=line)
 
 
-def _line_events(chunk: str, line_no: int, live: dict, entries, numbered: bool,
+def _line_events(chunk: str, line_no: int, live: dict, entries,
                  batch: list) -> tuple[int, TraceError | None]:
     """``_scan``'s line loop: add the events of ``chunk``, whose lines
     follow line ``line_no``, to ``batch``.  Return the number of the
@@ -187,16 +178,12 @@ def _line_events(chunk: str, line_no: int, live: dict, entries, numbered: bool,
                 if aid in live:
                     raise _misuse(head, aid, line_no)
                 entry, live[aid] = entries[fields[2]]
-                if numbered:
-                    batch += (line_no, aid)
                 batch.append(entry)
                 continue
             if head == "f" and len(fields) == 2 and fields[1].isdigit():
                 aid = str(int(fields[1]))
                 if aid not in live:
                     raise _misuse(head, aid, line_no)
-                if numbered:
-                    batch += (-line_no, aid)
                 batch.append(live.pop(aid))
                 continue
             stripped = line.lstrip()
@@ -209,69 +196,40 @@ def _line_events(chunk: str, line_no: int, live: dict, entries, numbered: bool,
     return line_no, None
 
 
-class _SizeEntries(dict):
-    """Entries for events: an allocation's entry is its size."""
+class _TraceFile:
+    """The one-shot source ``load_trace`` returns: an open trace file's
+    blocks, for ``analyze_trace`` to count once."""
 
-    def __missing__(self, digits: str) -> tuple[int, None]:
-        return int(digits), None
-
-
-def _parse(chunks) -> Iterator[TraceEvent]:
-    """Yield the events of ``chunks`` as ``_scan`` parses them."""
-    for batch in _scan(chunks, _SizeEntries(), numbered=True):
-        for i in range(0, len(batch), 3):
-            line, aid, size = batch[i:i + 3]
-            yield Alloc(int(aid), size, line) if line > 0 else Free(int(aid), -line)
-
-
-def parse_trace(text: str) -> list[TraceEvent]:
-    """Parse trace text; malformed lines and free/alloc misuse raise
-    TraceError naming the offending line."""
-    return list(_parse((text,)))
-
-
-class _TraceEvents:
-    """The one-pass iterator ``load_trace`` returns.  Until it is
-    started, ``analyze_trace`` may count its blocks without building
-    any event."""
-
-    __slots__ = ("_blocks", "_events")
+    __slots__ = ("_blocks",)
 
     def __init__(self, blocks: Iterator[str]):
-        self._blocks = blocks
-        self._events: Iterator[TraceEvent] | None = None
+        self._blocks: Iterator[str] | None = blocks
 
-    def __iter__(self) -> _TraceEvents:
-        return self
-
-    def __next__(self) -> TraceEvent:
-        if self._events is None:
-            self._events = _parse(self._blocks)
-        return next(self._events)
-
-    def _take_blocks(self) -> Iterator[str] | None:
-        """The blocks, if no event was read yet; the iterator is spent
-        after this either way."""
-        if self._events is not None:
-            return None
-        self._events = iter(())
-        return self._blocks
+    def _take_blocks(self) -> Iterator[str]:
+        """The blocks; the source is spent after this."""
+        blocks, self._blocks = self._blocks, None
+        if blocks is None:
+            raise UsageError("this load_trace source was already analyzed or closed")
+        return blocks
 
     def close(self) -> None:
-        self._blocks.close()
+        """Close the file, unless it is already closed."""
+        if self._blocks is not None:
+            self._take_blocks().close()
 
 
-def load_trace(path) -> Iterator[TraceEvent]:
-    """A one-pass iterator over the events of the trace file at ``path``.
+def load_trace(path) -> _TraceFile:
+    """Open the trace file at ``path`` for one ``analyze_trace``.
 
     The file is opened now, so a missing file fails here.  It is parsed
-    as it is read, so memory does not grow with its length, and errors
-    in its lines are raised while iterating.  The file is closed at the
-    end of the events, or when the iterator is closed or dropped.
+    as ``analyze_trace`` reads it, so memory does not grow with its
+    length, and errors in its lines are raised there.  The file is
+    closed at the end of that pass, or when the source is closed or
+    dropped.
     """
     blocks = _blocks(path)
     next(blocks)  # opens the file
-    return _TraceEvents(blocks)
+    return _TraceFile(blocks)
 
 
 def _blocks(path, size: int = 1 << 16) -> Iterator[str]:
@@ -318,30 +276,21 @@ class _Charges(dict):
         return pair
 
 
-def _event_text(events) -> Iterator[str | int]:
+def _event_text(events) -> Iterator[str]:
     """Alloc and Free ``events`` written as trace lines for ``_scan``,
-    in blocks of at most 256.  An event whose ``line`` lies ahead keeps
-    it, after an int block that skips the lines between; any other event
-    takes the line after the last.  A field is written as its ``repr``,
-    so only a non-negative int reads back as a number."""
+    in blocks of at most 256.  A field is written as its ``repr``, so
+    only a non-negative int reads back as a number."""
     lines: list[str] = []
-    line = 0  # the line of the last event written
-    for event in events:
+    for line, event in enumerate(events, 1):
         kind = type(event)
         try:
             if kind is not Alloc and kind is not Free:
                 raise ValueError(f"unknown trace event {event!r}")
-            text = f"a {event.id!r} {event.size!r}" if kind is Alloc else f"f {event.id!r}"
+            lines.append(f"a {event.id!r} {event.size!r}" if kind is Alloc
+                         else f"f {event.id!r}")
         except ValueError as exc:  # or an int with more digits than repr() writes
             yield "\n".join(lines)
-            raise TraceError(str(exc), line=line + 1) from None
-        ahead = event.line
-        if type(ahead) is int and ahead > line + 1:
-            yield "\n".join(lines)
-            yield ahead - line - 1
-            lines, line = [], ahead - 1
-        lines.append(text)
-        line += 1
+            raise TraceError(str(exc), line=line) from None
         if len(lines) == 256:
             yield "\n".join(lines)
             lines = []
@@ -356,13 +305,13 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
     8-byte base peak is always computed for the overhead comparison,
     whether or not 8 appears in ``alignments``.
 
-    ``events`` (Alloc and Free instances) is iterated once, so it may be
-    the iterator ``load_trace`` returns; the replay keeps one entry per
-    live allocation.  An iterator from ``load_trace`` that has not been
-    started is counted as its lines are parsed, with no event built.
-    Other events are parsed as the trace lines they write, so an id or
-    size that is not a non-negative int raises TraceError naming its
-    line, as a free/alloc misuse does.
+    ``events`` is either the source ``load_trace`` returns, counted as
+    its lines are parsed with no event built, or an iterable of Alloc
+    and Free instances, iterated once.  A source is spent by this call,
+    and its file closed; a spent or closed one raises UsageError.
+    Events are parsed as the trace lines they write, so an id or size
+    that is not a non-negative int raises TraceError naming its line,
+    as a free/alloc misuse does.
     """
     alignments = list(alignments)
     if not alignments:
@@ -378,17 +327,17 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
         raise UsageError(f"tag width must be >= 1, got {ts}")
 
     tracked = sorted(set(alignments) | {BASE_ALIGNMENT})
-    blocks = events._take_blocks() if type(events) is _TraceEvents else None
-    batches = _scan(blocks or _event_text(events), _Charges(tracked))
+    blocks = events._take_blocks() if type(events) is _TraceFile else _event_text(events)
     width = len(tracked)
     current = [0] * width
     peaks = [0] * width
-    for batch in batches:
-        flat = list(chain.from_iterable(batch))
-        for i in range(width):
-            column = flat[i::width]  # the signed charges at tracked[i]
-            peaks[i] = max(peaks[i], max(accumulate(column, initial=current[i])))
-            current[i] += sum(column)
+    with closing(blocks):  # the file, also when a line is refused
+        for batch in _scan(blocks, _Charges(tracked)):
+            flat = list(chain.from_iterable(batch))
+            for i in range(width):
+                column = flat[i::width]  # the signed charges at tracked[i]
+                peaks[i] = max(peaks[i], max(accumulate(column, initial=current[i])))
+                current[i] += sum(column)
     peak = dict(zip(tracked, peaks))
 
     base_peak = peak[BASE_ALIGNMENT]

@@ -13,7 +13,7 @@ import pytest
 
 import tagsim.cli
 from tagsim.cli import main
-from tagsim.traces import analyze_trace, parse_trace
+from tagsim.traces import analyze_trace, load_trace
 
 TINY = "a 1 100\na 2 32\nf 1\na 3 0\nf 3\nf 2\n"
 BUNDLED_TRACE = str(pathlib.Path(__file__).resolve().parent.parent / "traces" / "tiny.txt")
@@ -228,7 +228,7 @@ def test_overhead_matches_library_answer(capsys, trace_file):
     code, out, _ = run_cli(capsys, "overhead", trace_file, "--alignments", "8,16,32,64")
     assert code == 0
     payload = json.loads(out)
-    oracle = analyze_trace(parse_trace(TINY), [8, 16, 32, 64], ts=8).to_json_dict()
+    oracle = analyze_trace(load_trace(trace_file), [8, 16, 32, 64], ts=8).to_json_dict()
     assert payload == oracle
 
 
@@ -325,7 +325,8 @@ def test_overhead_calls_load_and_analyze_once_through_cli_names(capsys, monkeypa
     code, out, _ = run_cli(capsys, "overhead", trace_file)
     assert code == 0
     assert calls == ["load", "analyze"]
-    assert json.loads(out) == analyze_trace(parse_trace(TINY), [8, 16, 32, 64], ts=8).to_json_dict()
+    assert json.loads(out) == analyze_trace(load_trace(trace_file), [8, 16, 32, 64],
+                                            ts=8).to_json_dict()
 
 
 def test_overhead_error_precedence(capsys, tmp_path):

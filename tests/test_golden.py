@@ -4,7 +4,12 @@ stdout and stderr must stay byte-identical.
 Each line of golden_cli.txt is the sha256 of one invocation's
 ``rc NUL stdout NUL stderr`` followed by its argument list.  A refactor
 that is meant to keep every output the same must leave that file as it
-is.  Where an output is meant to change, regenerate the file with
+is.  To compare without pytest, on any Python the package runs on:
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which exits 1 and lists the commands whose output changed.  Where an
+output is meant to change, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -107,7 +112,15 @@ def test_cli_outputs_match_golden_file(monkeypatch):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write")
+    if sys.argv[1:] not in (["--write"], ["--check"]):
+        sys.exit(f"usage: {sys.argv[0]} --write | --check")
     os.chdir(ROOT)
-    GOLDEN.write_text("".join(f"{digest} {cmd}\n" for cmd, digest in _current().items()))
+    if sys.argv[1] == "--write":
+        GOLDEN.write_text("".join(f"{digest} {cmd}\n" for cmd, digest in _current().items()))
+    else:
+        golden, current = _golden(), _current()
+        # a command listed on one side only counts as changed
+        changed = [cmd for cmd in dict.fromkeys([*golden, *current])
+                   if golden.get(cmd) != current.get(cmd)]
+        print("\n".join(changed) or f"all {len(golden)} outputs match {GOLDEN.name}")
+        sys.exit(1 if changed else 0)

@@ -2,14 +2,15 @@
 the allocation-trace overhead analyzer."""
 
 import contextlib
-import dataclasses
 import functools
+import gc
 import io
+import itertools
 import json
 import re
 import sys
-import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -39,7 +40,7 @@ from tagsim.rng import SplitMix64
 from tagsim.scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, STACK_LOCAL_SIZE,
                               scenario_runner)
 from tagsim.tagspace import pack, unpack
-from tagsim.traces import Alloc, Free, _blocks, _parse, analyze_trace, load_trace, parse_trace
+from tagsim.traces import Alloc, Free, _blocks, _scan, analyze_trace, load_trace
 from test_cli import _write_churn_trace
 
 CFG64 = MtConfig(tg=64, ts=4)
@@ -484,21 +485,54 @@ f 2
 """
 
 
-def test_parse_trace_shapes():
-    events = parse_trace(GOOD_TRACE)
-    assert events == [
-        Alloc(id=1, size=100, line=2),
-        Alloc(id=2, size=32, line=4),
-        Free(id=1, line=5),
-        Alloc(id=3, size=0, line=6),
-        Free(id=3, line=7),
-        Free(id=2, line=8),
-    ]
+def trace_source(tmp_path, text):
+    """``load_trace`` of ``text``, written to a file as it is."""
+    path = tmp_path / "trace.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    return load_trace(path)
 
 
-def test_parse_trace_allows_id_reuse_after_free():
-    events = parse_trace("a 1 8\nf 1\na 1 16\n")
-    assert [e.size for e in events if isinstance(e, Alloc)] == [8, 16]
+class _ByAllocation(dict):
+    """``_scan`` entries that name an allocation by its index among the
+    allocations, and a free by the index of the allocation it ends.  No
+    size is stored, so each allocation gets a fresh pair."""
+
+    def __init__(self):
+        super().__init__()
+        self.allocations = 0
+
+    def __missing__(self, digits):
+        n = self.allocations
+        self.allocations += 1
+        return ("a", n, int(digits)), ("f", n)
+
+
+def scan_events(chunks):
+    """The events ``_scan`` reads from ``chunks``, as ``_ByAllocation``
+    names them."""
+    for batch in _scan(chunks, _ByAllocation()):
+        yield from batch
+
+
+def by_allocation(events):
+    """Alloc and Free ``events`` as ``_ByAllocation`` names them."""
+    index, allocations = {}, itertools.count()
+    for event in events:
+        if type(event) is Alloc:
+            index[event.id] = n = next(allocations)
+            yield "a", n, event.size
+        else:
+            yield "f", index.pop(event.id)
+
+
+def test_scan_reads_each_event_and_the_allocation_each_free_ends():
+    assert list(scan_events([GOOD_TRACE])) == [
+        ("a", 0, 100), ("a", 1, 32), ("f", 0), ("a", 2, 0), ("f", 2), ("f", 1)]
+
+
+def test_trace_ids_may_be_reused_after_free(tmp_path):
+    report = analyze_trace(trace_source(tmp_path, "a 1 8\nf 1\na 1 16\n"), [8], ts=8)
+    assert report.base_peak_bytes == 16
 
 
 @pytest.mark.parametrize(
@@ -514,9 +548,9 @@ def test_parse_trace_allows_id_reuse_after_free():
         ("a one 8\n", 1),
     ],
 )
-def test_parse_trace_names_the_offending_line(text, bad_line):
+def test_trace_errors_name_the_offending_line(tmp_path, text, bad_line):
     with pytest.raises(TraceError) as exc:
-        parse_trace(text)
+        analyze_trace(trace_source(tmp_path, text), [8], ts=8)
     assert exc.value.line == bad_line
     assert f"line {bad_line}" in str(exc.value)
 
@@ -526,8 +560,8 @@ _REF_FREE_RE = re.compile(r"^f (\d+)$")
 
 
 def reference_parse_trace(text):
-    """The regex parser the streaming one replaced, kept as the reference."""
-    events = []
+    """The regex parser the streaming one replaced, kept as the
+    reference: yield the events, then raise the first bad line's error."""
     live = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
@@ -539,7 +573,7 @@ def reference_parse_trace(text):
             if aid in live:
                 raise TraceError(f"allocation id {aid} is already live", line=line_no)
             live.add(aid)
-            events.append(Alloc(id=aid, size=size, line=line_no))
+            yield Alloc(aid, size)
             continue
         m = _REF_FREE_RE.match(line)
         if m:
@@ -547,19 +581,21 @@ def reference_parse_trace(text):
             if aid not in live:
                 raise TraceError(f"free of unknown id {aid}", line=line_no)
             live.remove(aid)
-            events.append(Free(id=aid, line=line_no))
+            yield Free(aid)
             continue
         raise TraceError(f"unrecognized trace line {line!r}", line=line_no)
-    return events
 
 
-def parse_outcome(parse, *args):
-    """Events with their lines, or the TraceError's line and message."""
+def scan_outcome(events):
+    """The events read until ``events`` stops, and the line and message
+    of the TraceError that stopped it, or None."""
+    found = []
     try:
-        return [(type(e).__name__, e.id, getattr(e, "size", None), e.line)
-                for e in parse(*args)]
+        for event in events:
+            found.append(event)
     except TraceError as exc:
-        return ("error", exc.line, str(exc))
+        return found, (exc.line, str(exc))
+    return found, None
 
 
 _TRACE_CHARS = "af#0123456789 \t-+_\r\n\x0b\x0c\x1c\x1d\x1e"
@@ -610,81 +646,93 @@ def _newline_texts(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_trace_text, block_size=st.integers(min_value=1, max_value=8))
 def test_parser_matches_regex_reference(tmp_path, text, block_size):
-    expected = parse_outcome(reference_parse_trace, text)
-    assert parse_outcome(parse_trace, text) == expected
+    expected = scan_outcome(by_allocation(reference_parse_trace(text)))
+    assert scan_outcome(scan_events([text])) == expected
     path = tmp_path / "trace.txt"
     path.write_text(text, encoding="ascii", newline="")
-    assert parse_outcome(lambda: list(load_trace(path))) == expected
-    # blocks cut after their last newline: lines that span blocks
-    assert parse_outcome(lambda: list(_parse(_blocks(path, block_size)))) == expected
+    assert scan_outcome(scan_events(_blocks(path))) == expected
+    # blocks cut after their last line break: lines that span blocks
+    assert scan_outcome(scan_events(_blocks(path, block_size))) == expected
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="this Python converts integers of any length")
-def test_parse_trace_rejects_numbers_int_cannot_convert():
+def test_trace_rejects_numbers_int_cannot_convert(tmp_path):
     digits = "9" * (sys.get_int_max_str_digits() + 1)
     with pytest.raises(TraceError) as exc:
-        parse_trace(f"a 1 8\na 2 {digits}\n")
+        analyze_trace(trace_source(tmp_path, f"a 1 8\na 2 {digits}\n"), [8], ts=8)
     assert exc.value.line == 2
 
 
-def test_parse_trace_rejects_non_ascii_text():
+def test_trace_rejects_non_ascii_text(tmp_path):
     with pytest.raises(TraceError) as exc:
-        parse_trace("a 1 8\n# caf\u00e9\n")
+        analyze_trace(trace_source(tmp_path, "a 1 8\n# caf\u00e9\n"), [8], ts=8)
     assert exc.value.line == 2
     assert "non-ASCII" in str(exc.value)
 
 
-def test_load_trace_is_a_one_pass_iterator(tmp_path):
-    path = tmp_path / "trace.txt"
-    path.write_text(GOOD_TRACE)
-    events = load_trace(path)
-    assert iter(events) is events
-    assert list(events) == parse_trace(GOOD_TRACE)
-    assert list(events) == []
+def test_load_trace_is_a_source_not_an_iterator(tmp_path):
+    source = trace_source(tmp_path, GOOD_TRACE)
+    with pytest.raises(TypeError):
+        iter(source)
+    assert analyze_trace(source, [16], ts=8).base_peak_bytes == 136
 
 
-def test_load_trace_reports_bad_lines_while_iterating(tmp_path):
-    path = tmp_path / "trace.txt"
-    path.write_text("a 1 8\nf 2\n")
-    events = load_trace(path)
-    assert next(events) == Alloc(id=1, size=8, line=1)
-    with pytest.raises(TraceError) as exc:
-        next(events)
-    assert exc.value.line == 2
+def end_source(source, end):
+    """End a ``load_trace`` source: ``counted`` to its end, ``stopped``
+    at its bad line, ``closed`` unread, or ``dropped`` unread."""
+    if end == "counted":
+        assert analyze_trace(source, [16], ts=8).base_peak_bytes == 136
+    elif end == "stopped":
+        with pytest.raises(TraceError):
+            analyze_trace(source, [16], ts=8)
+    elif end == "closed":
+        source.close()
 
 
-def test_analyze_counts_only_what_is_left_of_a_started_load_trace(tmp_path):
-    # once an event has been read, analyze_trace replays the rest as
-    # events: frees of allocations read before it are unknown to it
-    path = tmp_path / "trace.txt"
-    path.write_text("a 1 8\na 2 16\nf 2\nf 1\n")
-    events = load_trace(path)
-    assert next(events) == Alloc(id=1, size=8, line=1)
-    with pytest.raises(TraceError) as exc:
-        analyze_trace(events, [8], ts=8)
-    assert str(exc.value) == "line 4: free of unknown id 1"
-
-    path.write_text("a 1 8\na 2 16\nf 2\n")
-    events = load_trace(path)
-    next(events)
-    assert analyze_trace(events, [8, 16], ts=8).base_peak_bytes == 16
-    assert list(events) == []
+_END_TRACES = {"counted": GOOD_TRACE, "stopped": "a 1 8\nf 2\n" + GOOD_TRACE,
+               "closed": GOOD_TRACE, "dropped": GOOD_TRACE}
 
 
-def test_analyze_spends_an_unstarted_load_trace(tmp_path):
-    path = tmp_path / "trace.txt"
-    path.write_text(GOOD_TRACE)
-    events = load_trace(path)
-    assert analyze_trace(events, [16], ts=8).base_peak_bytes == 136
-    assert list(events) == []
+@pytest.mark.parametrize("end", ["counted", "stopped", "closed"])
+def test_a_spent_or_closed_load_trace_is_a_usage_error(tmp_path, end):
+    # each once read as a peak of 0 bytes
+    source = trace_source(tmp_path, _END_TRACES[end])
+    end_source(source, end)
+    source.close()  # closing an ended source does nothing
+    with pytest.raises(UsageError, match="already analyzed or closed"):
+        analyze_trace(source, [16], ts=8)
+
+
+@pytest.mark.parametrize("end", list(_END_TRACES))
+def test_load_trace_leaves_no_file_open(tmp_path, monkeypatch, end):
+    # each way a source ends closes its file at once, and leaves no
+    # unclosed file for the garbage collector to warn about
+    opened, unraisable = [], []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tagsim.traces, "open", recording_open, raising=False)
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            end_source(trace_source(tmp_path, _END_TRACES[end]), end)
+            assert [fh.closed for fh in opened] == [True]
+            opened.clear()
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert unraisable == []
 
 
 def reference_overhead(text, alignments, ts):
     """``overhead``'s (exit code, stdout, stderr) from the reference
     parser and a plain per-event sum of rounded-up sizes."""
     try:
-        events = reference_parse_trace(text)
+        events = list(reference_parse_trace(text))
     except TraceError as exc:
         return 2, "", f"tagsim: error: {exc}\n"
     tracked = sorted(set(alignments) | {8})
@@ -731,11 +779,9 @@ def test_overhead_matches_reference_parse_and_sum(tmp_path, text, alignments, ts
     with mock.patch.object(tagsim.traces, "_blocks", blocks):
         assert run_overhead(path, alignments, ts) == expected
     if expected[0] == 0:
-        # the events handed in, with and without their lines
-        events = reference_parse_trace(text)
-        for replay in (events, [dataclasses.replace(e, line=0) for e in events]):
-            report = analyze_trace(iter(replay), alignments, ts=ts)
-            assert json.dumps(report.to_json_dict(), sort_keys=True) + "\n" == expected[1]
+        # the events handed in
+        report = analyze_trace(reference_parse_trace(text), alignments, ts=ts)
+        assert json.dumps(report.to_json_dict(), sort_keys=True) + "\n" == expected[1]
 
 
 def analysis_outcome(analyze):
@@ -757,16 +803,15 @@ def test_parser_fast_path_matches_the_line_loop(tmp_path, text, block_size):
     if block_size is not None:
         blocks = functools.partial(blocks, size=block_size)
     try:
-        events = reference_parse_trace(text)
-        replays = (events, [dataclasses.replace(e, line=0) for e in events])
+        events = list(reference_parse_trace(text))
     except TraceError:
-        replays = ()
+        events = None
 
     def outcomes():
         with mock.patch.object(tagsim.traces, "_blocks", blocks):
             found = [analysis_outcome(lambda: analyze_trace(load_trace(path), [8, 16, 64], ts=4))]
-        for replay in replays:
-            found.append(analysis_outcome(lambda: analyze_trace(iter(replay), [8, 16, 64], ts=4)))
+        if events is not None:
+            found.append(analysis_outcome(lambda: analyze_trace(events, [8, 16, 64], ts=4)))
         return found
 
     fast = outcomes()
@@ -811,11 +856,11 @@ def test_overhead_builds_no_event_objects(tmp_path):
 
 
 def test_events_are_frozen_slotted_dataclasses():
-    a = Alloc(1, 8, line=3)
-    assert a == Alloc(1, 8, line=9) and hash(a) == hash(Alloc(1, 8))
-    assert a != Alloc(1, 16) and Free(1, line=2) == Free(1)
-    assert repr(a) == "Alloc(id=1, size=8, line=3)"
-    assert repr(Free(4, 5)) == "Free(id=4, line=5)"
+    a = Alloc(1, 8)
+    assert a == Alloc(1, 8) and hash(a) == hash(Alloc(1, 8))
+    assert a != Alloc(1, 16) and Free(1) == Free(1)
+    assert repr(a) == "Alloc(id=1, size=8)"
+    assert repr(Free(4)) == "Free(id=4)"
     with pytest.raises(AttributeError):
         a.size = 16
     assert not hasattr(a, "__dict__")
@@ -825,8 +870,8 @@ def test_events_are_frozen_slotted_dataclasses():
 # overhead analysis
 
 
-def test_single_allocation_overhead_example():
-    report = analyze_trace(parse_trace("a 1 8\n"), [8, 16], ts=8)
+def test_single_allocation_overhead_example(tmp_path):
+    report = analyze_trace(trace_source(tmp_path, "a 1 8\n"), [8, 16], ts=8)
     by_alignment = {row.alignment: row for row in report.rows}
     assert by_alignment[8].peak_bytes == 8
     assert by_alignment[8].overhead_pct == 0.0
@@ -834,34 +879,34 @@ def test_single_allocation_overhead_example():
     assert by_alignment[16].overhead_pct == 100.0
 
 
-def test_granule_multiples_cost_nothing():
+def test_granule_multiples_cost_nothing(tmp_path):
     trace = "a 1 64\na 2 128\nf 1\na 3 192\n"
-    report = analyze_trace(parse_trace(trace), [8, 16, 32, 64], ts=8)
+    report = analyze_trace(trace_source(tmp_path, trace), [8, 16, 32, 64], ts=8)
     assert all(row.overhead_pct == 0.0 for row in report.rows)
 
 
-def test_peak_accounting_hand_computed():
+def test_peak_accounting_hand_computed(tmp_path):
     # live bytes at 8/32 alignment, event by event:
     #   a 1 40  -> 40 / 64
     #   a 2 10  -> 56 / 96   (peak)
     #   f 1     -> 16 / 32
     #   a 3 30  -> 48 / 64
     trace = "a 1 40\na 2 10\nf 1\na 3 30\n"
-    report = analyze_trace(parse_trace(trace), [32], ts=8)
+    report = analyze_trace(trace_source(tmp_path, trace), [32], ts=8)
     assert report.base_peak_bytes == 56
     row = report.rows[0]
     assert row.peak_bytes == 96
     assert row.overhead_pct == pytest.approx((96 - 56) / 56 * 100)
 
 
-def test_zero_size_counts_one_unit():
-    report = analyze_trace(parse_trace("a 1 0\n"), [64], ts=4)
+def test_zero_size_counts_one_unit(tmp_path):
+    report = analyze_trace(trace_source(tmp_path, "a 1 0\n"), [64], ts=4)
     assert report.rows[0].peak_bytes == 64
 
 
-def test_tag_storage_column():
+def test_tag_storage_column(tmp_path):
     # ts bits per alignment-sized granule of the peak
-    report = analyze_trace(parse_trace("a 1 256\n"), [16, 64], ts=8)
+    report = analyze_trace(trace_source(tmp_path, "a 1 256\n"), [16, 64], ts=8)
     by_alignment = {row.alignment: row for row in report.rows}
     assert by_alignment[16].tag_storage_bytes == 256 * 8 / (8 * 16)
     assert by_alignment[64].tag_storage_bytes == 256 * 8 / (8 * 64)
@@ -870,7 +915,7 @@ def test_tag_storage_column():
 
 
 def test_analyze_validates_inputs():
-    events = parse_trace("a 1 8\n")
+    events = [Alloc(1, 8)]
     with pytest.raises(UsageError):
         analyze_trace(events, [], ts=8)
     with pytest.raises(UsageError):
@@ -886,7 +931,7 @@ def test_analyze_validates_inputs():
 
 
 @pytest.mark.parametrize("events, line", [
-    ([Free(id=4, line=7)], 7),
+    ([Free(4)], 1),
     ([Alloc(1, -100), Alloc(2, 200)], 1),  # a negative size, once charged as -96
     ([Alloc(1, 2.5)], 1),
     ([Alloc(1, "12")], 1),
@@ -894,19 +939,12 @@ def test_analyze_validates_inputs():
     ([Alloc(1, 8), object()], 2),
     ([Alloc(1, 8), Free(1), Free(1)], 3),
     ([Alloc(1, 8), Alloc(1, 8)], 2),
-    ([Alloc(1, 8, line=3), Free(2, line=10)], 10),
-    ([Alloc(1, 8, line=5), Alloc(1, 8, line=2)], 6),  # a line behind: the next
     ([Alloc(i, 8) for i in range(300)] + [Free(300)], 301),
-    ([Alloc(i, 8) for i in range(300)] + [Free(300, line=400)], 400),
-    ([Free(4, line=10**9)], 10**9),
 ])
 def test_analyze_revalidates_event_stream(events, line):
-    start = time.process_time()
     with pytest.raises(TraceError) as exc:
         analyze_trace(events, [8], ts=8)
     assert exc.value.line == line
-    # a line far ahead is skipped to, not counted up to
-    assert time.process_time() - start < 1.0
 
 
 def test_empty_trace_reports_zero():
@@ -940,12 +978,13 @@ def test_analyze_memory_does_not_grow_with_distinct_sizes(monkeypatch):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     sizes=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=30),
     free_mask=st.lists(st.booleans(), min_size=1, max_size=30),
 )
-def test_overhead_monotone_in_alignment(sizes, free_mask):
+def test_overhead_monotone_in_alignment(tmp_path, sizes, free_mask):
     lines = []
     live = []
     for i, size in enumerate(sizes):
@@ -953,8 +992,8 @@ def test_overhead_monotone_in_alignment(sizes, free_mask):
         live.append(i)
         if i < len(free_mask) and free_mask[i] and live:
             lines.append(f"f {live.pop(0)}")
-    events = parse_trace("\n".join(lines) + "\n")
-    report = analyze_trace(events, [8, 16, 32, 64], ts=8)
+    report = analyze_trace(trace_source(tmp_path, "\n".join(lines) + "\n"), [8, 16, 32, 64],
+                           ts=8)
     rows = sorted(report.rows, key=lambda r: r.alignment)
     for narrow, wide in zip(rows, rows[1:]):
         assert narrow.peak_bytes <= wide.peak_bytes
