@@ -173,12 +173,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _parse_alignments(text: str) -> list[int]:
-    """The comma-separated --alignments list: every field an ASCII
-    integer, none empty and none repeated."""
+    """The comma-separated --alignments list: every field a run of
+    ASCII digits, maybe between spaces, and none repeated."""
     alignments: list[int] = []
     for field in text.split(","):
         try:
-            if not field.strip() or not field.isascii():
+            # int() would also take a sign and underscores: "32_0" is 320
+            if not field.isascii() or not field.strip().isdigit():
                 raise ValueError
             a = int(field)
         except ValueError:

@@ -19,8 +19,11 @@ one streaming pass: it is read in blocks cut at line breaks (any that
 as they are parsed, with no event object built.  So memory does not
 grow with the length of the trace.  It is bounded by the live
 allocations plus a cache of the charges of at most ``_CACHED_SIZES``
-(65,536) distinct sizes: about 35 MB when full, at the 0.5 KB a size
-holds at four alignments.  ``Alloc`` and ``Free`` events handed to
+(65,536) distinct sizes, in which sizes with the same charges share one
+pair.  At four alignments a size holds about 150 bytes when eight sizes
+share their charges, 10 MB when full, and about 580 bytes when none do,
+38 MB when full: 5-7% more than unshared charges, for its entry in the
+pair table.  ``Alloc`` and ``Free`` events handed to
 ``analyze_trace`` are written back as trace lines, so the one parser
 checks them too.
 
@@ -261,18 +264,30 @@ def _round_up(size: int, alignment: int) -> int:
 
 class _Charges(dict):
     """A size's charge at each tracked alignment, and its negation,
-    computed once per size.  At most ``_CACHED_SIZES`` sizes are kept,
-    so that a trace of ever new sizes cannot grow its memory."""
+    computed once per size.  Sizes with the same charges share one
+    pair, kept in ``pairs`` under its charges.  At most ``_CACHED_SIZES``
+    sizes are kept, and the pairs are cleared with them, so that a trace
+    of ever new sizes cannot grow its memory.
+
+    Under ``tracemalloc``, at four alignments, a size whose pair is
+    shared by eight sizes costs about 150 bytes.  A
+    size with a pair of its own costs about 580 bytes, 5-7% more than
+    with no ``pairs``, for the pair's entry there."""
 
     def __init__(self, alignments):
         super().__init__()
         self.alignments = alignments
+        self.pairs: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def __missing__(self, digits: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if len(self) >= _CACHED_SIZES:
             self.clear()
+            self.pairs.clear()
         charges = tuple(_round_up(int(digits), a) for a in self.alignments)
-        pair = self[digits] = charges, tuple(-c for c in charges)
+        pair = self.pairs.get(charges)
+        if pair is None:
+            pair = self.pairs[charges] = charges, tuple(-c for c in charges)
+        self[digits] = pair
         return pair
 
 

@@ -260,6 +260,8 @@ def test_overhead_bad_alignment_list(capsys, trace_file):
     ("8,16,", "bad --alignments value '8,16,'"),
     ("", "bad --alignments value ''"),
     ("8,\u0661\u0666", "bad --alignments value '8,\u0661\u0666'"),
+    ("16,32_0", "bad --alignments value '16,32_0'"),
+    ("+16", "bad --alignments value '+16'"),
     ("16,16", "--alignments lists 16 twice"),
     ("8,16,016", "--alignments lists 16 twice"),
 ])

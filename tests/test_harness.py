@@ -954,14 +954,16 @@ def test_empty_trace_reports_zero():
     assert report.rows[0].overhead_pct == 0.0
 
 
-def test_analyze_memory_does_not_grow_with_distinct_sizes(monkeypatch):
+@pytest.mark.parametrize("step", [1, 8])
+def test_analyze_memory_does_not_grow_with_distinct_sizes(monkeypatch, step):
     # one allocation live at a time, every size new: only the bounded
-    # per-size cache could grow
+    # per-size cache could grow.  At step 1 eight sizes share their
+    # charges, at step 8 every size brings a new pair of charges.
     monkeypatch.setattr("tagsim.traces._CACHED_SIZES", 64)
 
     def events(n):
         for i in range(n):
-            yield Alloc(i, 1000 + i)
+            yield Alloc(i, 1000 + step * i)
             yield Free(i)
 
     peaks = []
@@ -972,10 +974,38 @@ def test_analyze_memory_does_not_grow_with_distinct_sizes(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        largest = 1000 + n - 1
+        largest = 1000 + step * (n - 1)
         assert [row.peak_bytes for row in report.rows] == [
             -(-largest // a) * a for a in (8, 24, 64)]
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("step, limit", [(1, 300), (8, 650)])
+def test_analyze_memory_per_cached_size(tmp_path, step, limit):
+    # 20,000 sizes, each allocated then freed, all of them cached.  At
+    # step 1 every eight sizes share their charges at 8/16/32/64 bytes,
+    # so they share one pair; at step 8 each size has new charges.
+    n = 20_000
+    source = trace_source(tmp_path, "".join(f"a {i} {step * i}\nf {i}\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        report = analyze_trace(source, [8, 16, 32, 64], ts=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.base_peak_bytes == -(-step * (n - 1) // 8) * 8
+    assert peak < limit * n, f"{peak / n:.0f} bytes a size"
+
+
+def test_charges_cleared_under_live_allocations(tmp_path, monkeypatch):
+    # a cache of two sizes is cleared every few events, so most frees
+    # take the negated charges of a pair made before the last clear
+    monkeypatch.setattr("tagsim.traces._CACHED_SIZES", 2)
+    path = tmp_path / "churn.txt"
+    _write_churn_trace(path, 5_000, live_target=200)
+    expected = reference_overhead(path.read_text(), [16, 64], 8)
+    assert expected[0] == 0
+    assert run_overhead(path, [16, 64], 8) == expected
 
 
 @settings(max_examples=80, deadline=None,
