@@ -270,9 +270,9 @@ class _Charges(dict):
     of ever new sizes cannot grow its memory.
 
     Under ``tracemalloc``, at four alignments, a size whose pair is
-    shared by eight sizes costs about 150 bytes.  A
-    size with a pair of its own costs about 580 bytes, 5-7% more than
-    with no ``pairs``, for the pair's entry there."""
+    shared by eight sizes costs about 150 bytes.  A size with a pair of
+    its own costs about 580 bytes, 5-7% more than with no ``pairs``, for
+    the pair's entry there."""
 
     def __init__(self, alignments):
         super().__init__()
