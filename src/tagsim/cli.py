@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .arena import PolicyKind, TagPolicy
@@ -37,6 +38,20 @@ _OFFSET_KINDS = frozenset({ScenarioKind.LINEAR_OVERFLOW, ScenarioKind.LINEAR_UND
                            ScenarioKind.INTRA_GRANULE_OVERFLOW})
 
 
+def _ascii(kind, form: str):
+    """The argparse type of a ``kind`` written in ASCII as ``form``: int()
+    and float() also take "+", "_", spaces and other scripts' digits."""
+    def number(text: str):
+        if re.fullmatch(form, text):
+            return kind(text)
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+    return number
+
+
+_int = _ascii(int, "-?[0-9]+")
+_float = _ascii(float, r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
 def _kind_names() -> list[str]:
     return [k.value for k in ScenarioKind] + sorted(_KIND_ALIASES)
 
@@ -47,25 +62,25 @@ def _parse_kind(name: str) -> ScenarioKind:
 
 
 def _add_ts_and_format(sub: argparse.ArgumentParser, default_format: str) -> None:
-    sub.add_argument("--ts", type=int, default=8, help="tag width in bits")
+    sub.add_argument("--ts", type=_int, default=8, help="tag width in bits")
     sub.add_argument("--format", choices=["plain", "json"], default=default_format)
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
     _add_ts_and_format(sub, default_format)
-    sub.add_argument("--tg", type=int, default=16, help="granule size in bytes")
+    sub.add_argument("--tg", type=_int, default=16, help="granule size in bytes")
     sub.add_argument("--policy", choices=[k.value for k in PolicyKind],
                      default=PolicyKind.RANDOM.value, help="tag assignment policy")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int, default=0)
     sub.add_argument("--precision-ext", action="store_true",
                      help="byte-precise checking of partial final granules")
     sub.add_argument("--zero-on-tag", action="store_true",
                      help="zero memory while tagging it")
     sub.add_argument("--store-mode", choices=[m.value for m in StoreMode],
                      default=StoreMode.PRECISE.value)
-    sub.add_argument("--quarantine", type=int, default=0, metavar="BYTES",
+    sub.add_argument("--quarantine", type=_int, default=0, metavar="BYTES",
                      help="free-quarantine byte budget (0 disables)")
-    sub.add_argument("--sampling-rate", type=float, default=None,
+    sub.add_argument("--sampling-rate", type=_float, default=None,
                      help="tag probability under --policy sampled (default 1.0)")
 
 
@@ -97,14 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     probe = commands.add_parser("probe", help="Monte-Carlo detection rates")
     probe.add_argument("--kind", action="append", choices=_kind_names(),
                        help="scenario kind (repeatable; default: the probabilistic pair)")
-    probe.add_argument("--trials", type=int, default=10000)
+    probe.add_argument("--trials", type=_int, default=10000)
     _add_config_flags(probe, default_format="json")
 
     simulate = commands.add_parser("simulate", help="run one scenario")
     simulate.add_argument("scenario", choices=_kind_names())
-    simulate.add_argument("--size", type=int, default=None)
-    simulate.add_argument("--offset", type=int, default=None)
-    simulate.add_argument("--reuse-depth", type=int, default=None)
+    simulate.add_argument("--size", type=_int, default=None)
+    simulate.add_argument("--offset", type=_int, default=None)
+    simulate.add_argument("--reuse-depth", type=_int, default=None)
     _add_config_flags(simulate, default_format="plain")
 
     overhead = commands.add_parser("overhead", help="trace RAM overhead table")
@@ -178,11 +193,10 @@ def _parse_alignments(text: str) -> list[int]:
     alignments: list[int] = []
     for field in text.split(","):
         try:
-            # int() would also take a sign and underscores: "32_0" is 320
-            if not field.isascii() or not field.strip().isdigit():
+            if not field.isascii() or "-" in field:  # unsigned, maybe between spaces
                 raise ValueError
-            a = int(field)
-        except ValueError:
+            a = _int(field.strip())
+        except (ValueError, argparse.ArgumentTypeError):  # int() also has a digit limit
             raise UsageError(f"bad --alignments value {text!r}") from None
         if a in alignments:
             raise UsageError(f"--alignments lists {a} twice")

@@ -19,13 +19,10 @@ one streaming pass: it is read in blocks cut at line breaks (any that
 as they are parsed, with no event object built.  So memory does not
 grow with the length of the trace.  It is bounded by the live
 allocations plus a cache of the charges of at most ``_CACHED_SIZES``
-(65,536) distinct sizes, in which sizes with the same charges share one
-pair.  At four alignments a size holds about 150 bytes when eight sizes
-share their charges, 10 MB when full, and about 580 bytes when none do,
-38 MB when full: 5-7% more than unshared charges, for its entry in the
-pair table.  ``Alloc`` and ``Free`` events handed to
-``analyze_trace`` are written back as trace lines, so the one parser
-checks them too.
+(65,536) granule counts, the granule being the gcd of the tracked
+alignments: at four alignments, about 520 bytes a count, 34 MB full.
+``Alloc`` and ``Free`` events handed to ``analyze_trace`` are written
+back as trace lines, so the one parser checks them too.
 
 A block of plain event lines (canonical ids, newline breaks, numbers of
 at most 18 digits) is split once and walked with no check per line;
@@ -41,12 +38,13 @@ from collections.abc import Iterator
 from contextlib import closing
 from itertools import accumulate, chain
 from dataclasses import asdict, dataclass
+from math import gcd
 
 from .errors import TraceError, UsageError
 
 BASE_ALIGNMENT = 8
 
-# analyze_trace caches the charges of at most this many distinct sizes,
+# analyze_trace caches the charges of at most this many granule counts,
 # so that a trace of ever new sizes cannot grow its memory
 _CACHED_SIZES = 1 << 16
 
@@ -100,19 +98,19 @@ class OverheadReport:
         return "\n".join(lines)
 
 
-def _scan(chunks, entries) -> Iterator[list]:
+def _scan(chunks, entries, granule: int) -> Iterator[list]:
     """Yield, for each of ``chunks`` (strings that each end at a line
     boundary, or at the end of the trace), the entries of its events,
     numbering their ``splitlines()`` in order: exactly the lines of the
     whole text.
 
-    ``entries`` maps the digits of a size to a pair (allocation entry,
-    free entry).  An allocation's entry is the first of its size's pair,
-    and the live record keeps the second, which becomes the entry of the
-    free that ends the allocation.  Live allocations are keyed by the
-    canonical digit string of their id, with no leading zeros, so
-    ``a 1 8`` then ``f 01`` frees id 1, and an id is printed as that
-    string.
+    ``entries`` maps a size's count of ``granule``-byte granules, rounded
+    up, to a pair (allocation entry, free entry).  An allocation's entry
+    is the first of its pair, and the live record keeps the second, the
+    entry of the free that ends the allocation.  Live allocations are
+    keyed by the canonical digit string of their id, with no leading
+    zeros, so ``a 1 8`` then ``f 01`` frees id 1, and an id is printed
+    as that string.
 
     This is the one parser of the grammar.  A line is an event only if
     it is ASCII, ``split(" ")`` gives exactly the right fields and every
@@ -132,7 +130,7 @@ def _scan(chunks, entries) -> Iterator[list]:
     for chunk in chunks:
         batch: list = []
         if not _EVENT_BLOCK.fullmatch(chunk):
-            line_no, error = _line_events(chunk, line_no, live, entries, batch)
+            line_no, error = _line_events(chunk, line_no, live, entries, granule, batch)
         else:
             error = None
             fields = iter(chunk.split())
@@ -143,7 +141,7 @@ def _scan(chunks, entries) -> Iterator[list]:
                     elif aid in live:
                         raise KeyError(aid)
                     else:
-                        entry, live[aid] = entries[next(fields)]
+                        entry, live[aid] = entries[-(-int(next(fields)) // granule)]
                         batch.append(entry)
             except KeyError:
                 error = _misuse(head, aid, line_no + len(batch) + 1)
@@ -161,7 +159,7 @@ def _misuse(head: str, aid: str, line: int) -> TraceError:
     return TraceError(f"free of unknown id {aid}", line=line)
 
 
-def _line_events(chunk: str, line_no: int, live: dict, entries,
+def _line_events(chunk: str, line_no: int, live: dict, entries, granule: int,
                  batch: list) -> tuple[int, TraceError | None]:
     """``_scan``'s line loop: add the events of ``chunk``, whose lines
     follow line ``line_no``, to ``batch``.  Return the number of the
@@ -180,7 +178,7 @@ def _line_events(chunk: str, line_no: int, live: dict, entries,
                 aid = str(int(fields[1]))
                 if aid in live:
                     raise _misuse(head, aid, line_no)
-                entry, live[aid] = entries[fields[2]]
+                entry, live[aid] = entries[-(-int(fields[2]) // granule)]
                 batch.append(entry)
                 continue
             if head == "f" and len(fields) == 2 and fields[1].isdigit():
@@ -255,39 +253,26 @@ def _blocks(path, size: int = 1 << 16) -> Iterator[str]:
             yield tail
 
 
-def _round_up(size: int, alignment: int) -> int:
-    # every live allocation costs at least one alignment unit
-    if size == 0:
-        return alignment
-    return -(-size // alignment) * alignment
-
-
 class _Charges(dict):
-    """A size's charge at each tracked alignment, and its negation,
-    computed once per size.  Sizes with the same charges share one
-    pair, kept in ``pairs`` under its charges.  At most ``_CACHED_SIZES``
-    sizes are kept, and the pairs are cleared with them, so that a trace
-    of ever new sizes cannot grow its memory.
-
-    Under ``tracemalloc``, at four alignments, a size whose pair is
-    shared by eight sizes costs about 150 bytes.  A size with a pair of
-    its own costs about 580 bytes, 5-7% more than with no ``pairs``, for
-    the pair's entry there."""
+    """The charges at each tracked alignment of q granules, and their
+    negation, computed once per q.  The granule g is the gcd of the
+    alignments, so a size's charges depend only on its granule count
+    q = ceil(size / g): at alignment a, max(1, ceil(q·g / a))·a, so that
+    size 0 still costs one unit.  At most ``_CACHED_SIZES`` counts are
+    kept, so that a trace of ever new sizes cannot grow its memory:
+    under ``tracemalloc``, at four alignments, a count costs about 520
+    bytes, and a full cache about 34 MB."""
 
     def __init__(self, alignments):
         super().__init__()
         self.alignments = alignments
-        self.pairs: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self.granule = gcd(*alignments)
 
-    def __missing__(self, digits: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def __missing__(self, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if len(self) >= _CACHED_SIZES:
             self.clear()
-            self.pairs.clear()
-        charges = tuple(_round_up(int(digits), a) for a in self.alignments)
-        pair = self.pairs.get(charges)
-        if pair is None:
-            pair = self.pairs[charges] = charges, tuple(-c for c in charges)
-        self[digits] = pair
+        charges = tuple(max(1, -(-q * self.granule // a)) * a for a in self.alignments)
+        pair = self[q] = charges, tuple(-c for c in charges)
         return pair
 
 
@@ -346,8 +331,9 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
     width = len(tracked)
     current = [0] * width
     peaks = [0] * width
+    charges = _Charges(tracked)
     with closing(blocks):  # the file, also when a line is refused
-        for batch in _scan(blocks, _Charges(tracked)):
+        for batch in _scan(blocks, charges, charges.granule):
             flat = list(chain.from_iterable(batch))
             for i in range(width):
                 column = flat[i::width]  # the signed charges at tracked[i]

@@ -87,12 +87,70 @@ def test_sampling_rate_without_sampled_policy_is_usage_error(capsys, argv):
     assert err == "tagsim: error: --sampling-rate requires --policy sampled\n"
 
 
-@pytest.mark.parametrize("flags, rate", [((), 1.0), (("--sampling-rate", "0.25"), 0.25)])
+@pytest.mark.parametrize("flags, rate", [
+    ((), 1.0), (("--sampling-rate", "0.25"), 0.25),
+    # the ASCII decimal and exponent forms
+    (("--sampling-rate", ".25"), 0.25), (("--sampling-rate", "1."), 1.0),
+    (("--sampling-rate", "25e-2"), 0.25), (("--sampling-rate", "2.5E-1"), 0.25),
+    (("--sampling-rate", "0"), 0.0),
+])
 def test_sampled_policy_echoes_rate_used(capsys, flags, rate):
     code, out, _ = run_cli(capsys, "simulate", "heap-use-after-free", "--policy", "sampled",
                            *flags, "--format", "json")
     assert code in (0, 1)
     assert json.loads(out)["config"]["sampling_rate"] == rate
+
+
+# ----------------------------------------------------------------------
+# scalar flags
+
+# each scalar flag, a command that reads it, and a value it takes
+_SCALAR_FLAGS = [
+    ("--ts", ("overhead", BUNDLED_TRACE), "4"),
+    ("--tg", ("probe", "--trials", "1"), "16"),
+    ("--seed", ("probe", "--trials", "1"), "12"),
+    ("--quarantine", ("probe", "--trials", "1"), "64"),
+    ("--trials", ("probe",), "10"),
+    ("--size", ("simulate", "heap-use-after-free"), "16"),
+    ("--offset", ("simulate", "linear-overflow"), "10"),
+    ("--reuse-depth", ("simulate", "heap-use-after-free"), "2"),
+    ("--sampling-rate", ("probe", "--trials", "1", "--policy", "sampled"), "0.25"),
+]
+
+
+def _other_forms(value):
+    """Forms of ``value`` that int() and float() alone read as ``value``:
+    a plus sign, an underscore, a space and Arabic-Indic digits."""
+    return ["+" + value, "0_" + value, " " + value,
+            value.translate({ord("0") + i: 0x660 + i for i in range(10)})]
+
+
+@pytest.mark.parametrize("flag, command, text", [
+    *[(flag, command, form) for flag, command, value in _SCALAR_FLAGS
+      for form in _other_forms(value)],
+    # float() also reads these, and "0_5" as 5.0
+    ("--sampling-rate", _SCALAR_FLAGS[-1][1], "0_5"),
+    ("--sampling-rate", _SCALAR_FLAGS[-1][1], "nan"),
+    ("--sampling-rate", _SCALAR_FLAGS[-1][1], "Infinity"),
+])
+def test_scalar_flags_take_only_ascii_numbers(capsys, flag, command, text):
+    kind = "float" if flag == "--sampling-rate" else "int"
+    code, out, err = run_cli(capsys, *command, flag, text)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid {kind} value: {text!r}\n")
+
+
+@pytest.mark.parametrize("flag, command, value", _SCALAR_FLAGS)
+def test_scalar_flags_take_their_ascii_value(capsys, flag, command, value):
+    code, _, err = run_cli(capsys, *command, flag, value)
+    assert code in (0, 1) and err == ""
+
+
+def test_simulate_takes_a_negative_seed(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "heap-use-after-free", "--seed", "-3",
+                           "--format", "json")
+    assert code in (0, 1)
+    assert json.loads(out)["seed"] == -3
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +320,11 @@ def test_overhead_bad_alignment_list(capsys, trace_file):
     ("8,\u0661\u0666", "bad --alignments value '8,\u0661\u0666'"),
     ("16,32_0", "bad --alignments value '16,32_0'"),
     ("+16", "bad --alignments value '+16'"),
+    ("-8", "bad --alignments value '-8'"),
+    ("8,-0", "bad --alignments value '8,-0'"),
+    ("8, \u0661\u0666", "bad --alignments value '8, \u0661\u0666'"),
+    pytest.param("8,1" + "0" * 5000, f"bad --alignments value '8,1{'0' * 5000}'",
+                 id="more-digits-than-int-takes"),
     ("16,16", "--alignments lists 16 twice"),
     ("8,16,016", "--alignments lists 16 twice"),
 ])

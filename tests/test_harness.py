@@ -501,16 +501,16 @@ class _ByAllocation(dict):
         super().__init__()
         self.allocations = 0
 
-    def __missing__(self, digits):
+    def __missing__(self, size):
         n = self.allocations
         self.allocations += 1
-        return ("a", n, int(digits)), ("f", n)
+        return ("a", n, size), ("f", n)
 
 
 def scan_events(chunks):
     """The events ``_scan`` reads from ``chunks``, as ``_ByAllocation``
     names them."""
-    for batch in _scan(chunks, _ByAllocation()):
+    for batch in _scan(chunks, _ByAllocation(), 1):  # a granule of one byte: q is the size
         yield from batch
 
 
@@ -765,7 +765,9 @@ def run_overhead(path, alignments, ts):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_trace_text,
-       alignments=st.lists(st.sampled_from((1, 8, 16, 24, 64)), min_size=1, unique=True),
+       # with the 8-byte base the tracked gcd is 1, 2, 4 or 8
+       alignments=st.lists(st.sampled_from((1, 6, 8, 12, 16, 20, 24, 64)), min_size=1,
+                           unique=True),
        ts=st.integers(min_value=1, max_value=8),
        block_size=st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
 def test_overhead_matches_reference_parse_and_sum(tmp_path, text, alignments, ts, block_size):
@@ -995,6 +997,38 @@ def test_analyze_memory_per_cached_size(tmp_path, step, limit):
         tracemalloc.stop()
     assert report.base_peak_bytes == -(-step * (n - 1) // 8) * 8
     assert peak < limit * n, f"{peak / n:.0f} bytes a size"
+
+
+def test_sizes_of_one_granule_count_share_one_cache_entry(tmp_path, monkeypatch):
+    # at 8/16/32/64 bytes the granule is 8 bytes: sizes 1001-1008 are
+    # 126 granules, 1000 is 125 and 1009 is 127
+    caches = []
+
+    class Recorded(tagsim.traces._Charges):
+        def __init__(self, alignments):
+            super().__init__(alignments)
+            caches.append(self)
+
+    monkeypatch.setattr(tagsim.traces, "_Charges", Recorded)
+
+    def cached(sizes):
+        text = "".join(f"a {i} {size}\n" for i, size in enumerate(sizes))
+        analyze_trace(trace_source(tmp_path, text), [8, 16, 32, 64], ts=8)
+        return sorted(caches.pop())
+
+    assert cached(range(1001, 1009)) == [126]
+    assert cached(range(1000, 1010)) == [125, 126, 127]
+
+
+@pytest.mark.parametrize("alignments", [(8, 16, 32, 64), (6, 20), (12, 24), (1, 64), (40,)])
+def test_each_size_is_charged_on_both_sides_of_a_granule_boundary(alignments):
+    # granules of 8, 2, 4, 1 and 8 bytes: every size up to 513, so both
+    # sides of each of the first 64 boundaries of every granule
+    for size in range(512 + 2):
+        report = analyze_trace([Alloc(1, size)], alignments, ts=8)
+        assert report.base_peak_bytes == max(1, -(-size // 8)) * 8
+        assert [row.peak_bytes for row in report.rows] == [
+            max(1, -(-size // a)) * a for a in alignments], size
 
 
 def test_charges_cleared_under_live_allocations(tmp_path, monkeypatch):
