@@ -81,6 +81,8 @@ class TagPolicy:
     def __post_init__(self):
         if not isinstance(self.kind, PolicyKind):
             raise UsageError(f"unknown tag policy {self.kind!r}")
+        if not isinstance(self.rate, (int, float)) or isinstance(self.rate, bool):
+            raise UsageError(f"sampling rate must be a number, got {self.rate!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise UsageError(f"sampling rate must be in [0, 1], got {self.rate!r}")
 

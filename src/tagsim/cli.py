@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -39,13 +40,17 @@ _OFFSET_KINDS = frozenset({ScenarioKind.LINEAR_OVERFLOW, ScenarioKind.LINEAR_UND
 
 
 def _ascii(kind, form: str):
-    """The argparse type of a ``kind`` written in ASCII as ``form``: int()
-    and float() also take "+", "_", spaces and other scripts' digits."""
-    def number(text: str):
+    """The argparse type of a finite ``kind`` written in ASCII as ``form``:
+    int() and float() also take "+", "_", spaces and other scripts'
+    digits, and float() reads "1e400" as inf."""
+    def parse(text: str):
         if re.fullmatch(form, text):
-            return kind(text)
+            value = kind(text)
+            if kind is int or math.isfinite(value):
+                return value
         raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
-    return number
+    parse.__name__ = kind.__name__  # argparse names a ValueError of int() after it
+    return parse
 
 
 _int = _ascii(int, "-?[0-9]+")

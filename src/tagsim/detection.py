@@ -24,7 +24,7 @@ from .rng import PREMIX_STREAMS, premixed_rows
 from .scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, Scenario, ScenarioKind,
                         run_scenario, scenario_runner)
 from .sim import Simulator
-from .tagspace import MtConfig, pack, unpack
+from .tagspace import MtConfig, unpack
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,33 @@ def _reuse_depth(kind: ScenarioKind, cfg: MtConfig) -> int:
     return int(kind is ScenarioKind.HEAP_USE_AFTER_FREE and cfg.quarantine_capacity == 0)
 
 
+# Derived theories, keyed by (kind, cfg, policy); emptied when full, so
+# that a sweep over ever new configs cannot grow the process
+_THEORIES: dict = {}
+_THEORY_MEMO_SIZE = 1024
+
+
 def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
                           policy: TagPolicy = TagPolicy()) -> Fraction | None:
     """Exact per-trial detection probability, decided by the engine.
 
     Returns None where no closed verdict applies (Sampled policies mix
     protected and unprotected allocations).
+
+    Each (kind, cfg, policy) is derived once per process and then read
+    from a memo of at most ``_THEORY_MEMO_SIZE`` entries, which empties
+    when full; a one-shot CLI run asks for each once, as before.
     """
+    key = (kind, cfg, policy)
+    if key not in _THEORIES:
+        if len(_THEORIES) >= _THEORY_MEMO_SIZE:
+            _THEORIES.clear()
+        _THEORIES[key] = _derive(kind, cfg, policy)
+    return _THEORIES[key]
+
+
+def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | None:
+    """theoretical_detection's derivation, which skips the memo."""
     if policy.kind is PolicyKind.SAMPLED:
         return None
     if kind in _DRAW_FREE or (kind is ScenarioKind.HEAP_USE_AFTER_FREE
@@ -137,9 +157,11 @@ def _rate(sim: Simulator, addrs: range, probes: tuple, memo: dict) -> Fraction:
     state = (sim.shadow.get(gbase), sim.memory.read(gbase, cfg.tg), probes)
     verdicts = memo.get(state)
     if verdicts is None:
+        # pack() inlined: the site's addresses and tags are in range
+        first_mismatch, shift = sim.engine.first_mismatch, cfg.tag_shift
         verdicts = memo[state] = [
             sum(w for tag, w in probes
-                if sim.engine.first_mismatch(pack(addr, tag, cfg), 1) is not None)
+                if first_mismatch((tag << shift) | addr, 1) is not None)
             for addr in range(gbase, gbase + cfg.tg)]
     caught = sum(verdicts[addrs.start - gbase:addrs.stop - gbase])
     return Fraction(caught, len(addrs) * sum(w for _, w in probes))

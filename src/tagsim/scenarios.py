@@ -53,7 +53,7 @@ from .errors import FaultError, ScenarioError, UsageError
 from .faults import AccessKind, FaultReport
 from .memory import SENTINEL
 from .sim import Simulator
-from .tagspace import MtConfig, StoreMode, offset_ptr, pack, unpack
+from .tagspace import ADDR_SPACE, MtConfig, StoreMode
 
 # Geometry a runner draws when its Scenario leaves size and offset
 # unset.  theoretical_detection enumerates exactly these ranges.
@@ -147,6 +147,10 @@ _LOAD, _STORE = AccessKind.LOAD, AccessKind.STORE
 _IMPRECISE = StoreMode.IMPRECISE_STORES
 _OVERFLOW = ScenarioKind.LINEAR_OVERFLOW
 
+# The runners build probe words as malloc does, with shifts and masks:
+# each part is a malloc word, or a draw or offset already range-checked.
+_ADDR_MASK = ADDR_SPACE - 1
+
 
 def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
     """The single injected bug access, plus end-of-scenario drain.
@@ -191,7 +195,7 @@ def _heap_use_after_free(sim: Simulator, s: Scenario) -> ScenarioResult:
             heap.free(reused)
             reused = heap.malloc(size)
         probe_tag = sim.rng.randrange(sim.cfg.n_tags)
-        probe = pack(unpack(ptr, sim.cfg)[0], probe_tag, sim.cfg)
+        probe = (probe_tag << sim.cfg.tag_shift) | (ptr & _ADDR_MASK)
     else:
         probe = ptr  # the honest stale pointer; retag-on-free decides
     return _bug_access(sim, probe, store=False)
@@ -214,11 +218,13 @@ def _linear_neighbour(sim: Simulator, s: Scenario) -> ScenarioResult:
     if not 0 <= delta < tg:
         side = "first" if overflow else "last"
         raise UsageError(f"{s.kind.value} offset must stay in the neighbor's {side} granule")
-    user_b, tag_b = unpack(ptr_b, sim.cfg)
+    # b's tag over b's first granule base; a lies below b, so the
+    # underflow's borrow never reaches the tag bits
+    granule_b = ptr_b & -tg
     if overflow:
-        probe = pack((user_b & -tg) + delta, unpack(ptr_a, sim.cfg)[1], sim.cfg)
+        probe = (ptr_a & ~_ADDR_MASK) | ((granule_b & _ADDR_MASK) + delta)
     else:
-        probe = pack((user_b & -tg) - 1 - delta, tag_b, sim.cfg)
+        probe = granule_b - 1 - delta
     return _bug_access(sim, probe, store=True)
 
 
@@ -231,7 +237,7 @@ def _non_linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     if not 0 <= delta < span:
         raise UsageError(f"non-linear-overflow offset must lie in [0, {span})")
     probe_tag = sim.rng.randrange(sim.cfg.n_tags)
-    probe = pack(unpack(victim, sim.cfg)[0] + delta, probe_tag, sim.cfg)
+    probe = (probe_tag << sim.cfg.tag_shift) | ((victim & _ADDR_MASK) + delta)
     return _bug_access(sim, probe, store=False)
 
 
@@ -254,7 +260,7 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     offset = s.offset if s.offset is not None else served + sim.rng.randrange(granule_end - served)
     if not served <= offset < granule_end:
         raise UsageError(f"intra-granule offset must lie in [{served}, {granule_end})")
-    probe = offset_ptr(sim.heap.malloc(size), offset, sim.cfg)
+    probe = sim.heap.malloc(size) + offset  # the heap ends far below 2^56
     return _bug_access(sim, probe, store=True)
 
 
@@ -291,7 +297,7 @@ def _uninitialized_read(sim: Simulator, s: Scenario) -> ScenarioResult:
     refused = sim.check_user_range(ptr, served)
     if refused is not None:
         raise _setup_fault(refused.report)
-    observed = sim.memory.read(unpack(ptr, sim.cfg)[0], served)
+    observed = sim.memory.read(ptr & _ADDR_MASK, served)
     if observed.translate(None, _ZERO_OR_SENTINEL):
         raise ScenarioError("uninitialized read saw bytes that are neither zero nor sentinel")
     detected = observed == bytes(served)

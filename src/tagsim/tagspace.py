@@ -79,6 +79,11 @@ class MtConfig:
     quarantine_capacity: int = 0
 
     def __post_init__(self):
+        for name in ("tg", "ts", "quarantine_capacity"):
+            value = getattr(self, name)
+            # a float passes `in` and compares and hashes equal to its int
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise UsageError(f"{name} must be an int, got {value!r}")
         if self.tg not in _VALID_TG:
             raise UsageError(f"tg must be one of {_VALID_TG}, got {self.tg!r}")
         if self.ts not in _VALID_TS:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from tagsim import MtConfig, Simulator
+from tagsim import MtConfig, Simulator, detection
+
+
+@pytest.fixture(autouse=True)
+def _fresh_theories():
+    """Each test derives its own exact theories: none reads one that an
+    earlier test cached under its monkeypatches."""
+    detection._THEORIES.clear()
 
 
 @pytest.fixture

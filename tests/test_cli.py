@@ -132,6 +132,11 @@ def _other_forms(value):
     ("--sampling-rate", _SCALAR_FLAGS[-1][1], "0_5"),
     ("--sampling-rate", _SCALAR_FLAGS[-1][1], "nan"),
     ("--sampling-rate", _SCALAR_FLAGS[-1][1], "Infinity"),
+    # float() reads this as inf, past every finite float
+    ("--sampling-rate", _SCALAR_FLAGS[-1][1], "1e400"),
+    # more digits than int() converts: its own ValueError, named as the flag's type
+    *[pytest.param(flag, command, "1" * 5000, id=f"{flag}-5000-digits")
+      for flag, command, _ in _SCALAR_FLAGS[:-1]],
 ])
 def test_scalar_flags_take_only_ascii_numbers(capsys, flag, command, text):
     kind = "float" if flag == "--sampling-rate" else "int"

@@ -33,7 +33,7 @@ from tagsim import (
     theoretical_detection,
 )
 import tagsim.traces
-from tagsim import scenarios
+from tagsim import detection, scenarios
 from tagsim.cli import main
 from tagsim.faults import AccessKind
 from tagsim.rng import SplitMix64
@@ -406,6 +406,71 @@ def test_theory_equals_full_product_through_engine(kind):
         cfg = MtConfig(tg=16, ts=4, quarantine_capacity=quarantine, **mode)
         expected = _full_product(kind, cfg, policy)
         assert theoretical_detection(kind, cfg, policy=policy) == expected, (mode, policy)
+
+
+# ----------------------------------------------------------------------
+# the theory memo
+
+_MEMO_CASES = (
+    *[(MtConfig(tg=16, ts=4, quarantine_capacity=quarantine, **mode), policy)
+      for mode, policy, quarantine in _CROSS_CHECK],
+    *[(cfg, policy) for cfg in (CFG64, CFG_B)  # the benchmark's configs
+      for policy in (TagPolicy.random(), TagPolicy.adjacent_distinct(), TagPolicy.sampled(0.5))],
+)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_memoized_theory_equals_a_fresh_derivation(kind):
+    for cfg, policy in _MEMO_CASES:
+        theory = theoretical_detection(kind, cfg, policy)
+        assert theoretical_detection(kind, cfg, policy) is theory
+        assert detection._derive(kind, cfg, policy) == theory, (cfg, policy)
+
+
+@pytest.mark.parametrize("cfg", [CFG64, CFG_B], ids=["A", "B"])
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_repeated_estimate_builds_only_its_trials(kind, cfg, monkeypatch):
+    """The theory's scratch simulators are built by the first estimate
+    of a (kind, cfg, policy) only; a later one, at any seed, builds one
+    simulator per trial."""
+    built = []
+    init = Simulator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "__init__", counting)
+    trials = 3
+    first = estimate_detection(kind, cfg, trials=trials, seed=4)
+    assert len(built) > trials
+    built.clear()
+    again = estimate_detection(kind, cfg, trials=trials, seed=40)
+    assert len(built) == trials
+    assert again.theoretical == first.theoretical
+
+
+def test_theory_spellings_share_one_memo_entry(monkeypatch):
+    derived = []
+    derive = detection._derive
+    monkeypatch.setattr(detection, "_derive", lambda *args: derived.append(args) or derive(*args))
+    kind = ScenarioKind.LINEAR_OVERFLOW
+    theory = theoretical_detection(kind, CFG64, TagPolicy.random())
+    for again in (theoretical_detection(kind, CFG64, policy=TagPolicy.random()),
+                  theoretical_detection(kind=kind, cfg=CFG64, policy=TagPolicy()),
+                  theoretical_detection(kind, MtConfig(tg=64, ts=4))):  # the default policy
+        assert again is theory
+    assert len(derived) == 1
+    assert len(detection._THEORIES) == 1
+
+
+def test_theory_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(detection, "_THEORY_MEMO_SIZE", 3)
+    kind = ScenarioKind.NON_LINEAR_OVERFLOW
+    for n, quarantine in enumerate(range(0, 160, 16), 1):
+        cfg = MtConfig(tg=16, ts=4, quarantine_capacity=quarantine)
+        assert theoretical_detection(kind, cfg) == Fraction(15, 16)
+        assert len(detection._THEORIES) == (n - 1) % 3 + 1  # emptied when full
 
 
 # ----------------------------------------------------------------------

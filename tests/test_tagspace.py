@@ -23,19 +23,21 @@ def test_config_defaults():
     assert cfg.store_mode is StoreMode.PRECISE
 
 
-@pytest.mark.parametrize("tg", [1, 8, 15, 24, 128, 0, -16])
+# a float or a string of a valid value is refused too: it would reach
+# the simulator's int-only arithmetic, and a float hashes as its int
+@pytest.mark.parametrize("tg", [1, 8, 15, 24, 128, 0, -16, 16.0, "16", None])
 def test_config_rejects_bad_granule(tg):
     with pytest.raises(UsageError):
         MtConfig(tg=tg)
 
 
-@pytest.mark.parametrize("ts", [0, 1, 2, 3, 5, 16, -4])
+@pytest.mark.parametrize("ts", [0, 1, 2, 3, 5, 16, -4, 8.0, 4.0, "8", None])
 def test_config_rejects_bad_tag_width(ts):
     with pytest.raises(UsageError):
         MtConfig(ts=ts)
 
 
-@pytest.mark.parametrize("rate", [-0.1, 1.0001, 2.0])
+@pytest.mark.parametrize("rate", [-0.1, 1.0001, 2.0, "0.5", None])
 def test_config_rejects_bad_sampling_rate(rate):
     # the sampling rate is configured on the tag policy
     with pytest.raises(UsageError):
@@ -43,8 +45,9 @@ def test_config_rejects_bad_sampling_rate(rate):
 
 
 def test_config_rejects_negative_quarantine():
-    with pytest.raises(UsageError):
-        MtConfig(quarantine_capacity=-1)
+    for capacity in (-1, 1.5, 64.0, True, "64", None):
+        with pytest.raises(UsageError):
+            MtConfig(quarantine_capacity=capacity)
 
 
 def test_precision_and_right_align_are_exclusive():
