@@ -56,7 +56,7 @@ class AccessEngine:
         self.cfg = cfg
         self._owner = owner  # callable addr -> Chunk | None, for provenance
         self._deferred: list[FaultReport] = []
-        self._constants = cfg.access_constants  # unpacked by each check
+        self._constants = (cfg.tg - 1, cfg.tg_shift, cfg.tag_shift, cfg.n_tags - 1, cfg.partial_tag)
 
     def load(self, word: int, width: int = 1) -> bytes:
         if width not in _WIDTHS:

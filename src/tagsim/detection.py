@@ -2,8 +2,8 @@
 
 estimate_detection runs independent seeded scenario trials (trial i
 uses seed base_seed + i, so any subset of trials can be replayed in
-any order) and reports the empirical detection rate next to the exact
-per-trial probability.
+any order) on one simulator, reset to each trial's seed, and reports
+the empirical detection rate next to the exact per-trial probability.
 
 The exact probability is derived from the engine, not from a formula
 or a second copy of the match rule: each bug site is built in a
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .arena import PolicyKind, TagPolicy
-from .errors import UsageError
+from .errors import UsageError, require_int
 from .rng import PREMIX_STREAMS, premixed_rows
 from .scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, Scenario, ScenarioKind,
                         run_scenario, scenario_runner)
@@ -179,23 +179,24 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
     the quarantine is off, and its deterministic plain variant otherwise,
     exactly as theoretical_detection assumes.
     """
-    if trials < 1:
+    if require_int("trials", trials) < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
-    # trial i is exactly run_scenario(Scenario(..., seed=seed + i)); the
-    # prototype is reusable because runners draw only from sim.rng
+    require_int("seed", seed)
+    # trial i is exactly run_scenario(Scenario(..., seed=seed + i)): runners
+    # draw only from sim.rng, and _reset makes the simulator new at seed + i
     runner = scenario_runner(kind)
     proto = Scenario(kind=kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
     # Trial 0 draws one word at a time, and the words it drew, k, are
     # premixed for each later batch of up to PREMIX_STREAMS trials; a
     # trial that draws more mixes the rest itself.
-    first = Simulator(cfg, seed, policy)
-    detections = 1 if runner(first, proto).detected else 0
-    k = min(first.rng.words_since(seed), _PREMIX_MAX_WORDS)
+    sim = Simulator(cfg, seed, policy)
+    detections = 1 if runner(sim, proto).detected else 0
+    k = min(sim.rng.words_since(seed), _PREMIX_MAX_WORDS)
     for start in range(seed + 1, seed + trials, PREMIX_STREAMS):
         count = min(PREMIX_STREAMS, seed + trials - start)
         rows = premixed_rows(start, k, count) if k else [()] * count
         for trial_seed, row in zip(range(start, start + count), rows):
-            sim = Simulator(cfg, trial_seed, policy)
+            sim._reset(trial_seed)
             sim.rng.premix(row)
             if runner(sim, proto).detected:
                 detections += 1

@@ -22,6 +22,13 @@ class UsageError(TagSimError):
     """An operation was called against its contract."""
 
 
+def require_int(name: str, value):
+    """``value`` if it is an int and not a bool, else a UsageError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 class AllocationError(TagSimError):
     """Heap arena or stack capacity exhausted."""
 

@@ -1,6 +1,6 @@
-"""Small deterministic RNG for per-trial simulator instances.
+"""Small deterministic RNG for per-trial simulator streams.
 
-The harness creates a fresh simulator for every Monte-Carlo trial.
+Every Monte-Carlo trial starts a fresh stream at its own seed.
 Seeding the stdlib Mersenne Twister costs more than an entire trial
 (its state is 2.5 KB), so simulator randomness comes from a splitmix64
 stream instead: two machine words of state, constant-time seeding,

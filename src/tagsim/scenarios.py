@@ -1,6 +1,6 @@
 """Seeded single-bug scenarios for measuring detection.
 
-Each scenario builds a fresh Simulator, performs benign setup, then
+Each scenario runs on a fresh Simulator, performs benign setup, then
 performs exactly one injected bug access.  The verdict is strict: the
 scenario is "detected" only if a fault fires at that bug access,
 either immediately or as a deferred store report drained at scenario
@@ -100,8 +100,9 @@ class ScenarioResult:
     A refused bug access keeps only the engine's verdict (``fault``):
     the report is built from the simulator the first time ``report`` is
     read.  That is exact because nothing touches the simulator after
-    the bug access, and the Monte-Carlo estimator never reads it.  Until
-    that first read the result keeps the simulator alive.
+    the bug access but the Monte-Carlo estimator's next reset, and the
+    estimator never reads it.  Until that first read the result keeps
+    the simulator alive.
     """
 
     __slots__ = ("detected", "observed", "_report", "_fault")
@@ -126,7 +127,7 @@ def scenario_runner(kind: ScenarioKind):
     """Resolve the executor for ``kind``.
 
     Estimation loops hold the runner and a single Scenario prototype,
-    seeding a fresh Simulator per trial themselves; runners read
+    resetting one Simulator to each trial's seed themselves; runners read
     randomness only through sim.rng, never through scenario.seed.
     """
     runner = _RUNNERS.get(kind)

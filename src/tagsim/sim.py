@@ -5,8 +5,8 @@ allocator, the access engine, and the stack tagger, all sharing one
 config and one seeded RNG.  Everything that draws randomness (tag
 choices, retags, scenario parameters) pulls from that RNG in program
 order, so a given (config, seed) pair replays bit-identically on any
-platform.  The stack tagger is built on first use; most trials are
-heap-only and simulator construction sits on the Monte-Carlo hot path.
+platform.  The stack tagger is built on first use, as most trials are
+heap-only; a Monte-Carlo run resets one simulator for each trial.
 
 sim.malloc, free, load, store, sync and check_user_range hand out the
 bound methods of sim.heap and sim.engine themselves, looked up on each
@@ -24,6 +24,7 @@ from operator import attrgetter
 
 from .access import AccessEngine
 from .arena import ArenaAllocator, TagPolicy
+from .errors import require_int
 from .memory import SparseMemory
 from .rng import SplitMix64
 from .stack import StackTagger
@@ -31,19 +32,29 @@ from .tagspace import MtConfig, ShadowStore
 
 
 class Simulator:
-    __slots__ = ("cfg", "seed", "rng", "memory", "shadow", "heap", "engine", "_stack")
+    __slots__ = ("cfg", "seed", "rng", "memory", "shadow", "heap", "engine", "_policy", "_stack")
 
     def __init__(self, cfg: MtConfig | None = None, seed: int = 0,
                  policy: TagPolicy = TagPolicy()):
         if cfg is None:
             cfg = MtConfig()
         self.cfg = cfg
-        self.seed = seed
-        self.rng = rng = SplitMix64(seed)
+        self._policy = policy
         self.memory = memory = SparseMemory()
         self.shadow = shadow = ShadowStore(cfg)
-        self.heap = heap = ArenaAllocator(memory, shadow, cfg, rng, policy)
-        self.engine = AccessEngine(memory, shadow, cfg, heap.find_owner)
+        self.engine = AccessEngine(memory, shadow, cfg, None)
+        self._reset(require_int("seed", seed))
+
+    def _reset(self, seed: int) -> None:
+        """The state Simulator(cfg, seed, policy) starts in, defined here
+        alone; shadow.writes keeps counting.  The caller checks ``seed``."""
+        self.memory._pages.clear()
+        self.shadow.pages.clear()
+        self.seed = seed
+        self.rng = rng = SplitMix64(seed)
+        self.heap = heap = ArenaAllocator(self.memory, self.shadow, self.cfg, rng, self._policy)
+        self.engine._owner = heap.find_owner
+        self.engine._deferred = []
         self._stack = None
 
     @property

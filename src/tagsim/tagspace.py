@@ -24,7 +24,7 @@ import enum
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .errors import UsageError
+from .errors import UsageError, require_int
 from .memory import BYTE_OF
 
 ADDR_BITS = 56
@@ -80,10 +80,7 @@ class MtConfig:
 
     def __post_init__(self):
         for name in ("tg", "ts", "quarantine_capacity"):
-            value = getattr(self, name)
-            # a float passes `in` and compares and hashes equal to its int
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise UsageError(f"{name} must be an int, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.tg not in _VALID_TG:
             raise UsageError(f"tg must be one of {_VALID_TG}, got {self.tg!r}")
         if self.ts not in _VALID_TS:
@@ -124,14 +121,6 @@ class MtConfig:
     @cached_property
     def usable_tags(self) -> tuple[int, ...]:
         return tuple(t for t in range(self.n_tags) if t not in self.reserved_tags)
-
-    @cached_property
-    def access_constants(self) -> tuple[int, int, int, int, int | None]:
-        """What the access engine reads on every check, in one tuple:
-        (tg - 1, tg_shift, tag_shift, n_tags - 1, partial_tag).  A
-        simulator is built per trial, so its engine keeps this tuple as
-        it is, in one slot, and each check unpacks it once."""
-        return (self.tg - 1, self.tg_shift, self.tag_shift, self.n_tags - 1, self.partial_tag)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "store_mode": self.store_mode.value}
