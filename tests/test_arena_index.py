@@ -176,6 +176,58 @@ def test_long_churn_keeps_index_bounded(quarantine):
     assert sim.heap.stats().allocations > 9_000
 
 
+# heap-churn's allocation sizes: (share of allocations, smallest, largest)
+_CHURN_SIZES = ((0.08, 0, 15), (0.55, 16, 256), (0.30, 257, 4096), (0.07, 4097, 20480))
+_CHURN_LIVE = 500  # live chunks the churn keeps near
+
+
+def churn_maxima(events, seed=21):
+    """Replay a seeded churn of ``events`` mallocs and frees around
+    _CHURN_LIVE live chunks, as heap-churn does (tg 16, ts 8, precision
+    extension, 64 KiB quarantine), and return the largest chunk index,
+    free-list block count and memory and shadow page counts it reached.
+    Free extents never touch, so each one but the last ends at a live or
+    quarantined chunk: at every step there is at most one more of them."""
+    cfg = MtConfig(tg=16, ts=8, precision_ext=True, quarantine_capacity=64 << 10)
+    sim = Simulator(cfg, seed=seed)
+    heap = sim.heap
+    rnd = random.Random(seed)
+    live = []
+    most = {"index": 0, "blocks": 0, "memory pages": 0, "shadow pages": 0}
+    for _ in range(events):
+        if not live or rnd.random() < (0.95 if len(live) < _CHURN_LIVE else 0.45):
+            u = rnd.random()
+            for share, lo, hi in _CHURN_SIZES:
+                u -= share
+                if u < 0:
+                    break
+            live.append(heap.malloc(rnd.randint(lo, hi)))
+        else:
+            i = rnd.randrange(len(live))
+            live[i], live[-1] = live[-1], live[i]
+            heap.free(live.pop())
+        free, quarantine = heap._free, heap._quarantine
+        extents = sum(map(len, free.bases)) if free is not None else 0
+        assert extents <= len(live) + (len(quarantine) if quarantine is not None else 0) + 1
+        for name, count in (("index", len(heap._bases)),
+                            ("blocks", len(free.maxes) if free is not None else 0),
+                            ("memory pages", len(sim.memory._pages)),
+                            ("shadow pages", len(sim.shadow.pages))):
+            if count > most[name]:
+                most[name] = count
+    return most
+
+
+def test_long_churn_work_stays_flat():
+    """Ten times the events reach no larger index, free list or page
+    set than the short run, within a slack of 10% and 2: the heap's
+    cost follows its live set and quarantine, not the chunks ever
+    allocated.  The long run replays the short one first."""
+    short, long = churn_maxima(10_000), churn_maxima(100_000)
+    for name, most in long.items():
+        assert most <= short[name] * 1.1 + 2, (name, short, long)
+
+
 traces = st.lists(st.one_of(
     st.tuples(st.just("a"), st.one_of(st.just(0), st.integers(min_value=0, max_value=300))),
     st.tuples(st.just("f"), indices),

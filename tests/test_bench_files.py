@@ -3,7 +3,8 @@
 Each file holds the provenance and result lines of the paired
 ``bench/run.py`` runs behind one performance claim.  A file must parse,
 every run in it must name the git commit it measured, and every result
-line must be a correct run with no failed operation.
+line must be a correct run with no failed operation.  Every file that
+claims a gain has a row in the README's table of speed claims.
 """
 
 import json
@@ -30,3 +31,11 @@ def test_bench_file_runs_name_a_sha_and_are_correct(path):
         assert re.fullmatch(r"[0-9a-f]{40}", provenance["git_sha"] or ""), provenance
         assert result["correct"] is True, provenance
         assert result["failed"] == 0, provenance
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_a_claimed_gain_has_a_readme_row(path):
+    if json.loads(path.read_text())["claim"].startswith("No gain claimed"):
+        return
+    rows = re.findall(r"^\| `(BENCH_\w+\.json)` \|", (ROOT / "README.md").read_text(), re.MULTILINE)
+    assert path.name in rows

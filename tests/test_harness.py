@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tagsim import (
+    FaultError,
     MtConfig,
     PolicyKind,
     Scenario,
@@ -532,6 +533,97 @@ def test_estimate_report_shape():
     assert d["config"]["seed"] == 9
     assert d["config"]["tg"] == 64
     assert "rate" in report.render()
+
+
+# every int parameter of the estimator and the simulator, with the way
+# to pass it a value
+_INT_PARAMETERS = {
+    "estimate-trials": ("trials", lambda v: estimate_detection(
+        ScenarioKind.NON_LINEAR_OVERFLOW, CFG64, trials=v)),
+    "estimate-seed": ("seed", lambda v: estimate_detection(
+        ScenarioKind.NON_LINEAR_OVERFLOW, CFG64, trials=3, seed=v)),
+    "simulator-seed": ("seed", lambda v: Simulator(CFG64, seed=v)),
+    "scenario-seed": ("seed", lambda v: run_scenario(
+        Scenario(ScenarioKind.NON_LINEAR_OVERFLOW, seed=v), CFG64)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "7", None], ids=repr)
+@pytest.mark.parametrize("entry", list(_INT_PARAMETERS))
+def test_int_parameters_refuse_other_types(entry, value):
+    """trials=True used to run one trial, and the others raised a bare
+    TypeError from the RNG."""
+    name, call = _INT_PARAMETERS[entry]
+    with pytest.raises(UsageError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_unknown_kind_is_refused_by_name():
+    for call in (lambda: estimate_detection("x", CFG64, 3),
+                 lambda: run_scenario(Scenario("x"), CFG64)):
+        with pytest.raises(UsageError, match="^unknown scenario kind 'x'$") as refused:
+            call()
+        assert refused.traceback[-1].name == "scenario_runner"
+    with pytest.raises(UsageError, match="^unknown scenario kind 'x'$") as refused:
+        theoretical_detection("x", CFG64)
+    assert refused.traceback[-1].name == "_sites"
+    assert detection._THEORIES == {}  # a failed derivation is not kept
+
+
+# ----------------------------------------------------------------------
+# one simulator per Monte-Carlo run
+
+# configs A and B, a right-aligned one, and the two other policies
+_RESET_CASES = (
+    (CFG64, TagPolicy.random()),
+    (CFG_B, TagPolicy.random()),
+    (MtConfig(tg=32, ts=4, right_align=True, quarantine_capacity=256), TagPolicy.random()),
+    (CFG16, TagPolicy.adjacent_distinct()),
+    (CFG16, TagPolicy.sampled(0.5)),
+)
+
+
+def _rendered(report):
+    return None if report is None else report.render()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_RESET_CASES), kind=st.sampled_from(list(ScenarioKind)),
+       earlier=st.sampled_from(list(ScenarioKind)), reuse=st.integers(0, 2),
+       seed=st.integers(-2**63, 2**64), earlier_seed=st.integers(-2**63, 2**64))
+def test_reset_runs_a_trial_as_a_fresh_simulator(case, kind, earlier, reuse, seed, earlier_seed):
+    """A trial on a simulator reset to seed s sees exactly what
+    run_scenario at seed s sees on a new one, however the simulator was
+    left: after an earlier trial, a live chunk, a store through a wrong
+    tag (a deferred report in imprecise mode) and a stack frame."""
+    cfg, policy = case
+    sim = Simulator(cfg, earlier_seed, policy)
+    scenario_runner(earlier)(sim, Scenario(earlier, reuse_depth=reuse, policy=policy))
+    word = sim.malloc(1)
+    try:
+        sim.store(word ^ (1 << cfg.tag_shift), b"x")
+    except FaultError:
+        pass
+    sim.stack.enter_frame([8])
+    writes = sim.shadow.writes
+
+    scenario = Scenario(kind, reuse_depth=reuse, seed=seed, policy=policy)
+    sim._reset(seed)
+    got = scenario_runner(kind)(sim, scenario)
+    want = run_scenario(scenario, cfg)
+    assert (got.detected, got.observed) == (want.detected, want.observed)
+    assert _rendered(got.report) == _rendered(want.report)
+    fresh = Simulator(cfg, seed, policy)  # run_scenario's own simulator, kept
+    scenario_runner(kind)(fresh, scenario)
+    assert sim.seed == seed
+    assert sim.heap.stats() == fresh.heap.stats()
+    assert sim.memory._pages == fresh.memory._pages
+    assert sim.shadow.pages == fresh.shadow.pages
+    assert ([_rendered(r) for r in sim.engine.sync()]
+            == [_rendered(r) for r in fresh.engine.sync()])
+    assert ([sim.rng.next_word() for _ in range(8)]
+            == [fresh.rng.next_word() for _ in range(8)])
+    assert sim.shadow.writes == writes + fresh.shadow.writes  # counts across the reset
 
 
 # ----------------------------------------------------------------------
