@@ -24,20 +24,13 @@ import sys
 from .arena import PolicyKind, TagPolicy
 from .detection import estimate_detection
 from .errors import AllocationError, ScenarioError, TraceError, UsageError
-from .scenarios import Scenario, ScenarioKind, run_scenario
+from .scenarios import DRAW_PLANS, Scenario, ScenarioKind, run_scenario
 from .tagspace import MtConfig, StoreMode
 from .traces import analyze_trace, load_trace
 
 _PROBE_DEFAULT_KINDS = (ScenarioKind.HEAP_USE_AFTER_FREE, ScenarioKind.NON_LINEAR_OVERFLOW)
 
 _KIND_ALIASES = {"intra-granule": ScenarioKind.INTRA_GRANULE_OVERFLOW}
-
-# The scenario kinds that read `simulate --offset`; --size applies to
-# every kind and --reuse-depth only to heap-use-after-free.
-_OFFSET_KINDS = frozenset({ScenarioKind.LINEAR_OVERFLOW, ScenarioKind.LINEAR_UNDERFLOW,
-                           ScenarioKind.NON_LINEAR_OVERFLOW,
-                           ScenarioKind.INTRA_GRANULE_OVERFLOW})
-
 
 def _ascii(kind, form: str):
     """The argparse type of a finite ``kind`` written in ASCII as ``form``:
@@ -160,7 +153,8 @@ def _cmd_simulate(args) -> int:
     policy = _policy_from(args)
     cfg = _config_from(args)
     kind = _parse_kind(args.scenario)
-    if args.offset is not None and kind not in _OFFSET_KINDS:
+    # --size applies to every kind, --reuse-depth only to heap-use-after-free
+    if args.offset is not None and "offset" not in DRAW_PLANS.get(kind, ()):
         raise UsageError(f"--offset does not apply to scenario {kind.value}")
     reuse_depth = args.reuse_depth or 0
     if args.reuse_depth is not None and kind is not ScenarioKind.HEAP_USE_AFTER_FREE:

@@ -6,23 +6,23 @@ any order) on one simulator, reset to each trial's seed, and reports
 the empirical detection rate next to the exact per-trial probability.
 
 The exact probability is derived from the engine, not from a formula
-or a second copy of the match rule: each bug site is built in a
-scratch Simulator by the real allocator and stack code, and the engine
-decides every probe.  Only the draws are modelled: the runners' size
-and offset ranges, and the probe's pointer tag, grouped by its
-relation to the memory tag.
+or a second copy of the match rule or of a bug: the kind's own runner
+builds each bug site on a scratch Simulator and the engine decides every
+probe.  Only the draws that DRAW_PLANS names are modelled: sizes, offsets
+and the pointer tag, grouped by its relation to the memory tag.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import prod
 
 from .arena import PolicyKind, TagPolicy
-from .errors import UsageError, require_int
+from .errors import ScenarioError, UsageError, require_int
 from .rng import PREMIX_STREAMS, premixed_rows
-from .scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, Scenario, ScenarioKind,
-                        run_scenario, scenario_runner)
+from .scenarios import DRAW_PLANS, Scenario, ScenarioKind, run_scenario, scenario_runner
 from .sim import Simulator
 from .tagspace import MtConfig, unpack
 
@@ -45,22 +45,10 @@ class DetectionReport:
                 f" rate={self.rate:.6f} theoretical={theo}")
 
 
-# One run of the scenario decides these: no draw changes their verdict,
-# as each retag is chosen to differ and the fill follows the config.
-_DRAW_FREE = (ScenarioKind.USE_AFTER_RETURN, ScenarioKind.USE_AFTER_SCOPE,
-              ScenarioKind.UNINITIALIZED_READ)
-
-
 def _reuse_depth(kind: ScenarioKind, cfg: MtConfig) -> int:
     """Heap-use-after-free reuses the dead chunk, and so turns
     probabilistic, exactly when no quarantine holds the chunk back."""
     return int(kind is ScenarioKind.HEAP_USE_AFTER_FREE and cfg.quarantine_capacity == 0)
-
-
-# Derived theories, keyed by (kind, cfg, policy); emptied when full, so
-# that a sweep over ever new configs cannot grow the process
-_THEORIES: dict = {}
-_THEORY_MEMO_SIZE = 1024
 
 
 def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
@@ -71,67 +59,79 @@ def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
     protected and unprotected allocations).
 
     Each (kind, cfg, policy) is derived once per process and then read
-    from a memo of at most ``_THEORY_MEMO_SIZE`` entries, which empties
-    when full; a one-shot CLI run asks for each once, as before.
+    from a least-recently-used memo of at most 1,024 entries; a one-shot
+    CLI run asks for each once, as before.
     """
-    key = (kind, cfg, policy)
-    if key not in _THEORIES:
-        if len(_THEORIES) >= _THEORY_MEMO_SIZE:
-            _THEORIES.clear()
-        _THEORIES[key] = _derive(kind, cfg, policy)
-    return _THEORIES[key]
+    return _derive(kind, cfg, policy)
 
 
+@functools.lru_cache(maxsize=1024)
 def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | None:
-    """theoretical_detection's derivation, which skips the memo."""
+    """theoretical_detection's derivation (``__wrapped__`` skips the memo):
+    the kind's runner builds each bug site on one scratch simulator, reset
+    per site, whose rng and engine are a _Run (the heap keeps its real
+    stream); the engine then judges the recorded probe word."""
     if policy.kind is PolicyKind.SAMPLED:
         return None
-    if kind in _DRAW_FREE or (kind is ScenarioKind.HEAP_USE_AFTER_FREE
-                              and not _reuse_depth(kind, cfg)):
+    plan = DRAW_PLANS.get(kind)
+    if plan is None:
         return Fraction(run_scenario(Scenario(kind, policy=policy), cfg).detected)
-    memo: dict = {}
-    rates = [_rate(sim, addrs, tuple(probes), memo)
-             for sim, addrs, probes in _sites(kind, cfg, policy)]
-    return sum(rates) / len(rates)
+    runner = scenario_runner(kind)
+    proto = Scenario(kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
+    sim = Simulator(cfg, policy=policy)
+    engine, theory, memo, picks = sim.engine, Fraction(0), {}, []
+    while True:
+        sim._reset(0)
+        sim.rng = sim.engine = run = _Run(kind, plan, picks)
+        runner(sim, proto)
+        sim.engine = engine
+        addr, tag = unpack(run.word, cfg)
+        # a drawn tag, or the one a pinned Random neighbour lends the probe
+        uniform = "tag" in run.drawn or "pin" in run.drawn and policy.kind is PolicyKind.RANDOM
+        probes = _uniform_tag(sim, addr, "tag" in run.drawn) if uniform else [(tag, 1)]
+        # the span bytes the offset picks run up from the word's address, kept
+        # in its granule (linear-underflow's count down from its last byte)
+        start = min(addr, (addr & -cfg.tg) + cfg.tg - run.span)
+        theory += _rate(sim, range(start, start + run.span), tuple(probes), memo) / prod(run.ranges)
+        while picks and picks[-1] + 1 == run.ranges[len(picks) - 1]:  # the next site
+            picks.pop()
+        if not picks:
+            return theory
+        picks[-1] += 1
 
 
-def _sites(kind, cfg, policy):
-    """The kind's equally likely bug sites: (scratch simulator, equally
-    likely probe addresses in one granule, (pointer tag, weight) pairs)."""
-    tg = cfg.tg
-    if kind is ScenarioKind.HEAP_USE_AFTER_FREE:
-        sim = Simulator(cfg, policy=policy)
-        ptr = sim.malloc(tg)
-        sim.free(ptr)
-        sim.malloc(tg)
-        addr = unpack(ptr, cfg)[0]
-        yield sim, range(addr, addr + 1), _uniform_tag(sim, addr, reserved=True)
-    elif kind is ScenarioKind.NON_LINEAR_OVERFLOW:
-        sim = Simulator(cfg, policy=policy)
-        addr = unpack(sim.malloc(tg), cfg)[0]
-        yield sim, range(addr, addr + tg), _uniform_tag(sim, addr, reserved=True)
-    elif kind in (ScenarioKind.LINEAR_OVERFLOW, ScenarioKind.LINEAR_UNDERFLOW):
-        # overflow probes the second chunk's first granule, underflow the
-        # first chunk's last; only the probed chunk's size shapes it
-        overflow = kind is ScenarioKind.LINEAR_OVERFLOW
-        for size in range(1, LINEAR_MAX_GRANULES * tg + 1):
-            sim = Simulator(cfg, policy=policy)
-            ptr_a = sim.malloc(tg if overflow else size)
-            ptr_b = sim.malloc(size if overflow else tg)
-            addr = (unpack(ptr_b, cfg)[0] & -tg) - (0 if overflow else tg)
-            if policy.kind is PolicyKind.RANDOM:  # two independent usable tags
-                probes = _uniform_tag(sim, addr, reserved=False)
-            else:  # adjacent-distinct chose the two tags to differ
-                probes = [(unpack(ptr_a if overflow else ptr_b, cfg)[1], 1)]
-            yield sim, range(addr, addr + tg), probes
-    elif kind is ScenarioKind.INTRA_GRANULE_OVERFLOW:
-        for full in range(INTRA_FULL_GRANULES):
-            for size in range(full * tg + 1, full * tg + tg - 1):
-                sim = Simulator(cfg, policy=policy)
-                addr, tag = unpack(sim.malloc(size), cfg)
-                yield sim, range(addr + size, addr + ((size + tg - 1) & -tg)), [(tag, 1)]
-    else:
-        raise UsageError(f"unknown scenario kind {kind!r}")
+class _Run:
+    """sim.rng and sim.engine for one runner call in _derive: serves the
+    draws its plan names, in order (size i serves picks[i], appending 0
+    past their end, any other role its lowest value), records the sizes'
+    ranges and the offset's as ``span``, and keeps the bug access's word."""
+
+    def __init__(self, kind: ScenarioKind, plan: tuple, picks: list[int]):
+        self.kind, self.plan, self.picks = kind, plan, picks
+        self.ranges, self.span, self.drawn = [], 1, ()
+
+    def randrange(self, n: int) -> int:
+        return self.randint(0, n - 1)
+
+    def randint(self, low: int, high: int) -> int:
+        if len(self.drawn) == len(self.plan):
+            raise ScenarioError(f"{self.kind.value} draws more than its plan {self.plan} names")
+        role = self.plan[len(self.drawn)]
+        self.drawn += (role,)
+        if role == "size":
+            if len(self.ranges) == len(self.picks):
+                self.picks.append(0)
+            self.ranges.append(high - low + 1)
+            return low + self.picks[len(self.ranges) - 1]
+        if role == "offset":
+            self.span = high - low + 1
+        return low
+
+    def first_mismatch(self, word: int, length: int) -> None:
+        self.word = word
+
+    def sync(self) -> list:
+        return []
 
 
 def _uniform_tag(sim: Simulator, addr: int, reserved: bool) -> list[tuple[int, int]]:

@@ -55,8 +55,7 @@ from .memory import SENTINEL
 from .sim import Simulator
 from .tagspace import ADDR_SPACE, MtConfig, StoreMode
 
-# Geometry a runner draws when its Scenario leaves size and offset
-# unset.  theoretical_detection enumerates exactly these ranges.
+# Geometry a runner draws when its Scenario leaves size and offset unset.
 LINEAR_MAX_GRANULES = 4  # each linear neighbour's size is uniform in [1, 4 * tg]
 INTRA_FULL_GRANULES = 2  # intra-granule: 0 or 1 full granules, then 1..tg-2 bytes
 STACK_LOCAL_SIZE = 10  # bytes in each use-after-return / use-after-scope local
@@ -316,4 +315,14 @@ _RUNNERS = {
     ScenarioKind.USE_AFTER_RETURN: _use_after_return,
     ScenarioKind.USE_AFTER_SCOPE: _use_after_scope,
     ScenarioKind.UNINITIALIZED_READ: _uninitialized_read,
+}
+
+# The roles of each runner's sim.rng draws, in order, for the exact theory
+# (detection._Run); a kind not listed draws nothing that can change its verdict.
+DRAW_PLANS = {
+    ScenarioKind.HEAP_USE_AFTER_FREE: ("tag",),
+    ScenarioKind.LINEAR_OVERFLOW: ("pin", "size", "offset"),
+    ScenarioKind.LINEAR_UNDERFLOW: ("size", "pin", "offset"),
+    ScenarioKind.NON_LINEAR_OVERFLOW: ("offset", "tag"),
+    ScenarioKind.INTRA_GRANULE_OVERFLOW: ("size", "size", "offset"),
 }

@@ -40,7 +40,7 @@ from itertools import accumulate, chain
 from dataclasses import asdict, dataclass
 from math import gcd
 
-from .errors import TraceError, UsageError
+from .errors import TraceError, UsageError, require_int
 
 BASE_ALIGNMENT = 8
 
@@ -317,13 +317,9 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
     if not alignments:
         raise UsageError("need at least one alignment")
     for a in alignments:
-        if type(a) is not int:
-            raise UsageError(f"alignment must be an int, got {a!r}")
-        if a < 1:
+        if require_int("alignment", a) < 1:
             raise UsageError(f"alignment must be >= 1, got {a}")
-    if type(ts) is not int:
-        raise UsageError(f"tag width must be an int, got {ts!r}")
-    if ts < 1:
+    if require_int("tag width", ts) < 1:
         raise UsageError(f"tag width must be >= 1, got {ts}")
 
     tracked = sorted(set(alignments) | {BASE_ALIGNMENT})

@@ -9,7 +9,7 @@ from tagsim import MtConfig, Simulator, detection
 def _fresh_theories():
     """Each test derives its own exact theories: none reads one that an
     earlier test cached under its monkeypatches."""
-    detection._THEORIES.clear()
+    detection._derive.cache_clear()
 
 
 @pytest.fixture

@@ -10,8 +10,11 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 import tagsim
 from tagsim.cli import main
+from tagsim.rng import SplitMix64
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -190,3 +193,37 @@ def test_every_simulator_boundary_fires_under_the_benchmark_tracer():
     silent = [name for name, calls in result["calls"].items()
               if calls == 0 and not name.startswith("traces.")]
     assert silent == []
+
+
+# Refusals that public calls reach and no other test did: each raises
+# its own error type with its own message.
+_REFUSALS = {
+    "store-wraps-the-address-space": (
+        tagsim.UsageError, "access wraps the address space",
+        lambda: tagsim.Simulator().store(tagsim.ADDR_SPACE - 1, b"ab")),
+    "range-wraps-the-address-space": (
+        tagsim.UsageError, "range wraps the address space",
+        lambda: tagsim.Simulator().check_user_range(tagsim.ADDR_SPACE - 1, 2)),
+    "store-mode-not-a-StoreMode": (
+        tagsim.UsageError, "store_mode must be a StoreMode, got 'precise'",
+        lambda: tagsim.MtConfig(store_mode="precise")),
+    "set-range-past-2^56": (
+        tagsim.UsageError, "range outside the address space",
+        lambda: tagsim.ShadowStore(tagsim.MtConfig()).set_range(tagsim.ADDR_SPACE - 16, 32, 1)),
+    "negative-local-size": (
+        tagsim.UsageError, "local size must be >= 0, got -1",
+        lambda: tagsim.Simulator().stack.enter_frame([-1])),
+    "randrange-0": (ValueError, "empty range for randrange(0)",
+                    lambda: SplitMix64(0).randrange(0)),
+    "randint-1-0": (ValueError, "empty range for randint(1, 0)",
+                    lambda: SplitMix64(0).randint(1, 0)),
+    "choice-of-nothing": (ValueError, "cannot choose from an empty sequence",
+                          lambda: SplitMix64(0).choice(())),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_each_refusal_raises_its_message(case):
+    error, message, call = _REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -425,7 +425,52 @@ def test_memoized_theory_equals_a_fresh_derivation(kind):
     for cfg, policy in _MEMO_CASES:
         theory = theoretical_detection(kind, cfg, policy)
         assert theoretical_detection(kind, cfg, policy) is theory
-        assert detection._derive(kind, cfg, policy) == theory, (cfg, policy)
+        assert detection._derive.__wrapped__(kind, cfg, policy) == theory, (cfg, policy)
+
+
+@pytest.mark.parametrize("kind", list(scenarios.DRAW_PLANS), ids=lambda k: k.value)
+def test_each_draw_plan_names_every_draw_of_its_runner(kind):
+    """Run as the theory runs it, each runner draws exactly its plan."""
+    plan = scenarios.DRAW_PLANS[kind]
+    for cfg in (CFG64, CFG_B):
+        sim = Simulator(cfg)
+        sim.rng = sim.engine = run = detection._Run(kind, plan, [])
+        scenario_runner(kind)(sim, Scenario(kind, reuse_depth=1))
+        assert run.drawn == plan
+
+
+@pytest.mark.parametrize("kind", list(scenarios.DRAW_PLANS), ids=lambda k: k.value)
+def test_a_draw_the_plan_does_not_name_is_refused(kind, monkeypatch):
+    plan = scenarios.DRAW_PLANS[kind]
+    monkeypatch.setitem(scenarios.DRAW_PLANS, kind, plan[:-1])
+    with pytest.raises(ScenarioError, match=f"^{kind.value} draws more than its plan"):
+        theoretical_detection(kind, CFG64)
+    assert detection._derive.cache_info().currsize == 0  # a failed derivation is not kept
+
+
+@pytest.mark.parametrize("kind, runs", [
+    (ScenarioKind.LINEAR_OVERFLOW, LINEAR_MAX_GRANULES * CFG64.tg),
+    (ScenarioKind.LINEAR_UNDERFLOW, LINEAR_MAX_GRANULES * CFG64.tg),
+    (ScenarioKind.INTRA_GRANULE_OVERFLOW, INTRA_FULL_GRANULES * (CFG64.tg - 2)),
+    (ScenarioKind.NON_LINEAR_OVERFLOW, 1),
+], ids=lambda v: getattr(v, "value", v))
+def test_a_derivation_resets_one_simulator_per_bug_site(kind, runs, monkeypatch):
+    """The theory's cost in work, not time: one scratch simulator, and
+    one runner call per equally likely size."""
+    built, called = [], []
+    init, runner = Simulator.__init__, scenarios._RUNNERS[kind]
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "__init__", counting_init)
+    monkeypatch.setitem(scenarios._RUNNERS, kind,
+                        lambda sim, s: called.append(sim) or runner(sim, s))
+    theoretical_detection(kind, CFG64)
+    assert len(built) == 1
+    assert len(called) == runs
+    assert set(called) == set(built)
 
 
 @pytest.mark.parametrize("cfg", [CFG64, CFG_B], ids=["A", "B"])
@@ -451,27 +496,29 @@ def test_repeated_estimate_builds_only_its_trials(kind, cfg, monkeypatch):
     assert again.theoretical == first.theoretical
 
 
-def test_theory_spellings_share_one_memo_entry(monkeypatch):
-    derived = []
-    derive = detection._derive
-    monkeypatch.setattr(detection, "_derive", lambda *args: derived.append(args) or derive(*args))
+def test_theory_spellings_share_one_memo_entry():
     kind = ScenarioKind.LINEAR_OVERFLOW
     theory = theoretical_detection(kind, CFG64, TagPolicy.random())
     for again in (theoretical_detection(kind, CFG64, policy=TagPolicy.random()),
                   theoretical_detection(kind=kind, cfg=CFG64, policy=TagPolicy()),
                   theoretical_detection(kind, MtConfig(tg=64, ts=4))):  # the default policy
         assert again is theory
-    assert len(derived) == 1
-    assert len(detection._THEORIES) == 1
+    memo = detection._derive.cache_info()
+    assert (memo.misses, memo.hits, memo.currsize) == (1, 3, 1)
 
 
-def test_theory_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(detection, "_THEORY_MEMO_SIZE", 3)
+def test_theory_memo_stays_within_its_bound():
     kind = ScenarioKind.NON_LINEAR_OVERFLOW
-    for n, quarantine in enumerate(range(0, 160, 16), 1):
-        cfg = MtConfig(tg=16, ts=4, quarantine_capacity=quarantine)
+    bound = detection._derive.cache_info().maxsize
+    assert bound == 1024
+    cfgs = [MtConfig(tg=16, ts=4, quarantine_capacity=q) for q in range(bound + 2)]
+    for n, cfg in enumerate(cfgs, 1):
         assert theoretical_detection(kind, cfg) == Fraction(15, 16)
-        assert len(detection._THEORIES) == (n - 1) % 3 + 1  # emptied when full
+        assert detection._derive.cache_info().currsize == min(n, bound)
+    theoretical_detection(kind, cfgs[2])  # kept, and so now the most recent
+    theoretical_detection(kind, cfgs[0])  # evicted as the least recently used
+    memo = detection._derive.cache_info()
+    assert (memo.hits, memo.misses) == (1, bound + 3)
 
 
 # ----------------------------------------------------------------------
@@ -566,8 +613,8 @@ def test_unknown_kind_is_refused_by_name():
         assert refused.traceback[-1].name == "scenario_runner"
     with pytest.raises(UsageError, match="^unknown scenario kind 'x'$") as refused:
         theoretical_detection("x", CFG64)
-    assert refused.traceback[-1].name == "_sites"
-    assert detection._THEORIES == {}  # a failed derivation is not kept
+    assert refused.traceback[-1].name == "scenario_runner"
+    assert detection._derive.cache_info().currsize == 0  # a failed derivation is not kept
 
 
 # ----------------------------------------------------------------------
@@ -872,6 +919,7 @@ def test_load_trace_leaves_no_file_open(tmp_path, monkeypatch, end):
         return opened[-1]
 
     monkeypatch.setattr(tagsim.traces, "open", recording_open, raising=False)
+    gc.collect()  # finalise earlier tests' garbage before the hook listens
     hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
     try:
         with warnings.catch_warnings():
