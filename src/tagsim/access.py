@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from .errors import TagMismatchError, UsageError
 from .faults import AccessKind, FaultKind, FaultReport
 from .precision import partial_access_ok
-from .tagspace import ADDR_SPACE, TAG_PAGE_MASK, TAG_PAGE_SHIFT, MtConfig, StoreMode
+from .tagspace import ADDR_MASK, ADDR_SPACE, TAG_PAGE_MASK, TAG_PAGE_SHIFT, MtConfig, StoreMode
 
 EFAULT = 14  # classic errno for a bad user-space address
 
 _WIDTHS = (1, 2, 4, 8)
-_ADDR_MASK = ADDR_SPACE - 1
 _PRECISE = StoreMode.PRECISE
 
 
@@ -61,7 +60,7 @@ class AccessEngine:
     def load(self, word: int, width: int = 1) -> bytes:
         if width not in _WIDTHS:
             raise UsageError(f"load width must be one of {_WIDTHS}, got {width}")
-        addr = word & _ADDR_MASK
+        addr = word & ADDR_MASK
         if addr + width > ADDR_SPACE:
             raise UsageError("access wraps the address space")
         miss = self.first_mismatch(word, width)
@@ -73,7 +72,7 @@ class AccessEngine:
         width = len(data)
         if width not in _WIDTHS:
             raise UsageError(f"store width must be one of {_WIDTHS}, got {width}")
-        addr = word & _ADDR_MASK
+        addr = word & ADDR_MASK
         if addr + width > ADDR_SPACE:
             raise UsageError("access wraps the address space")
         miss = self.first_mismatch(word, width)
@@ -99,7 +98,7 @@ class AccessEngine:
             raise UsageError(f"range length must be >= 0, got {length}")
         if length == 0:
             return None
-        if (word & _ADDR_MASK) + length > ADDR_SPACE:
+        if (word & ADDR_MASK) + length > ADDR_SPACE:
             raise UsageError("range wraps the address space")
         miss = self.first_mismatch(word, length)
         if miss is None:
@@ -113,7 +112,7 @@ class AccessEngine:
         address space and ``length`` must be positive; the wrappers
         check both."""
         tg_mask, shift, tag_shift, tag_mask, partial = self._constants
-        addr = word & _ADDR_MASK
+        addr = word & ADDR_MASK
         ptag = (word >> tag_shift) & tag_mask
         pages = self.shadow.pages
         g = addr >> shift
@@ -143,7 +142,7 @@ class AccessEngine:
         heap now, so build it before anything else changes the heap."""
         gbase, mtag, partial = miss
         _, _, tag_shift, tag_mask, _ = self._constants
-        addr = word & _ADDR_MASK
+        addr = word & ADDR_MASK
         fault_addr = addr if addr > gbase else gbase
         return FaultReport.of(FaultKind.TAG_MISMATCH, access, word, (word >> tag_shift) & tag_mask,
                               mtag, gbase, self._owner(fault_addr), deferred, partial)

@@ -52,17 +52,20 @@ from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageErr
 from .faults import AccessKind, FaultKind, FaultReport
 from .memory import SENTINEL
 from .precision import META_BYTES, mark_partial, read_partial_meta
-from .tagspace import ADDR_SPACE, MtConfig
+from .tagspace import ADDR_MASK, MtConfig
 
 HEAP_BASE = 0x1000_0000
 DEFAULT_HEAP_CAPACITY = 1 << 30
-_ADDR_MASK = ADDR_SPACE - 1
 
 
-def served_size(size: int) -> int:
-    """The bytes malloc serves for a request of ``size``: size 0 is
-    served as one byte, so every allocation owns at least one granule."""
-    return size if size > 0 else 1
+def placement(size: int, cfg: MtConfig) -> tuple[int, int, int]:
+    """malloc's layout of ``size`` bytes as (served, aligned, user_off):
+    size 0 is served as one byte, the chunk spans served rounded up to
+    whole granules, and under right_align the served bytes start
+    user_off bytes in, so that they end where the span ends."""
+    served = size if size > 0 else 1
+    aligned = (served + cfg.tg - 1) & -cfg.tg
+    return served, aligned, aligned - served if cfg.right_align else 0
 
 
 class PolicyKind(enum.Enum):
@@ -73,7 +76,8 @@ class PolicyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TagPolicy:
-    """How malloc picks a tag.  ``rate`` only matters for SAMPLED."""
+    """How malloc picks a tag.  ``rate`` is SAMPLED's alone: any other
+    kind refuses a rate other than 1.0."""
 
     kind: PolicyKind = PolicyKind.RANDOM
     rate: float = 1.0
@@ -85,6 +89,9 @@ class TagPolicy:
             raise UsageError(f"sampling rate must be a number, got {self.rate!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise UsageError(f"sampling rate must be in [0, 1], got {self.rate!r}")
+        if self.rate != 1.0 and self.kind is not PolicyKind.SAMPLED:
+            raise UsageError(f"sampling rate {self.rate!r} requires the sampled policy,"
+                             f" not {self.kind.value}")
 
     @classmethod
     def random(cls) -> "TagPolicy":
@@ -323,16 +330,12 @@ class ArenaAllocator:
     # allocation
 
     def malloc(self, size: int) -> int:
-        """Allocate ``size`` bytes and return a tagged pointer word.
-
-        size 0 is served as a single byte (served_size).
-        """
+        """Allocate ``size`` bytes, laid out as placement() says, and
+        return a tagged pointer word."""
         if size < 0:
             raise UsageError(f"allocation size must be >= 0, got {size}")
         cfg = self.cfg
-        tg = cfg.tg
-        eff = served_size(size)
-        aligned = (eff + tg - 1) & -tg
+        served, aligned, user_off = placement(size, cfg)
         free = self._free
         base = free.take(aligned) if free is not None and free.maxes else None
         if base is None:  # nothing to reuse: bump
@@ -346,9 +349,10 @@ class ArenaAllocator:
         tag = (self.rng.choice(cfg.usable_tags) if policy.kind is _RANDOM
                else self._choose_tag(policy, base, aligned))
 
-        self.memory.fill(base, aligned, 0x00 if tag and cfg.zero_on_tag else SENTINEL)
+        self.memory.fill(base, aligned, cfg.tag_fill if tag else SENTINEL)
 
-        remainder = eff & (tg - 1)
+        tg = cfg.tg
+        remainder = served & (tg - 1)
         if tag:
             if cfg.precision_ext and remainder:
                 if remainder <= tg - META_BYTES:
@@ -365,7 +369,6 @@ class ArenaAllocator:
         else:
             self.shadow.set_range(base, aligned, 0)  # clears retags left by earlier chunks
 
-        user_off = aligned - eff if cfg.right_align and remainder else 0
         chunk_id = self._next_id
         self._next_id = chunk_id + 1
         self._by_base[base] = Chunk(chunk_id, base, size, aligned, tag, _LIVE, user_off)
@@ -398,7 +401,7 @@ class ArenaAllocator:
         """
         cfg = self.cfg
         # unpack() inlined, as malloc inlines pack()
-        addr = word & _ADDR_MASK
+        addr = word & ADDR_MASK
         ptag = (word >> cfg.tag_shift) & (cfg.n_tags - 1)
         chunk = self.find_owner(addr)
         if chunk is None or chunk.base + chunk.user_off != addr:

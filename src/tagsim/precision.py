@@ -18,14 +18,14 @@ metadata bytes sit at offsets >= n by construction, so they can never
 be read or written through a checked access: the scheme protects its
 own bookkeeping.
 
-Sizes whose final-granule remainder exceeds tg-2 cannot host the
-metadata; the allocator falls back to whole-granule tagging for them
-and counts the fallback in its stats.
+malloc decides which chunks get a PARTIAL granule, and its fit rule,
+remainder <= tg - META_BYTES, is stated there alone.  A size whose
+final-granule remainder is larger cannot host the metadata; the
+allocator falls back to whole-granule tagging for it and counts the
+fallback in its stats.
 """
 
 from __future__ import annotations
-
-from .errors import UsageError
 
 # A PARTIAL granule's last META_BYTES bytes hold (n, real tag), in order.
 META_BYTES = 2
@@ -34,30 +34,14 @@ META_BYTES = 2
 def mark_partial(memory, shadow, cfg, granule_base: int, n: int, real_tag: int) -> None:
     """Mark the granule at granule_base as PARTIAL with n valid bytes.
 
-    Requires precision_ext, a granule-aligned base, 0 < n <= tg-2 (the
-    last two bytes hold metadata and are never valid application
-    bytes), and a non-reserved real_tag.
+    It checks nothing: malloc, its only caller, passes a config with
+    precision_ext, the base of the chunk's last granule, an n that fits
+    (0 < n <= tg-2, so the last two bytes hold metadata and are never
+    valid application bytes) and a tag drawn from the usable tags.
     """
     tg = cfg.tg
-    partial = cfg.partial_tag
-    # the four checks as one test; the malloc path passes all of them
-    if not (partial is not None and not granule_base & (tg - 1)
-            and 0 < n <= tg - META_BYTES
-            and 0 <= real_tag < cfg.n_tags and real_tag not in cfg.reserved_tags):
-        raise _mark_refusal(cfg, granule_base, n, real_tag)
-    shadow.set_range(granule_base, tg, partial)
+    shadow.set_range(granule_base, tg, cfg.partial_tag)
     memory.write(granule_base + tg - META_BYTES, bytes((n, real_tag)))
-
-
-def _mark_refusal(cfg, granule_base: int, n: int, real_tag: int) -> UsageError:
-    """The error for the first of mark_partial's checks that fails."""
-    if cfg.partial_tag is None:
-        return UsageError("precision_ext is not enabled in this config")
-    if granule_base & (cfg.tg - 1):
-        return UsageError(f"0x{granule_base:x} is not the base of a {cfg.tg}-byte granule")
-    if not 0 < n <= cfg.tg - META_BYTES:
-        return UsageError(f"valid byte count {n} outside 1..{cfg.tg - META_BYTES}")
-    return UsageError(f"real tag {real_tag} is reserved or out of range")
 
 
 def read_partial_meta(memory, cfg, granule_base: int) -> bytes:

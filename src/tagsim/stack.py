@@ -8,7 +8,8 @@ the frame pointer: no per-frame state is needed to recompute it, yet
 re-entering a function at the same depth yields a different tag
 because the sequence number moved on.
 
-Each declared local gets its own granule-rounded slot; slot tags step
+Each declared local gets its own slot, as many granules as malloc
+gives its size (arena.placement), never right-aligned.  Slot tags step
 through the non-reserved tags starting from the base tag, so sibling
 locals always differ while the frame stays small.  Frame exit and
 scope exit retag with a fresh tag distinct from the slots they cover,
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arena import served_size
+from .arena import placement
 from .errors import AllocationError, UsageError
-from .memory import SENTINEL
 from .rng import mix64
 from .tagspace import MtConfig
 
@@ -70,12 +70,11 @@ class StackTagger:
         if not local_sizes:
             raise UsageError("a frame needs at least one local")
         cfg = self.cfg
-        tg = cfg.tg
         aligned_sizes = []
         for size in local_sizes:
             if size < 0:
                 raise UsageError(f"local size must be >= 0, got {size}")
-            aligned_sizes.append((served_size(size) + tg - 1) & ~(tg - 1))
+            aligned_sizes.append(placement(size, cfg)[1])
         total = sum(aligned_sizes)
         fbase = self._top - total
         if fbase < self.floor:
@@ -99,7 +98,7 @@ class StackTagger:
             slots.append(LocalSlot(offset, aligned, tag, (tag << tag_shift) | slot_base))
             offset += aligned
         # the slots tile the frame, so one fill covers them all
-        self.memory.fill(fbase, total, 0x00 if cfg.zero_on_tag else SENTINEL)
+        self.memory.fill(fbase, total, cfg.tag_fill)
 
         frame = Frame(fbase, slots, total)
         self._top = fbase

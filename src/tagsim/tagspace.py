@@ -25,10 +25,11 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .errors import UsageError, require_int
-from .memory import BYTE_OF
+from .memory import BYTE_OF, SENTINEL
 
 ADDR_BITS = 56
 ADDR_SPACE = 1 << ADDR_BITS
+ADDR_MASK = ADDR_SPACE - 1  # a pointer word's address bits
 WORD_BITS = 64
 
 # The shadow store's page: TAG_PAGE granules, one tag byte each.
@@ -122,6 +123,12 @@ class MtConfig:
     def usable_tags(self) -> tuple[int, ...]:
         return tuple(t for t in range(self.n_tags) if t not in self.reserved_tags)
 
+    @cached_property
+    def tag_fill(self) -> int:
+        """The byte that tagging memory fills it with: zero under
+        zero_on_tag, else the uninitialized-memory sentinel."""
+        return 0 if self.zero_on_tag else SENTINEL
+
     def to_dict(self) -> dict:
         return {**asdict(self), "store_mode": self.store_mode.value}
 
@@ -138,7 +145,7 @@ def pack(addr: int, tag: int, cfg: MtConfig) -> int:
 
 def unpack(word: int, cfg: MtConfig) -> tuple[int, int]:
     """Split a pointer word into (address, tag)."""
-    return word & (ADDR_SPACE - 1), (word >> cfg.tag_shift) & (cfg.n_tags - 1)
+    return word & ADDR_MASK, (word >> cfg.tag_shift) & (cfg.n_tags - 1)
 
 
 def offset_ptr(word: int, delta: int, cfg: MtConfig) -> int:

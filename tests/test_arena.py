@@ -17,8 +17,10 @@ from tagsim import (
     TagPolicy,
     UsageError,
 )
-from tagsim.arena import AllocatorStats, ChunkState
+from tagsim.arena import AllocatorStats, ChunkState, PolicyKind, placement
 from tagsim.faults import AccessKind, FaultKind, FaultReport
+from tagsim.memory import SENTINEL
+from tagsim.precision import read_partial_meta
 from tagsim.rng import SplitMix64
 from tagsim.tagspace import unpack
 
@@ -367,6 +369,19 @@ def test_unknown_policy_kind_is_refused_at_construction():
         TagPolicy("bogus")
 
 
+@pytest.mark.parametrize("kind", [PolicyKind.RANDOM, PolicyKind.ADJACENT_DISTINCT],
+                         ids=lambda k: k.value)
+def test_a_sampling_rate_needs_the_sampled_policy(kind):
+    """Only Sampled reads its rate, so any other kind refuses one it
+    would ignore (and a report would print next to the policy)."""
+    for rate in (0.0, 0.3):
+        with pytest.raises(UsageError, match=rf"^sampling rate {rate} requires the sampled"
+                                             rf" policy, not {kind.value}$"):
+            TagPolicy(kind, rate)
+    assert TagPolicy(kind, 1.0) == TagPolicy(kind)
+    assert TagPolicy(PolicyKind.SAMPLED, 0.3).rate == 0.3
+
+
 # ----------------------------------------------------------------------
 # right-aligned placement
 
@@ -399,6 +414,60 @@ def test_right_align_makes_overflow_cross_granules():
 
     with pytest.raises(FaultError):
         sim.store(offset_ptr(a, 10, sim.cfg), b"\x00")
+
+
+# ----------------------------------------------------------------------
+# one layout: the heap and the stack as placement says
+
+
+@st.composite
+def layouts(draw):
+    tg = draw(st.sampled_from((16, 32, 64)))
+    mode = draw(st.sampled_from(("plain", "precision_ext", "right_align")))
+    cfg = MtConfig(tg=tg, ts=draw(st.sampled_from((4, 8))), zero_on_tag=draw(st.booleans()),
+                   precision_ext=mode == "precision_ext", right_align=mode == "right_align")
+    policy = draw(st.sampled_from((TagPolicy.random(), TagPolicy.adjacent_distinct(),
+                                   TagPolicy.sampled(0.5))))
+    sizes = draw(st.lists(st.integers(0, 4 * tg), min_size=1, max_size=4))
+    return cfg, policy, sizes, draw(st.booleans()), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=layouts())
+def test_heap_and_stack_lay_out_as_placement_says(layout):
+    """What the scenario runners rely on without checking it: a chunk
+    has placement's span and offset, its served bytes pass the range
+    check and hold the tag fill (the sentinel when sampled out), with
+    precision_ext its last granule is PARTIAL with (remainder, tag)
+    exactly when the remainder fits, and stack slots span placement's
+    granules, hold the tag fill and stay reachable when a sibling's
+    scope ends.  With ``free_each`` every chunk is freed after its
+    checks, so the next may reuse its memory."""
+    cfg, policy, sizes, free_each, seed = layout
+    sim = Simulator(cfg, seed, policy)
+    for size in sizes:
+        served, aligned, user_off = placement(size, cfg)
+        word = sim.malloc(size)
+        chunk = chunk_of(sim, word)
+        assert (chunk.aligned, chunk.user_off) == (aligned, user_off)
+        assert sim.check_user_range(word, served) is None
+        fill = cfg.tag_fill if chunk.tag else SENTINEL
+        assert sim.memory.read(chunk.user_addr, served) == bytes((fill,)) * served
+        if cfg.precision_ext:
+            remainder, last = served % cfg.tg, chunk.end - cfg.tg
+            partial = chunk.tag != 0 and 0 < remainder <= cfg.tg - 2
+            assert (sim.shadow.get(last) == cfg.partial_tag) is partial
+            if partial:
+                assert tuple(read_partial_meta(sim.memory, cfg, last)) == (remainder, chunk.tag)
+        if free_each:
+            sim.free(word)
+    frame = sim.stack.enter_frame(sizes)
+    assert [slot.aligned for slot in frame.slots] == [placement(size, cfg)[1] for size in sizes]
+    span = frame.aligned_size
+    assert sim.memory.read(frame.base, span) == bytes((cfg.tag_fill,)) * span
+    sim.stack.end_scope(frame, 0)
+    for slot in frame.slots[1:]:
+        assert sim.check_user_range(slot.ptr, slot.aligned) is None
 
 
 # ----------------------------------------------------------------------

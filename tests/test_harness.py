@@ -167,16 +167,6 @@ def test_uninitialized_read_zeroing():
         assert set(result.observed) == {0xAA}
 
 
-def test_uninitialized_read_refused_range_is_a_setup_fault(monkeypatch):
-    sim = Simulator(CFG16, seed=0)
-    addr, tag = unpack(sim.malloc(16), CFG16)
-    refused = sim.check_user_range(pack(addr, tag ^ 1, CFG16), 1)
-    assert refused is not None
-    monkeypatch.setattr(Simulator, "check_user_range", lambda self, word, length: refused)
-    with pytest.raises(ScenarioError, match="scenario setup faulted"):
-        run_scenario(Scenario(kind=ScenarioKind.UNINITIALIZED_READ), CFG16)
-
-
 def test_setup_report_on_the_bug_word_is_a_setup_fault():
     # setup never stores, so a report the drain yields is a setup defect,
     # even one on the bug's own word: it must not count as the detection
@@ -397,6 +387,16 @@ _CROSS_CHECK = (
 )
 
 
+# a right-aligned chunk ends at its granule's end: no byte past it for
+# intra-granule overflow to probe
+_RIGHT_ALIGN_REFUSAL = ("^intra-granule scenario needs bytes past the chunk's end in its"
+                        " last granule; right_align leaves none$")
+
+
+def _refused(kind, cfg):
+    return kind is ScenarioKind.INTRA_GRANULE_OVERFLOW and cfg.right_align
+
+
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_theory_equals_full_product_through_engine(kind):
     """theoretical_detection groups probe tags into relation classes and
@@ -405,6 +405,10 @@ def test_theory_equals_full_product_through_engine(kind):
     at ts=4, tg=16 with no grouping."""
     for mode, policy, quarantine in _CROSS_CHECK:
         cfg = MtConfig(tg=16, ts=4, quarantine_capacity=quarantine, **mode)
+        if _refused(kind, cfg):
+            with pytest.raises(UsageError, match=_RIGHT_ALIGN_REFUSAL):
+                theoretical_detection(kind, cfg, policy=policy)
+            continue
         expected = _full_product(kind, cfg, policy)
         assert theoretical_detection(kind, cfg, policy=policy) == expected, (mode, policy)
 
@@ -423,6 +427,11 @@ _MEMO_CASES = (
 @pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
 def test_memoized_theory_equals_a_fresh_derivation(kind):
     for cfg, policy in _MEMO_CASES:
+        if _refused(kind, cfg):
+            for derive in (theoretical_detection, detection._derive.__wrapped__):
+                with pytest.raises(UsageError, match=_RIGHT_ALIGN_REFUSAL):
+                    derive(kind, cfg, policy)
+            continue
         theory = theoretical_detection(kind, cfg, policy)
         assert theoretical_detection(kind, cfg, policy) is theory
         assert detection._derive.__wrapped__(kind, cfg, policy) == theory, (cfg, policy)
@@ -645,7 +654,10 @@ def test_reset_runs_a_trial_as_a_fresh_simulator(case, kind, earlier, reuse, see
     tag (a deferred report in imprecise mode) and a stack frame."""
     cfg, policy = case
     sim = Simulator(cfg, earlier_seed, policy)
-    scenario_runner(earlier)(sim, Scenario(earlier, reuse_depth=reuse, policy=policy))
+    # a refused earlier trial leaves the simulator after its size draws
+    with (pytest.raises(UsageError, match=_RIGHT_ALIGN_REFUSAL) if _refused(earlier, cfg)
+          else contextlib.nullcontext()):
+        scenario_runner(earlier)(sim, Scenario(earlier, reuse_depth=reuse, policy=policy))
     word = sim.malloc(1)
     try:
         sim.store(word ^ (1 << cfg.tag_shift), b"x")
@@ -656,6 +668,12 @@ def test_reset_runs_a_trial_as_a_fresh_simulator(case, kind, earlier, reuse, see
 
     scenario = Scenario(kind, reuse_depth=reuse, seed=seed, policy=policy)
     sim._reset(seed)
+    if _refused(kind, cfg):
+        for run in (lambda: scenario_runner(kind)(sim, scenario),
+                    lambda: run_scenario(scenario, cfg)):
+            with pytest.raises(UsageError, match=_RIGHT_ALIGN_REFUSAL):
+                run()
+        return
     got = scenario_runner(kind)(sim, scenario)
     want = run_scenario(scenario, cfg)
     assert (got.detected, got.observed) == (want.detected, want.observed)
