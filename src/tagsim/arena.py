@@ -44,7 +44,7 @@ previously retagged memory clears those granules back to 0.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -92,6 +92,7 @@ class TagPolicy:
         if self.rate != 1.0 and self.kind is not PolicyKind.SAMPLED:
             raise UsageError(f"sampling rate {self.rate!r} requires the sampled policy,"
                              f" not {self.kind.value}")
+        object.__setattr__(self, "rate", float(self.rate))  # as the CLI prints it
 
     @classmethod
     def random(cls) -> "TagPolicy":
@@ -338,11 +339,12 @@ class ArenaAllocator:
         served, aligned, user_off = placement(size, cfg)
         free = self._free
         base = free.take(aligned) if free is not None and free.maxes else None
-        if base is None:  # nothing to reuse: bump
+        if base is None:  # nothing to reuse: bump, above every indexed chunk
             base = self._brk
             if base + aligned > self.limit:
                 raise AllocationError(f"arena exhausted: need {aligned} bytes")
             self._brk = base + aligned
+            self._bases.append(base)
         else:
             self._recycle_overlaps(base, base + aligned)
         policy = self.policy
@@ -372,11 +374,6 @@ class ArenaAllocator:
         chunk_id = self._next_id
         self._next_id = chunk_id + 1
         self._by_base[base] = Chunk(chunk_id, base, size, aligned, tag, _LIVE, user_off)
-        bases = self._bases
-        if not bases or base > bases[-1]:
-            bases.append(base)
-        else:
-            insort(bases, base)
 
         if tag:
             self._tagged += 1
@@ -457,8 +454,9 @@ class ArenaAllocator:
         bases = self._bases
         i = bisect_right(bases, addr) - 1
         if i >= 0:
-            chunk = self._by_base[bases[i]]
-            if addr < chunk.end:
+            base = bases[i]
+            chunk = self._by_base[base]
+            if addr < base + chunk.aligned:
                 return chunk
         return None
 
@@ -507,20 +505,19 @@ class ArenaAllocator:
         self._free.add(chunk.base, chunk.aligned)
 
     def _recycle_overlaps(self, lo: int, hi: int) -> None:
-        # Memory handed to a new chunk: forget freed chunks that lived
-        # there so provenance never points at recycled ghosts.  [lo, hi)
-        # came off the free list, so every indexed chunk it touches is a
-        # freed one; only the first may start below lo.
+        # Memory handed to a new chunk at lo: index lo in place of the
+        # freed chunks that lived there, so provenance never points at
+        # recycled ghosts.  [lo, hi) came off the free list, so every
+        # indexed chunk it touches is freed; only the first may start below lo.
         bases = self._bases
+        by_base = self._by_base
         i = bisect_right(bases, lo) - 1
-        if i < 0 or self._by_base[bases[i]].end <= lo:
+        if i < 0 or bases[i] + by_base[bases[i]].aligned <= lo:
             i += 1
         j = bisect_left(bases, hi, i)
-        if i < j:
-            by_base = self._by_base
-            for b in bases[i:j]:
-                del by_base[b]
-            del bases[i:j]
+        for b in bases[i:j]:
+            del by_base[b]
+        bases[i:j] = (lo,)
 
     def _free_report(self, kind: FaultKind, word: int, ptag: int, addr: int,
                      chunk: Chunk | None) -> FaultReport:

@@ -29,6 +29,13 @@ def require_int(name: str, value):
     return value
 
 
+def require_bool(name: str, value):
+    """``value`` if it is a bool, else a UsageError naming ``name``."""
+    if not isinstance(value, bool):
+        raise UsageError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
 class AllocationError(TagSimError):
     """Heap arena or stack capacity exhausted."""
 

@@ -87,13 +87,19 @@ class SparseMemory:
         if not 0 <= value <= 0xFF:
             raise UsageError(f"fill value must be a byte, got {value}")
         run = memoryview(BYTE_OF[value] * min(n, _PAGE_SIZE))  # built once, sliced per page
-        while n:
-            off = addr & _PAGE_MASK
-            take = min(n, _PAGE_SIZE - off)
-            page = self._page(addr >> _PAGE_SHIFT)
+        pages = self._pages
+        index = addr >> _PAGE_SHIFT
+        take = _PAGE_SIZE - off  # the first page's share; every later page's is whole
+        while n > 0:
+            if take > n:
+                take = n
+            page = pages.get(index)
+            if page is None:
+                page = pages[index] = bytearray(_PAGE_SIZE)
             page[off : off + take] = run[:take]
-            addr += take
             n -= take
+            index += 1
+            off, take = 0, _PAGE_SIZE
 
     def _page(self, index: int) -> bytearray:
         page = self._pages.get(index)

@@ -17,6 +17,11 @@ own 128-bit lane, so each shift, xor and multiply of mix64 runs once
 over all of them.  A stream handed its row by SplitMix64.premix serves
 those words first and mixes the rest one at a time, so the words it
 draws, and their order, do not change.
+
+A long-lived simulator draws from one stream as long as it runs: once
+a stream has mixed BATCH_WORDS words one at a time, more than any trial
+draws, it premixes its next words BATCH_WORDS at a time, one stream of
+lanes per pass, so a long run pays a fraction of mix64 per word.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ _S1, _S2, _S3 = 30, 27, 31
 _M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 PREMIX_STREAMS = 256  # the rows premixed_rows returns
+BATCH_WORDS = 64  # words a stream mixes one at a time, and then at once
 
 
 def mix64(x: int) -> int:
@@ -45,51 +51,58 @@ def mix64(x: int) -> int:
 
 
 @functools.cache
-def _lanes(k: int):
-    """The constants for rows of k words: each state's offset from the
-    first seed, plus the +GAMMA of mix64's first step; a 1 in each lane;
-    each lane's low 64 bits set; and the lanes' layout, a 64-bit word
-    and 8 bytes of headroom, since a 64 x 64-bit product fits in 128."""
-    n = PREMIX_STREAMS * k
+def _lanes(streams: int, k: int):
+    """The constants for rows of k words of ``streams`` streams: each
+    state's offset from the first seed, plus the +GAMMA of mix64's first
+    step; a 1 in each lane; each lane's low 64 bits set; and the lanes'
+    layout, a 64-bit word and 8 bytes of headroom (a 64 x 64-bit product)."""
+    n = streams * k
     lanes = struct.Struct("<" + "Q8x" * n)
 
     def packed(words) -> int:
         return int.from_bytes(lanes.pack(*words), "little")
 
     # lane j*k + (k-1-w) holds word w of stream j, so a row reads last word first
-    offsets = [(j + (k - w) * _GAMMA) & _M64 for j in range(PREMIX_STREAMS) for w in range(k)]
+    offsets = [(j + (k - w) * _GAMMA) & _M64 for j in range(streams) for w in range(k)]
     return packed(offsets), packed([1] * n), packed([_M64] * n), lanes
+
+
+def _mixed_lanes(seed: int, offsets: int, ones: int, low: int, lanes) -> tuple[int, ...]:
+    """mix64 over every lane of _lanes' constants at once: word w of
+    SplitMix64(seed + j), row by row, each row last word first."""
+    z = (offsets + (seed & _M64) * ones) & low
+    z = ((z ^ ((z >> _S1) & low)) * _M1) & low
+    z = ((z ^ ((z >> _S2) & low)) * _M2) & low
+    return lanes.unpack((z ^ ((z >> _S3) & low)).to_bytes(lanes.size, "little"))
 
 
 def premixed_rows(seed: int, k: int, count: int = PREMIX_STREAMS) -> list[list[int]]:
     """The first k words that SplitMix64(seed + j) draws, for each j in
     range(count), count at most PREMIX_STREAMS: row j, last word first,
     as premix takes it."""
-    offsets, ones, low, lanes = _lanes(k)
+    offsets, ones, low, lanes = _lanes(PREMIX_STREAMS, k)
     if count < PREMIX_STREAMS:
         # stream j's lanes are j*k to j*k+k-1, the low end of each
         # constant, so the first count streams are its low count*k lanes;
         # every lane above them then stays 0 and unpacks to unused words
         cut = (1 << (128 * k * count)) - 1
         offsets, ones = offsets & cut, ones & cut
-    z = (offsets + (seed & _M64) * ones) & low
-    z = ((z ^ ((z >> _S1) & low)) * _M1) & low
-    z = ((z ^ ((z >> _S2) & low)) * _M2) & low
-    words = lanes.unpack((z ^ ((z >> _S3) & low)).to_bytes(lanes.size, "little"))
-    words = list(words[:count * k])
+    words = list(_mixed_lanes(seed, offsets, ones, low, lanes)[:count * k])
     return [words[i:i + k] for i in range(0, len(words), k)]
 
 
 class SplitMix64:
-    __slots__ = ("_state", "_premixed")
+    __slots__ = ("_state", "_premixed", "_solo")
 
     def __init__(self, seed: int = 0):
         self._state = seed & _M64
         self._premixed = ()
+        self._solo = BATCH_WORDS  # one-at-a-time mixes left before batching
 
     def premix(self, words: list[int]) -> None:
         """Serve ``words``, the next len(words) words of this stream last
-        word first (a row of premixed_rows), as the next draws."""
+        word first (a row of premixed_rows), as the next draws.  The
+        stream must have served every word it mixed before."""
         self._premixed = words
         self._state = (self._state + len(words) * _GAMMA) & _M64
 
@@ -102,8 +115,13 @@ class SplitMix64:
         if premixed:
             return premixed.pop()
         state = self._state
-        self._state = (state + _GAMMA) & _M64
-        return mix64(state)
+        solo = self._solo
+        if solo:
+            self._solo = solo - 1
+            self._state = (state + _GAMMA) & _M64
+            return mix64(state)
+        self.premix(list(_mixed_lanes(state, *_lanes(1, BATCH_WORDS))))
+        return self._premixed.pop()
 
     def random(self) -> float:
         """Uniform float in [0, 1), 53 bits of precision."""

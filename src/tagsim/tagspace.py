@@ -24,7 +24,7 @@ import enum
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .errors import UsageError, require_int
+from .errors import UsageError, require_bool, require_int
 from .memory import BYTE_OF, SENTINEL
 
 ADDR_BITS = 56
@@ -82,6 +82,8 @@ class MtConfig:
     def __post_init__(self):
         for name in ("tg", "ts", "quarantine_capacity"):
             require_int(name, getattr(self, name))
+        for name in ("zero_on_tag", "precision_ext", "right_align"):
+            require_bool(name, getattr(self, name))
         if self.tg not in _VALID_TG:
             raise UsageError(f"tg must be one of {_VALID_TG}, got {self.tg!r}")
         if self.ts not in _VALID_TS:

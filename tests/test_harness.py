@@ -614,6 +614,23 @@ def test_int_parameters_refuse_other_types(entry, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [1, 0, "no", None, 1.0], ids=repr)
+@pytest.mark.parametrize("name", ["zero_on_tag", "precision_ext", "right_align"])
+def test_config_flags_refuse_other_types(name, value):
+    """MtConfig(zero_on_tag="no") used to be kept, and to_dict() printed "no"."""
+    with pytest.raises(UsageError, match=f"^{name} must be a bool, got {re.escape(repr(value))}$"):
+        MtConfig(**{name: value})
+
+
+@pytest.mark.parametrize("rate", [0, 1])
+def test_an_int_sampling_rate_is_reported_as_a_float(rate):
+    """The library's report prints the rate as the CLI's does: 1.0, not 1."""
+    policy = TagPolicy.sampled(rate)
+    assert type(policy.rate) is float and policy.rate == rate
+    report = estimate_detection(ScenarioKind.NON_LINEAR_OVERFLOW, CFG64, trials=3, policy=policy)
+    assert json.dumps(report.to_json_dict()["config"]["sampling_rate"]) == f"{rate}.0"
+
+
 def test_unknown_kind_is_refused_by_name():
     for call in (lambda: estimate_detection("x", CFG64, 3),
                  lambda: run_scenario(Scenario("x"), CFG64)):

@@ -1,6 +1,6 @@
 """Each rule of the tagging heap's layout has one home in the source:
 the sentinel fill, the address mask, the granule round-up and the
-PARTIAL fit.  A second statement of a rule is how the copies drift
+PARTIAL fit; so has the RNG's finalizer.  A second statement of a rule is how the copies drift
 apart, so these tests read the source of src/tagsim and fail on one."""
 
 import ast
@@ -10,6 +10,7 @@ import re
 import pytest
 
 import tagsim.arena
+import tagsim.rng
 
 SRC = pathlib.Path(tagsim.arena.__file__).resolve().parent
 MODULES = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
@@ -73,3 +74,24 @@ def test_mark_partial_decides_nothing():
 def test_scenario_setup_makes_no_checked_access(call):
     """A runner's only access is its bug access, through first_mismatch."""
     assert not re.search(rf"\.{call}\(", MODULES["scenarios.py"])
+
+
+_FINALIZER = {"_S1", "_S2", "_S3", "_M1", "_M2"}
+
+
+def test_the_finalizer_is_stated_in_mix64_and_the_lane_routine_alone():
+    """Its constants are defined once and read by mix64, which mixes one
+    word, and _mixed_lanes, which mixes many at once."""
+    readers, definitions = set(), 0
+    for name, source in MODULES.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and node.id in _FINALIZER:
+                if isinstance(node.ctx, ast.Store):
+                    definitions += 1
+                else:
+                    readers.add((name, tuple(_enclosing_functions(source, node.lineno))))
+    assert definitions == len(_FINALIZER)
+    assert readers == {("rng.py", ("mix64",)), ("rng.py", ("_mixed_lanes",))}
+    multipliers = [name for name, source in MODULES.items() for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and node.value in (tagsim.rng._M1, tagsim.rng._M2)]
+    assert multipliers == ["rng.py", "rng.py"]  # their one definition
