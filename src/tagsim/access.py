@@ -55,7 +55,7 @@ class AccessEngine:
         self.cfg = cfg
         self._owner = owner  # callable addr -> Chunk | None, for provenance
         self._deferred: list[FaultReport] = []
-        self._constants = (cfg.tg - 1, cfg.tg_shift, cfg.tag_shift, cfg.n_tags - 1, cfg.partial_tag)
+        self._constants = (cfg.tg_shift, cfg.tag_shift, cfg.n_tags - 1, cfg.partial_tag)
 
     def load(self, word: int, width: int = 1) -> bytes:
         if width not in _WIDTHS:
@@ -111,7 +111,7 @@ class AccessEngine:
         None when every check passes.  The range must not wrap the
         address space and ``length`` must be positive; the wrappers
         check both."""
-        tg_mask, shift, tag_shift, tag_mask, partial = self._constants
+        shift, tag_shift, tag_mask, partial = self._constants
         addr = word & ADDR_MASK
         ptag = (word >> tag_shift) & tag_mask
         pages = self.shadow.pages
@@ -123,12 +123,9 @@ class AccessEngine:
             if mtag:
                 gbase = g << shift
                 if mtag == partial:
-                    seg_start = addr if addr > gbase else gbase
-                    seg_end = gbase + tg_mask + 1
-                    if addr + length < seg_end:
-                        seg_end = addr + length
+                    # an end past the granule is past its valid bytes too
                     if not partial_access_ok(self.memory, self.cfg, gbase,
-                                             seg_start - gbase, seg_end - seg_start, ptag):
+                                             addr + length - gbase, ptag):
                         return gbase, mtag, True
                 elif mtag != ptag:
                     return gbase, mtag, False
@@ -141,7 +138,7 @@ class AccessEngine:
         first_mismatch verdict is ``miss``.  Provenance is read from the
         heap now, so build it before anything else changes the heap."""
         gbase, mtag, partial = miss
-        _, _, tag_shift, tag_mask, _ = self._constants
+        _, tag_shift, tag_mask, _ = self._constants
         addr = word & ADDR_MASK
         fault_addr = addr if addr > gbase else gbase
         return FaultReport.of(FaultKind.TAG_MISMATCH, access, word, (word >> tag_shift) & tag_mask,

@@ -49,7 +49,7 @@ def read_partial_meta(memory, cfg, granule_base: int) -> bytes:
     return memory.read(granule_base + cfg.tg - META_BYTES, META_BYTES)
 
 
-def partial_access_ok(memory, cfg, granule_base: int, offset: int, width: int, ptr_tag: int) -> bool:
-    """Decide an access of [offset, offset+width) within a PARTIAL granule."""
+def partial_access_ok(memory, cfg, granule_base: int, end: int, ptr_tag: int) -> bool:
+    """Decide an access that ends at offset ``end`` of a PARTIAL granule."""
     n, real_tag = read_partial_meta(memory, cfg, granule_base)
-    return ptr_tag == real_tag and offset + width <= n
+    return ptr_tag == real_tag and end <= n

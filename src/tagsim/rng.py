@@ -50,7 +50,7 @@ def mix64(x: int) -> int:
     return z ^ (z >> _S3)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)  # bounded, as each partial batch size is a key
 def _lanes(streams: int, k: int):
     """The constants for rows of k words of ``streams`` streams: each
     state's offset from the first seed, plus the +GAMMA of mix64's first
@@ -78,16 +78,9 @@ def _mixed_lanes(seed: int, offsets: int, ones: int, low: int, lanes) -> tuple[i
 
 def premixed_rows(seed: int, k: int, count: int = PREMIX_STREAMS) -> list[list[int]]:
     """The first k words that SplitMix64(seed + j) draws, for each j in
-    range(count), count at most PREMIX_STREAMS: row j, last word first,
-    as premix takes it."""
-    offsets, ones, low, lanes = _lanes(PREMIX_STREAMS, k)
-    if count < PREMIX_STREAMS:
-        # stream j's lanes are j*k to j*k+k-1, the low end of each
-        # constant, so the first count streams are its low count*k lanes;
-        # every lane above them then stays 0 and unpacks to unused words
-        cut = (1 << (128 * k * count)) - 1
-        offsets, ones = offsets & cut, ones & cut
-    words = list(_mixed_lanes(seed, offsets, ones, low, lanes)[:count * k])
+    range(count): row j, last word first, as premix takes it.  The lanes
+    are those of exactly count streams, so a partial batch mixes no more."""
+    words = list(_mixed_lanes(seed, *_lanes(count, k)))
     return [words[i:i + k] for i in range(0, len(words), k)]
 
 

@@ -49,7 +49,7 @@ import enum
 from dataclasses import dataclass
 
 from .arena import TagPolicy, placement
-from .errors import ScenarioError, UsageError
+from .errors import ScenarioError, UsageError, require_int
 from .faults import AccessKind, FaultReport
 from .sim import Simulator
 from .tagspace import ADDR_MASK, MtConfig, StoreMode
@@ -80,7 +80,9 @@ class Scenario:
     kinds STACK_LOCAL_SIZE.  An offset of None is drawn by each kind
     that reads one.  reuse_depth > 0 turns heap-use-after-free into its
     probabilistic reuse variant.  policy is the heap's tag policy, which
-    run_scenario builds the Simulator with."""
+    run_scenario builds the Simulator with.  A bad size, offset,
+    reuse_depth or policy raises a UsageError naming the field; kind is
+    checked by scenario_runner and seed by Simulator."""
 
     kind: ScenarioKind
     size: int | None = None
@@ -88,6 +90,15 @@ class Scenario:
     reuse_depth: int = 0
     seed: int = 0
     policy: TagPolicy = TagPolicy()
+
+    def __post_init__(self):
+        for name in ("size", "offset"):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name))
+        if require_int("reuse_depth", self.reuse_depth) < 0:
+            raise UsageError(f"reuse_depth must be >= 0, got {self.reuse_depth}")
+        if not isinstance(self.policy, TagPolicy):
+            raise UsageError(f"policy must be a TagPolicy, got {self.policy!r}")
 
 
 class ScenarioResult:

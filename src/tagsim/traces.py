@@ -114,9 +114,9 @@ def _scan(chunks, entries, granule: int) -> Iterator[list]:
 
     This is the one parser of the grammar.  A line is an event only if
     it is ASCII, ``split(" ")`` gives exactly the right fields and every
-    number is a run of digits.  Malformed lines and free/alloc misuse
-    raise TraceError naming the offending line, once the events before
-    it have been yielded.
+    number is a run of digits.  A malformed line or a free/alloc misuse
+    raises TraceError naming the offending line as soon as it is found;
+    the events of its chunk are not yielded.
 
     A chunk that ``_EVENT_BLOCK`` fullmatches is split once into its
     fields and walked with no check per line.  Its events fill its
@@ -130,9 +130,8 @@ def _scan(chunks, entries, granule: int) -> Iterator[list]:
     for chunk in chunks:
         batch: list = []
         if not _EVENT_BLOCK.fullmatch(chunk):
-            line_no, error = _line_events(chunk, line_no, live, entries, granule, batch)
+            line_no = _line_events(chunk, line_no, live, entries, granule, batch)
         else:
-            error = None
             fields = iter(chunk.split())
             try:
                 for head, aid in zip(fields, fields):
@@ -144,11 +143,9 @@ def _scan(chunks, entries, granule: int) -> Iterator[list]:
                         entry, live[aid] = entries[-(-int(next(fields)) // granule)]
                         batch.append(entry)
             except KeyError:
-                error = _misuse(head, aid, line_no + len(batch) + 1)
+                raise _misuse(head, aid, line_no + len(batch) + 1) from None
             line_no += len(batch)
         yield batch
-        if error is not None:
-            raise error
 
 
 def _misuse(head: str, aid: str, line: int) -> TraceError:
@@ -159,11 +156,10 @@ def _misuse(head: str, aid: str, line: int) -> TraceError:
     return TraceError(f"free of unknown id {aid}", line=line)
 
 
-def _line_events(chunk: str, line_no: int, live: dict, entries, granule: int,
-                 batch: list) -> tuple[int, TraceError | None]:
+def _line_events(chunk: str, line_no: int, live: dict, entries, granule: int, batch: list) -> int:
     """``_scan``'s line loop: add the events of ``chunk``, whose lines
-    follow line ``line_no``, to ``batch``.  Return the number of the
-    last line read and the TraceError that stopped the loop, or None."""
+    follow line ``line_no``, to ``batch``, and return the number of its
+    last line.  A bad line raises TraceError at once."""
     ascii_chunk = chunk.isascii()
     try:
         for line in chunk.splitlines():
@@ -191,10 +187,8 @@ def _line_events(chunk: str, line_no: int, live: dict, entries, granule: int,
             if stripped and stripped[0] != "#":  # neither blank nor a comment
                 raise TraceError(f"unrecognized trace line {line!r}", line=line_no)
     except ValueError as exc:  # more digits than int() converts
-        return line_no, TraceError(str(exc), line=line_no)
-    except TraceError as exc:
-        return line_no, exc
-    return line_no, None
+        raise TraceError(str(exc), line=line_no) from None
+    return line_no
 
 
 class _TraceFile:

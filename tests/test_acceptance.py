@@ -26,7 +26,6 @@ from tagsim import (
     run_scenario,
 )
 from tagsim.cli import main as cli_main
-from tagsim.precision import partial_access_ok
 from tagsim.tagspace import ShadowStore, offset_ptr, pack, unpack
 from tagsim.traces import analyze_trace, load_trace
 
@@ -277,15 +276,15 @@ def test_criterion_9c_access_engine_oracle_equivalence():
         hi = max(unpack(w, cfg)[0] for w in base_words) + 128
 
         def rule_allows(addr, width, ptag):
-            for g in range(addr >> 4, (addr + width - 1 >> 4) + 1):
-                mtag = sim.shadow.get(g * 16)
+            # byte by byte; a PARTIAL granule's last two bytes hold its
+            # valid byte count n and its real tag
+            for a in range(addr, addr + width):
+                mtag = sim.shadow.get(a & -16)
                 if mtag == 0:
                     continue
                 if cfg.partial_tag is not None and mtag == cfg.partial_tag:
-                    start = max(addr, g << 4)
-                    end = min(addr + width, (g + 1) << 4)
-                    if not partial_access_ok(sim.memory, cfg, g << 4,
-                                             start - (g << 4), end - start, ptag):
+                    n, real_tag = sim.memory.read((a & -16) + 14, 2)
+                    if ptag != real_tag or a % 16 >= n:
                         return False
                 elif mtag != ptag:
                     return False

@@ -622,6 +622,28 @@ def test_config_flags_refuse_other_types(name, value):
         MtConfig(**{name: value})
 
 
+# Scenario's checked fields, each with the wrong values it refuses:
+# size and offset may be None (drawn by the runner), the others not
+_SCENARIO_REFUSALS = [(field, value)
+                      for field in ("size", "offset", "reuse_depth", "policy")
+                      for value in (16.0, "16", True, None)
+                      if value is not None or field in ("reuse_depth", "policy")]
+
+
+@pytest.mark.parametrize("field,value", _SCENARIO_REFUSALS + [("reuse_depth", -1)], ids=repr)
+def test_scenario_refuses_a_bad_field_by_name(field, value):
+    """Scenario(size=True) used to run as size 1, reuse_depth=-1 as the
+    plain variant, size=16.0 to raise a bare TypeError and policy="random"
+    an AttributeError."""
+    with pytest.raises(UsageError, match=f"^{field} must be "):
+        Scenario(ScenarioKind.HEAP_USE_AFTER_FREE, **{field: value})
+
+
+def test_estimate_refuses_a_policy_that_is_not_a_tag_policy():
+    with pytest.raises(UsageError, match="^policy must be a TagPolicy, got 'random'$"):
+        estimate_detection(ScenarioKind.HEAP_USE_AFTER_FREE, CFG64, trials=3, policy="random")
+
+
 @pytest.mark.parametrize("rate", [0, 1])
 def test_an_int_sampling_rate_is_reported_as_a_float(rate):
     """The library's report prints the rate as the CLI's does: 1.0, not 1."""
@@ -826,15 +848,13 @@ def reference_parse_trace(text):
 
 
 def scan_outcome(events):
-    """The events read until ``events`` stops, and the line and message
-    of the TraceError that stopped it, or None."""
-    found = []
+    """The events of ``events`` and None, or, when a TraceError stops it,
+    no events and that error's line and message: a refused trace gives
+    no report, so the events read before its bad line are never used."""
     try:
-        for event in events:
-            found.append(event)
+        return list(events), None
     except TraceError as exc:
-        return found, (exc.line, str(exc))
-    return found, None
+        return [], (exc.line, str(exc))
 
 
 _TRACE_CHARS = "af#0123456789 \t-+_\r\n\x0b\x0c\x1c\x1d\x1e"

@@ -49,10 +49,10 @@ def test_partial_access_rule_exhaustive():
         for offset in range(16):
             for width in (1, 2, 4, 8):
                 expect = offset + width <= n
-                assert partial_access_ok(memory, PREC16, base, offset, width, 9) is expect
+                assert partial_access_ok(memory, PREC16, base, offset + width, 9) is expect
                 # any other tag is refused outright
-                assert partial_access_ok(memory, PREC16, base, offset, width, 8) is False
-                assert partial_access_ok(memory, PREC16, base, offset, width, 0) is False
+                assert partial_access_ok(memory, PREC16, base, offset + width, 8) is False
+                assert partial_access_ok(memory, PREC16, base, offset + width, 0) is False
 
 
 def test_metadata_bytes_are_self_protecting():
@@ -60,9 +60,9 @@ def test_metadata_bytes_are_self_protecting():
     # so no access through the real tag can reach them
     memory, shadow = fresh(PREC16)
     mark_partial(memory, shadow, PREC16, 0x200, n=14, real_tag=3)
-    assert partial_access_ok(memory, PREC16, 0x200, 14, 1, 3) is False
-    assert partial_access_ok(memory, PREC16, 0x200, 15, 1, 3) is False
-    assert partial_access_ok(memory, PREC16, 0x200, 8, 8, 3) is False  # spans byte 15
+    assert partial_access_ok(memory, PREC16, 0x200, 14 + 1, 3) is False
+    assert partial_access_ok(memory, PREC16, 0x200, 15 + 1, 3) is False
+    assert partial_access_ok(memory, PREC16, 0x200, 8 + 8, 3) is False  # spans byte 15
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tagsim import MtConfig, ScenarioKind, TagPolicy, estimate_detection
 from tagsim import detection
-from tagsim.rng import PREMIX_STREAMS, SplitMix64, mix64, premixed_rows
+from tagsim.rng import PREMIX_STREAMS, SplitMix64, _lanes, mix64, premixed_rows
 from tagsim.scenarios import ScenarioResult
 
 M64 = (1 << 64) - 1
@@ -43,6 +43,16 @@ def test_premixed_stream_draws_on_past_its_row():
 def test_a_partial_batch_is_the_first_rows_of_the_full_batch(count, k):
     seed = (1 << 64) - 100 * GAMMA  # its streams' states wrap past 2^64
     assert premixed_rows(seed, k, count) == premixed_rows(seed, k)[:count]
+
+
+def test_every_partial_batch_is_the_first_rows_of_the_full_batch():
+    seed = (1 << 64) - 100 * GAMMA
+    for k in (1, 3, 8):
+        full = premixed_rows(seed, k)
+        for count in range(1, PREMIX_STREAMS + 1):
+            assert premixed_rows(seed, k, count) == full[:count], (k, count)
+    cache = _lanes.cache_info()
+    assert cache.currsize <= cache.maxsize
 
 
 WORDS = 12

@@ -1,7 +1,8 @@
 """Each rule of the tagging heap's layout has one home in the source:
 the sentinel fill, the address mask, the granule round-up and the
-PARTIAL fit; so has the RNG's finalizer.  A second statement of a rule is how the copies drift
-apart, so these tests read the source of src/tagsim and fail on one."""
+PARTIAL fit; so have the RNG's finalizer, the sampling decision and the
+PARTIAL access rule.  A second statement of a rule is how the copies
+drift apart, so these tests read the source of src/tagsim and fail on one."""
 
 import ast
 import pathlib
@@ -95,3 +96,27 @@ def test_the_finalizer_is_stated_in_mix64_and_the_lane_routine_alone():
     multipliers = [name for name, source in MODULES.items() for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Constant) and node.value in (tagsim.rng._M1, tagsim.rng._M2)]
     assert multipliers == ["rng.py", "rng.py"]  # their one definition
+
+
+def _call_homes(name: str) -> set:
+    """(module, enclosing functions) of each call of a function or
+    method called ``name`` in src/tagsim."""
+    homes = set()
+    for module, source in MODULES.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                homes.add((module, tuple(_enclosing_functions(source, node.lineno))))
+    return homes
+
+
+def test_the_sampling_decision_is_made_in_choose_tag_alone():
+    """Sampled's rate is compared with an rng.random() draw in one place:
+    every random() draw of the package is in ArenaAllocator._choose_tag."""
+    assert _call_homes("random") == {("arena.py", ("_choose_tag",))}
+
+
+def test_the_partial_rule_is_applied_by_first_mismatch_alone():
+    """Every checked access, and the exact theory, decides a PARTIAL
+    granule through AccessEngine.first_mismatch."""
+    assert _call_homes("partial_access_ok") == {("access.py", ("first_mismatch",))}
