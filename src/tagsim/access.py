@@ -58,7 +58,7 @@ class AccessEngine:
         self._constants = (cfg.tg_shift, cfg.tag_shift, cfg.n_tags - 1, cfg.partial_tag)
 
     def load(self, word: int, width: int = 1) -> bytes:
-        if width not in _WIDTHS:
+        if width not in _WIDTHS or type(width) is not int:  # 1.0 and True are in _WIDTHS
             raise UsageError(f"load width must be one of {_WIDTHS}, got {width}")
         addr = word & ADDR_MASK
         if addr + width > ADDR_SPACE:

@@ -48,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageError
+from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageError, require_int
 from .faults import AccessKind, FaultKind, FaultReport
 from .memory import SENTINEL
 from .precision import META_BYTES, mark_partial, read_partial_meta
@@ -136,18 +136,6 @@ class Chunk:
         self.tag = tag
         self.state = state
         self.user_off = user_off
-
-    @property
-    def user_addr(self) -> int:
-        return self.base + self.user_off
-
-    @property
-    def end(self) -> int:
-        return self.base + self.aligned
-
-    def __repr__(self) -> str:
-        return (f"Chunk(id={self.id}, base=0x{self.base:x}, requested={self.requested},"
-                f" aligned={self.aligned}, tag={self.tag}, state={self.state.value})")
 
 
 # Reading an enum member costs a descriptor call on Python 3.11, about
@@ -333,7 +321,7 @@ class ArenaAllocator:
     def malloc(self, size: int) -> int:
         """Allocate ``size`` bytes, laid out as placement() says, and
         return a tagged pointer word."""
-        if size < 0:
+        if require_int("size", size) < 0:
             raise UsageError(f"allocation size must be >= 0, got {size}")
         cfg = self.cfg
         served, aligned, user_off = placement(size, cfg)

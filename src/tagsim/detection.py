@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 
 from .arena import PolicyKind, TagPolicy
-from .errors import ScenarioError, UsageError, require_int
+from .errors import ScenarioError, UsageError, require_int, require_type
 from .rng import PREMIX_STREAMS, premixed_rows
 from .scenarios import DRAW_PLANS, Scenario, ScenarioKind, run_scenario, scenario_runner
 from .sim import Simulator
@@ -62,7 +62,7 @@ def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
     from a least-recently-used memo of at most 1,024 entries; a one-shot
     CLI run asks for each once, as before.
     """
-    return _derive(kind, cfg, policy)
+    return _derive(kind, cfg, require_type("policy", policy, TagPolicy))
 
 
 @functools.lru_cache(maxsize=1024)

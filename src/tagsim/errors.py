@@ -6,8 +6,8 @@ API misuse and resource exhaustion:
 * ``FaultError`` and its subclasses model traps; each carries a
   ``FaultReport`` describing the faulting access.
 * ``UsageError`` means the caller violated an operation's contract
-  (misaligned range, bad access width, non-LIFO frame exit, invalid
-  configuration).  It never represents a tag fault.
+  (bad access width, non-LIFO frame exit, invalid configuration).  It
+  never represents a tag fault.
 * ``AllocationError`` means the heap arena or stack region ran out.
 """
 
@@ -29,10 +29,10 @@ def require_int(name: str, value):
     return value
 
 
-def require_bool(name: str, value):
-    """``value`` if it is a bool, else a UsageError naming ``name``."""
-    if not isinstance(value, bool):
-        raise UsageError(f"{name} must be a bool, got {value!r}")
+def require_type(name: str, value, cls: type):
+    """``value`` if it is a ``cls``, else a UsageError naming ``name``."""
+    if not isinstance(value, cls):
+        raise UsageError(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
 
 

@@ -8,8 +8,6 @@ never-touched memory return zero bytes.
 
 from __future__ import annotations
 
-from .errors import UsageError
-
 SENTINEL = 0xAA  # fill for uninitialized heap and stack bytes when zero_on_tag is off
 # each byte value as a one-byte bytes, so a fill (and a shadow tag run)
 # builds its run by one repeat, with no bytes() call
@@ -27,15 +25,16 @@ class SparseMemory:
         self._pages: dict[int, bytearray] = {}
 
     def read(self, addr: int, n: int) -> bytes:
+        """The n bytes at addr.  It checks nothing: every caller reads a
+        checked load's width, a PARTIAL granule's metadata, or the bytes
+        of a granule or chunk it placed, so n >= 0."""
         pages = self._pages
         off = addr & _PAGE_MASK
-        if 0 <= n <= _PAGE_SIZE - off:
+        if n <= _PAGE_SIZE - off:
             page = pages.get(addr >> _PAGE_SHIFT)
             if page is None:
                 return bytes(n)
             return bytes(page[off : off + n])
-        if n < 0:
-            raise UsageError(f"read length must be >= 0, got {n}")
         out = bytearray()
         while n:
             take = min(n, _PAGE_SIZE - off)
@@ -70,10 +69,11 @@ class SparseMemory:
             pos += take
 
     def fill(self, addr: int, n: int, value: int) -> None:
+        """Set the n bytes at addr to value.  It checks nothing: its
+        callers, malloc and frame entry, pass the granule span they
+        placed (n > 0) and a byte, tag_fill or the sentinel."""
         off = addr & _PAGE_MASK
-        # one page: most chunks and stack frames; a value outside the
-        # table, or a bad length, falls through to the checks below
-        if 0 < n <= _PAGE_SIZE - off and 0 <= value <= 0xFF:
+        if 0 < n <= _PAGE_SIZE - off:  # one page: most chunks and stack frames
             pages = self._pages
             page = pages.get(addr >> _PAGE_SHIFT)
             if page is None:
@@ -82,10 +82,6 @@ class SparseMemory:
                     return  # a new page is all zeros already
             page[off : off + n] = BYTE_OF[value] * n
             return
-        if n < 0:
-            raise UsageError(f"fill length must be >= 0, got {n}")
-        if not 0 <= value <= 0xFF:
-            raise UsageError(f"fill value must be a byte, got {value}")
         run = memoryview(BYTE_OF[value] * min(n, _PAGE_SIZE))  # built once, sliced per page
         pages = self._pages
         index = addr >> _PAGE_SHIFT

@@ -49,7 +49,7 @@ import enum
 from dataclasses import dataclass
 
 from .arena import TagPolicy, placement
-from .errors import ScenarioError, UsageError, require_int
+from .errors import ScenarioError, UsageError, require_int, require_type
 from .faults import AccessKind, FaultReport
 from .sim import Simulator
 from .tagspace import ADDR_MASK, MtConfig, StoreMode
@@ -97,8 +97,7 @@ class Scenario:
                 require_int(name, getattr(self, name))
         if require_int("reuse_depth", self.reuse_depth) < 0:
             raise UsageError(f"reuse_depth must be >= 0, got {self.reuse_depth}")
-        if not isinstance(self.policy, TagPolicy):
-            raise UsageError(f"policy must be a TagPolicy, got {self.policy!r}")
+        require_type("policy", self.policy, TagPolicy)
 
 
 class ScenarioResult:

@@ -24,7 +24,7 @@ from operator import attrgetter
 
 from .access import AccessEngine
 from .arena import ArenaAllocator, TagPolicy
-from .errors import require_int
+from .errors import require_int, require_type
 from .memory import SparseMemory
 from .rng import SplitMix64
 from .stack import StackTagger
@@ -39,7 +39,7 @@ class Simulator:
         if cfg is None:
             cfg = MtConfig()
         self.cfg = cfg
-        self._policy = policy
+        self._policy = require_type("policy", policy, TagPolicy)
         self.memory = memory = SparseMemory()
         self.shadow = shadow = ShadowStore(cfg)
         self.engine = AccessEngine(memory, shadow, cfg, None)

@@ -24,7 +24,7 @@ import enum
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .errors import UsageError, require_bool, require_int
+from .errors import UsageError, require_int, require_type
 from .memory import BYTE_OF, SENTINEL
 
 ADDR_BITS = 56
@@ -83,15 +83,14 @@ class MtConfig:
         for name in ("tg", "ts", "quarantine_capacity"):
             require_int(name, getattr(self, name))
         for name in ("zero_on_tag", "precision_ext", "right_align"):
-            require_bool(name, getattr(self, name))
+            require_type(name, getattr(self, name), bool)
         if self.tg not in _VALID_TG:
             raise UsageError(f"tg must be one of {_VALID_TG}, got {self.tg!r}")
         if self.ts not in _VALID_TS:
             raise UsageError(f"ts must be one of {_VALID_TS}, got {self.ts!r}")
         if self.quarantine_capacity < 0:
             raise UsageError("quarantine_capacity must be >= 0")
-        if not isinstance(self.store_mode, StoreMode):
-            raise UsageError(f"store_mode must be a StoreMode, got {self.store_mode!r}")
+        require_type("store_mode", self.store_mode, StoreMode)
         if self.precision_ext and self.right_align:
             raise UsageError("precision_ext and right_align are mutually exclusive")
 
@@ -172,10 +171,9 @@ class ShadowStore:
     table zero times.
     """
 
-    __slots__ = ("cfg", "pages", "writes", "_tg", "_shift")
+    __slots__ = ("pages", "writes", "_tg", "_shift")
 
     def __init__(self, cfg: MtConfig):
-        self.cfg = cfg
         self.pages: dict[int, bytearray] = {}
         self.writes = 0
         self._tg = cfg.tg
@@ -189,24 +187,17 @@ class ShadowStore:
     def set_range(self, addr: int, length: int, tag: int) -> None:
         """Tag every granule of [addr, addr+length).
 
-        The range must be granule-aligned and a positive multiple of
-        tg; anything else is a usage error, which is deliberately a
-        different failure class from a tag fault.
+        It checks nothing: its callers, malloc, free, mark_partial and
+        the stack tagger, pass the granule span of a chunk, slot or frame
+        they placed in the heap or stack region (a granule-aligned start,
+        a positive multiple of tg, inside the address space) and a tag
+        that is 0, a usable tag or the PARTIAL marker.
         """
-        tg = self._tg
-        if addr & (tg - 1):
-            raise UsageError(f"range start 0x{addr:x} is not {tg}-byte aligned")
-        if length <= 0 or length % tg:
-            raise UsageError(f"range length {length} is not a positive multiple of {tg}")
-        if addr < 0 or addr + length > ADDR_SPACE:
-            raise UsageError("range outside the address space")
-        if not 0 <= tag < self.cfg.n_tags:
-            raise UsageError(f"tag {tag} does not fit in {self.cfg.ts} bits")
         pages = self.pages
         g = addr >> self._shift
         key = g >> TAG_PAGE_SHIFT
         page = pages.get(key)
-        if length == tg:  # one granule: most chunks and every PARTIAL mark
+        if length == self._tg:  # one granule: most chunks and every PARTIAL mark
             if page is None:
                 if not tag:
                     return

@@ -18,13 +18,13 @@ from tagsim.rng import SplitMix64
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# 31 names: parse_trace was dropped once analyze_trace counted every
-# trace file itself, and nothing else read its events
+# 26 names: the five layer classes that Simulator wires (AccessEngine,
+# ArenaAllocator, ShadowStore, SparseMemory, StackTagger) are internal,
+# importable from their modules like every other internal name
 PUBLIC = [
-    "ADDR_SPACE", "AccessEngine", "AccessKind", "Alloc", "AllocationError",
-    "ArenaAllocator", "DoubleFreeError", "FaultError", "FaultKind", "Free",
-    "InvalidFreeError", "MtConfig", "PolicyKind", "Scenario", "ScenarioError",
-    "ScenarioKind", "ShadowStore", "Simulator", "SparseMemory", "StackTagger",
+    "ADDR_SPACE", "AccessKind", "Alloc", "AllocationError", "DoubleFreeError",
+    "FaultError", "FaultKind", "Free", "InvalidFreeError", "MtConfig",
+    "PolicyKind", "Scenario", "ScenarioError", "ScenarioKind", "Simulator",
     "StoreMode", "TagMismatchError", "TagPolicy", "TagSimError", "TraceError",
     "UsageError", "analyze_trace", "estimate_detection", "load_trace",
     "run_scenario", "theoretical_detection",
@@ -32,7 +32,7 @@ PUBLIC = [
 
 
 def test_all_is_the_pinned_public_surface():
-    assert len(PUBLIC) == 31
+    assert len(PUBLIC) == 26
     assert sorted(tagsim.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(tagsim, name) is not None, name
@@ -148,8 +148,9 @@ def test_facade_sees_class_level_patches_made_after_construction(monkeypatch):
     # the benchmark's tracer patches these class attributes, and a caller
     # that reads sim.malloc afterwards must reach the patched method
     sim = tagsim.Simulator()
-    monkeypatch.setattr(tagsim.ArenaAllocator, "malloc", lambda heap, size: ("malloc", size))
-    monkeypatch.setattr(tagsim.AccessEngine, "load", lambda engine, word, width=1: ("load", word))
+    monkeypatch.setattr(tagsim.arena.ArenaAllocator, "malloc", lambda heap, size: ("malloc", size))
+    monkeypatch.setattr(tagsim.access.AccessEngine, "load",
+                        lambda engine, word, width=1: ("load", word))
     assert sim.malloc(24) == ("malloc", 24)
     assert sim.load(0x40) == ("load", 0x40)
 
@@ -207,9 +208,25 @@ _REFUSALS = {
     "store-mode-not-a-StoreMode": (
         tagsim.UsageError, "store_mode must be a StoreMode, got 'precise'",
         lambda: tagsim.MtConfig(store_mode="precise")),
-    "set-range-past-2^56": (
-        tagsim.UsageError, "range outside the address space",
-        lambda: tagsim.ShadowStore(tagsim.MtConfig()).set_range(tagsim.ADDR_SPACE - 16, 32, 1)),
+    "malloc-size-a-bool": (
+        tagsim.UsageError, "size must be an int, got True",
+        lambda: tagsim.Simulator().malloc(True)),
+    "malloc-size-a-float": (
+        tagsim.UsageError, "size must be an int, got 4.0",
+        lambda: tagsim.Simulator().malloc(4.0)),
+    "load-width-a-float": (
+        tagsim.UsageError, "load width must be one of (1, 2, 4, 8), got 1.0",
+        lambda: tagsim.Simulator().load(0x40, 1.0)),
+    "load-width-a-bool": (
+        tagsim.UsageError, "load width must be one of (1, 2, 4, 8), got True",
+        lambda: tagsim.Simulator().load(0x40, True)),
+    "simulator-policy-a-str": (
+        tagsim.UsageError, "policy must be a TagPolicy, got 'random'",
+        lambda: tagsim.Simulator(policy="random")),
+    "theory-policy-a-str": (
+        tagsim.UsageError, "policy must be a TagPolicy, got 'random'",
+        lambda: tagsim.theoretical_detection(tagsim.ScenarioKind.LINEAR_OVERFLOW,
+                                             tagsim.MtConfig(), policy="random")),
     "negative-local-size": (
         tagsim.UsageError, "local size must be >= 0, got -1",
         lambda: tagsim.Simulator().stack.enter_frame([-1])),

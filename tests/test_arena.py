@@ -6,23 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from tagsim import (
     AllocationError,
-    ArenaAllocator,
     DoubleFreeError,
     FaultError,
     InvalidFreeError,
     MtConfig,
-    ShadowStore,
     Simulator,
-    SparseMemory,
     TagPolicy,
     UsageError,
 )
-from tagsim.arena import AllocatorStats, ChunkState, PolicyKind, placement
+from tagsim.arena import AllocatorStats, ArenaAllocator, ChunkState, PolicyKind, placement
 from tagsim.faults import AccessKind, FaultKind, FaultReport
-from tagsim.memory import SENTINEL
+from tagsim.memory import SENTINEL, SparseMemory
 from tagsim.precision import read_partial_meta
 from tagsim.rng import SplitMix64
-from tagsim.tagspace import unpack
+from tagsim.tagspace import ShadowStore, unpack
 
 CFG16 = MtConfig(tg=16, ts=8)
 CFG64 = MtConfig(tg=64, ts=4)
@@ -42,7 +39,7 @@ def test_malloc_rounds_to_granule(sim16):
     chunk = chunk_of(sim16, p)
     assert chunk.requested == 10
     assert chunk.aligned == 16
-    assert chunk.user_addr % 16 == 0
+    assert (chunk.base + chunk.user_off) % 16 == 0
 
 
 def test_malloc_zero_serves_one_byte(sim16):
@@ -79,7 +76,7 @@ def test_distinct_allocations_get_own_granules(sim16):
     a = sim16.malloc(16)
     b = sim16.malloc(16)
     ca, cb = chunk_of(sim16, a), chunk_of(sim16, b)
-    assert ca.end <= cb.base or cb.end <= ca.base
+    assert ca.base + ca.aligned <= cb.base or cb.base + cb.aligned <= ca.base
 
 
 def test_arena_capacity_exhaustion():
@@ -228,7 +225,7 @@ def test_adjacent_distinct_neighbours_differ():
     words = [sim.malloc(64) for _ in range(40)]
     chunks = sorted((chunk_of(sim, w) for w in words), key=lambda c: c.base)
     for left, right in zip(chunks, chunks[1:]):
-        if left.end == right.base:
+        if left.base + left.aligned == right.base:
             assert left.tag != right.tag
 
 
@@ -250,7 +247,7 @@ def test_adjacent_distinct_survives_interleaving(seed, ops):
         live.append(sim.malloc(size))
     chunks = sorted(sim.heap.live_chunks(), key=lambda c: c.base)
     for left, right in zip(chunks, chunks[1:]):
-        if left.end == right.base:
+        if left.base + left.aligned == right.base:
             assert left.tag != right.tag
 
 
@@ -391,7 +388,7 @@ def test_right_align_pushes_user_data_to_granule_end():
     p = sim.malloc(10)
     chunk = chunk_of(sim, p)
     assert chunk.user_off == 6
-    assert chunk.user_addr == chunk.base + 6
+    assert unpack(p, sim.cfg)[0] == chunk.base + 6
     sim.store(p, b"\x01")
     assert sim.load(p, 1) == b"\x01"
     sim.free(p)  # free accepts the pointer malloc returned
@@ -408,7 +405,7 @@ def test_right_align_makes_overflow_cross_granules():
     a = sim.malloc(10)
     b = sim.malloc(10)
     ca, cb = chunk_of(sim, a), chunk_of(sim, b)
-    if ca.end != cb.base or ca.tag == cb.tag:
+    if ca.base + ca.aligned != cb.base or ca.tag == cb.tag:
         pytest.skip("layout did not put distinct-tagged chunks back to back")
     from tagsim.tagspace import offset_ptr
 
@@ -452,9 +449,9 @@ def test_heap_and_stack_lay_out_as_placement_says(layout):
         assert (chunk.aligned, chunk.user_off) == (aligned, user_off)
         assert sim.check_user_range(word, served) is None
         fill = cfg.tag_fill if chunk.tag else SENTINEL
-        assert sim.memory.read(chunk.user_addr, served) == bytes((fill,)) * served
+        assert sim.memory.read(chunk.base + chunk.user_off, served) == bytes((fill,)) * served
         if cfg.precision_ext:
-            remainder, last = served % cfg.tg, chunk.end - cfg.tg
+            remainder, last = served % cfg.tg, chunk.base + chunk.aligned - cfg.tg
             partial = chunk.tag != 0 and 0 < remainder <= cfg.tg - 2
             assert (sim.shadow.get(last) == cfg.partial_tag) is partial
             if partial:
@@ -584,6 +581,6 @@ def test_live_chunks_never_overlap(seed, sizes):
         sim.malloc(s)
     chunks = sorted(sim.heap.live_chunks(), key=lambda c: c.base)
     for left, right in zip(chunks, chunks[1:]):
-        assert left.end <= right.base
+        assert left.base + left.aligned <= right.base
     for c in chunks:
         assert sim.shadow.get(c.base) == c.tag

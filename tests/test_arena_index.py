@@ -29,6 +29,14 @@ from tagsim.tagspace import unpack
 from tagsim.traces import Alloc, Free, analyze_trace
 
 
+def user_addr(chunk):
+    return chunk.base + chunk.user_off
+
+
+def end(chunk):
+    return chunk.base + chunk.aligned
+
+
 class LinearIndex:
     """Chunk bookkeeping as a list in malloc order, searched linearly."""
 
@@ -38,16 +46,16 @@ class LinearIndex:
     def add(self, chunk):
         self.chunks = [c for c in self.chunks
                        if not (c.state is ChunkState.FREED
-                               and c.base < chunk.end and chunk.base < c.end)]
+                               and c.base < end(chunk) and chunk.base < end(c))]
         self.chunks.append(chunk)
 
     def find_owner(self, addr):
-        return next((c for c in reversed(self.chunks) if c.base <= addr < c.end), None)
+        return next((c for c in reversed(self.chunks) if c.base <= addr < end(c)), None)
 
     def classify_free(self, addr):
         """Fault kind and chunk for freeing a non-live address."""
         prior = next((c for c in reversed(self.chunks)
-                      if c.user_addr == addr and c.state is not ChunkState.LIVE), None)
+                      if user_addr(c) == addr and c.state is not ChunkState.LIVE), None)
         if prior is not None:
             return "double-free", prior
         return "invalid-free", self.find_owner(addr)
@@ -89,7 +97,7 @@ def expected_fault(kind, chunk):
 
 
 def is_live_user_addr(heap, addr):
-    return any(c.user_addr == addr for c in heap.live_chunks())
+    return any(user_addr(c) == addr for c in heap.live_chunks())
 
 
 def run_ops(sim, ops, step_check):
@@ -129,7 +137,7 @@ def probe_addresses(sim, ref, extra):
     addrs = {HEAP_BASE - 1, sim.heap._brk - 1, sim.heap._brk, sim.heap._brk + tg}
     addrs.update(HEAP_BASE + off for off in extra)
     for c in ref.chunks:
-        addrs.update((c.base - 1, c.base, c.user_addr, c.end - 1, c.end))
+        addrs.update((c.base - 1, c.base, user_addr(c), end(c) - 1, end(c)))
     return sorted(addrs)
 
 
@@ -172,7 +180,7 @@ def assert_index_bounded(sim):
     assert sorted(heap._by_base) == heap._bases
     assert all(c.base == b for b, c in zip(heap._bases, chunks))
     for left, right in zip(chunks, chunks[1:]):
-        assert left.end <= right.base
+        assert end(left) <= right.base
     assert len(heap._bases) <= (heap._brk - HEAP_BASE) // sim.cfg.tg
 
 

@@ -1,11 +1,8 @@
-"""SparseMemory against a flat bytearray model of the same address window,
-and its refusal of bad lengths and fill values."""
+"""SparseMemory against a flat bytearray model of the same address window."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagsim import SparseMemory, UsageError
-from tagsim.memory import _PAGE_MASK, _PAGE_SHIFT, _PAGE_SIZE
+from tagsim.memory import _PAGE_MASK, _PAGE_SHIFT, _PAGE_SIZE, SparseMemory
 
 BASE = 0x1000_0000  # page-aligned start of the modelled window
 WINDOW = 4 * _PAGE_SIZE
@@ -88,24 +85,3 @@ def test_fill_matches_a_flat_model_and_the_page_loop(fills):
         flat[off : off + n] = bytes([value]) * n
     assert memory.read(BASE, WINDOW) == bytes(flat)
     assert sorted(memory._pages) == sorted(reference._pages)
-
-
-def test_a_negative_length_is_a_usage_error_that_changes_nothing():
-    memory = SparseMemory()
-    memory.fill(0x1000, 64, 0xAA)  # 0x1000 is on a touched page, 0x9000 is not
-    with pytest.raises(UsageError, match="length"):
-        memory.fill(0x1000, -5, 0xAA)
-    for addr in (0x1000, 0x9000):
-        with pytest.raises(UsageError, match="length"):
-            memory.read(addr, -1)
-    assert memory.read(0x1000, 64) == b"\xaa" * 64
-    assert memory.read(0x1000 + _PAGE_SIZE - 8, 8) == bytes(8)
-
-
-@pytest.mark.parametrize("value", [-1, 256])
-def test_a_fill_value_that_is_not_a_byte_is_a_usage_error(value):
-    memory = SparseMemory()
-    for n in (16, 2 * _PAGE_SIZE):
-        with pytest.raises(UsageError, match="value"):
-            memory.fill(BASE, n, value)
-    assert memory._pages == {}

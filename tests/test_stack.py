@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from tagsim import (AllocationError, FaultError, MtConfig, ShadowStore, Simulator, SparseMemory,
-                    StackTagger, UsageError)
+from tagsim import AllocationError, FaultError, MtConfig, Simulator, UsageError
+from tagsim.memory import SparseMemory
 from tagsim.rng import SplitMix64, mix64
+from tagsim.stack import StackTagger
+from tagsim.tagspace import ShadowStore
 
 CFG16 = MtConfig(tg=16, ts=8)
 CFG64 = MtConfig(tg=64, ts=4)

