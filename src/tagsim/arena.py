@@ -298,11 +298,14 @@ class ArenaAllocator:
         self.rng = rng
         self.policy = policy
         self.limit = HEAP_BASE + capacity
+        self._clear()
+
+    def _clear(self) -> None:
+        """An empty heap, the state __init__ and each Simulator._reset start in."""
         self._brk = HEAP_BASE
-        # A heap is built per Monte-Carlo trial and most trials never
-        # free, so the containers only a free needs come with their first
-        # use: the first retired chunk makes _free, the first quarantined
-        # one makes _quarantine.
+        # Most trials never free, so the containers only a free needs
+        # come with their first use: the first retired chunk makes _free,
+        # the first quarantined one makes _quarantine.
         self._free: FreeList | None = None
         self._quarantine: deque[Chunk] | None = None
         # live + quarantined + freed-not-recycled chunks, pairwise disjoint

@@ -183,7 +183,7 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
         raise UsageError(f"trials must be >= 1, got {trials}")
     require_int("seed", seed)
     # trial i is exactly run_scenario(Scenario(..., seed=seed + i)): runners
-    # draw only from sim.rng, and _reset makes the simulator new at seed + i
+    # draw only from sim.rng, and _reset rewinds sim to a new one's state at seed + i
     runner = scenario_runner(kind)
     proto = Scenario(kind=kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
     # Trial 0 draws one word at a time, and the words it drew, k, are
@@ -196,8 +196,7 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
         count = min(PREMIX_STREAMS, seed + trials - start)
         rows = premixed_rows(start, k, count) if k else [()] * count
         for trial_seed, row in zip(range(start, start + count), rows):
-            sim._reset(trial_seed)
-            sim.rng.premix(row)
+            sim._reset(trial_seed, row)
             if runner(sim, proto).detected:
                 detections += 1
     theo = theoretical_detection(kind, cfg, policy=policy)

@@ -1,6 +1,6 @@
 """Small deterministic RNG for per-trial simulator streams.
 
-Every Monte-Carlo trial starts a fresh stream at its own seed.
+Every Monte-Carlo trial rewinds one stream to its own seed (reseed).
 Seeding the stdlib Mersenne Twister costs more than an entire trial
 (its state is 2.5 KB), so simulator randomness comes from a splitmix64
 stream instead: two machine words of state, constant-time seeding,
@@ -14,7 +14,7 @@ seed + i, so the first words of many trials are known before any of
 them runs.  premixed_rows computes the first k words of PREMIX_STREAMS
 consecutive streams at once: one Python int holds every state in its
 own 128-bit lane, so each shift, xor and multiply of mix64 runs once
-over all of them.  A stream handed its row by SplitMix64.premix serves
+over all of them.  A stream handed its row by SplitMix64.reseed serves
 those words first and mixes the rest one at a time, so the words it
 draws, and their order, do not change.
 
@@ -88,8 +88,12 @@ class SplitMix64:
     __slots__ = ("_state", "_premixed", "_solo")
 
     def __init__(self, seed: int = 0):
-        self._state = seed & _M64
-        self._premixed = ()
+        self.reseed(seed)
+
+    def reseed(self, seed: int, words=()) -> None:
+        """Start over as SplitMix64(seed), serving ``words`` first as premix does."""
+        self._state = (seed + len(words) * _GAMMA) & _M64
+        self._premixed = words
         self._solo = BATCH_WORDS  # one-at-a-time mixes left before batching
 
     def premix(self, words: list[int]) -> None:

@@ -1,11 +1,11 @@
 """Seeded single-bug scenarios for measuring detection.
 
-Each scenario runs on a fresh Simulator, performs benign setup, then
-performs exactly one injected bug access.  The verdict is strict: the
-scenario is "detected" only if a fault fires at that bug access,
-either immediately or as a deferred store report drained at scenario
-end.  A fault anywhere else is a harness defect and raises
-ScenarioError instead of polluting the measurement.
+Each scenario runs on a fresh Simulator, or one rewound to that state,
+performs benign setup, then performs exactly one injected bug access.
+The verdict is strict: the scenario is "detected" only if a fault fires
+at that bug access, either immediately or as a deferred store report
+drained at scenario end.  A fault anywhere else is a harness defect and
+raises ScenarioError instead of polluting the measurement.
 
 Setup makes no checked access; the drain refuses any deferred report.
 malloc raises only UsageError or AllocationError, freeing the pointer

@@ -6,7 +6,7 @@ config and one seeded RNG.  Everything that draws randomness (tag
 choices, retags, scenario parameters) pulls from that RNG in program
 order, so a given (config, seed) pair replays bit-identically on any
 platform.  The stack tagger is built on first use, as most trials are
-heap-only; a Monte-Carlo run resets one simulator for each trial.
+heap-only; a Monte-Carlo run rewinds one simulator's parts for each trial.
 
 sim.malloc, free, load, store, sync and check_user_range hand out the
 bound methods of sim.heap and sim.engine themselves, looked up on each
@@ -32,35 +32,39 @@ from .tagspace import MtConfig, ShadowStore
 
 
 class Simulator:
-    __slots__ = ("cfg", "seed", "rng", "memory", "shadow", "heap", "engine", "_policy", "_stack")
+    __slots__ = ("cfg", "seed", "rng", "memory", "shadow", "heap", "engine", "_stack")
 
     def __init__(self, cfg: MtConfig | None = None, seed: int = 0,
                  policy: TagPolicy = TagPolicy()):
         if cfg is None:
             cfg = MtConfig()
         self.cfg = cfg
-        self._policy = require_type("policy", policy, TagPolicy)
         self.memory = memory = SparseMemory()
         self.shadow = shadow = ShadowStore(cfg)
-        self.engine = AccessEngine(memory, shadow, cfg, None)
+        self.heap = heap = ArenaAllocator(memory, shadow, cfg, SplitMix64(),
+                                          require_type("policy", policy, TagPolicy))
+        self.engine = AccessEngine(memory, shadow, cfg, heap.find_owner)
+        self._stack = None
         self._reset(require_int("seed", seed))
 
-    def _reset(self, seed: int) -> None:
-        """The state Simulator(cfg, seed, policy) starts in, defined here
-        alone; shadow.writes keeps counting.  The caller checks ``seed``."""
+    def _reset(self, seed: int, words=()) -> None:
+        """The state Simulator(cfg, seed, policy) starts in, each part rewound in
+        place; the stream serves ``words`` first (SplitMix64.reseed) and
+        shadow.writes keeps counting.  The caller checks ``seed``."""
         self.memory._pages.clear()
         self.shadow.pages.clear()
         self.seed = seed
-        self.rng = rng = SplitMix64(seed)
-        self.heap = heap = ArenaAllocator(self.memory, self.shadow, self.cfg, rng, self._policy)
-        self.engine._owner = heap.find_owner
+        self.rng = rng = self.heap.rng  # not self.rng, which _derive may swap
+        rng.reseed(seed, words)
+        self.heap._clear()
         self.engine._deferred = []
-        self._stack = None
+        if self._stack is not None:
+            self._stack._clear(seed)
 
     @property
     def stack(self) -> StackTagger:
         if self._stack is None:
-            self._stack = StackTagger(self.memory, self.shadow, self.cfg, self.rng,
+            self._stack = StackTagger(self.memory, self.shadow, self.cfg, self.heap.rng,
                                       seed=self.seed)
         return self._stack
 

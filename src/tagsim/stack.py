@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arena import placement
-from .errors import AllocationError, UsageError
+from .errors import AllocationError, UsageError, require_int
 from .rng import mix64
 from .tagspace import MtConfig
 
@@ -59,8 +59,12 @@ class StackTagger:
         self.shadow = shadow
         self.cfg = cfg
         self.rng = rng
-        self.seed = seed
         self.floor = STACK_BASE - capacity
+        self._clear(seed)
+
+    def _clear(self, seed: int) -> None:
+        """An empty stack, the state __init__ and each Simulator._reset start in."""
+        self.seed = seed
         self._top = STACK_BASE
         self._frames: list[Frame] = []
         self._seq = 0
@@ -72,7 +76,7 @@ class StackTagger:
         cfg = self.cfg
         aligned_sizes = []
         for size in local_sizes:
-            if size < 0:
+            if require_int("local size", size) < 0:
                 raise UsageError(f"local size must be >= 0, got {size}")
             aligned_sizes.append(placement(size, cfg)[1])
         total = sum(aligned_sizes)

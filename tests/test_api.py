@@ -227,6 +227,12 @@ _REFUSALS = {
         tagsim.UsageError, "policy must be a TagPolicy, got 'random'",
         lambda: tagsim.theoretical_detection(tagsim.ScenarioKind.LINEAR_OVERFLOW,
                                              tagsim.MtConfig(), policy="random")),
+    "local-size-a-float": (
+        tagsim.UsageError, "local size must be an int, got 4.0",
+        lambda: tagsim.Simulator().stack.enter_frame([4.0])),
+    "local-size-a-bool": (
+        tagsim.UsageError, "local size must be an int, got True",
+        lambda: tagsim.Simulator().stack.enter_frame([True])),
     "negative-local-size": (
         tagsim.UsageError, "local size must be >= 0, got -1",
         lambda: tagsim.Simulator().stack.enter_frame([-1])),

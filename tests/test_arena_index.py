@@ -468,20 +468,17 @@ def test_churn_splits_blocks_and_merges_across_them():
     assert seen["cross-block merge"] >= 5
 
 
-@settings(max_examples=25, deadline=None)
-@given(cfg=configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32),
-       script=st.integers(min_value=0, max_value=2**32))
-def test_heap_places_like_linear_first_fit(cfg, policy, seed, script):
-    """A heap on the blocked free list returns the same pointer words as
-    one whose free list is the linear reference, over enough churn to
-    hold far more than 2 * FREE_BLOCK free extents."""
+def churn_heaps(cfg, policy, seed, script):
+    """Grow a heap to a few hundred live chunks, then free and allocate
+    alike, next to a heap whose free list is the linear reference: both
+    must return the same pointer words and hold the same extents after
+    every step.  Returns the most free extents the heap held at once."""
     sim, ref = Simulator(cfg, seed=seed, policy=policy), Simulator(cfg, seed=seed, policy=policy)
     ref.heap._free = LinearFreeList()
     rnd = random.Random(script)
     live = []
     most = 0
     for step in range(2000):
-        # grow to a few hundred live chunks, then free and allocate alike
         if step >= 500 and rnd.random() < 0.5:
             word = live.pop(rnd.randrange(len(live)))
             sim.free(word)
@@ -495,4 +492,26 @@ def test_heap_places_like_linear_first_fit(cfg, policy, seed, script):
             extents = assert_blocks_sound(sim.heap._free)
             assert extents == ref.heap._free.extents
             most = max(most, len(extents))
-    assert most > 2 * FREE_BLOCK
+    return most
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32),
+       script=st.integers(min_value=0, max_value=2**32))
+# a script whose free list peaks at 62 extents, below the block bound
+@example(cfg=make_config(64, 0, "plain"), policy=TagPolicy.random(), seed=0, script=4159457)
+def test_heap_places_like_linear_first_fit(cfg, policy, seed, script):
+    """A heap on the blocked free list returns the same pointer words as
+    one whose free list is the linear reference."""
+    churn_heaps(cfg, policy, seed, script)
+
+
+@pytest.mark.parametrize("tg", [16, 64])
+@pytest.mark.parametrize("quarantine", [0, 128, 1024])
+@pytest.mark.parametrize("layout", ["plain", "precision_ext", "right_align"])
+def test_heap_churn_holds_more_extents_than_a_block(tg, quarantine, layout):
+    """The comparison above reaches the block paths: under every config,
+    a fixed script holds far more than 2 * FREE_BLOCK free extents at once."""
+    cfg = make_config(tg, quarantine, layout)
+    for policy in (TagPolicy.random(), TagPolicy.adjacent_distinct(), TagPolicy.sampled(0.5)):
+        assert churn_heaps(cfg, policy, seed=0, script=1) > 2 * FREE_BLOCK, policy

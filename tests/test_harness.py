@@ -37,9 +37,11 @@ import tagsim.traces
 from tagsim import detection, scenarios
 from tagsim.cli import main
 from tagsim.faults import AccessKind
+from tagsim.arena import ArenaAllocator
 from tagsim.rng import SplitMix64
 from tagsim.scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, STACK_LOCAL_SIZE,
                               scenario_runner)
+from tagsim.stack import StackTagger
 from tagsim.tagspace import pack, unpack
 from tagsim.traces import Alloc, Free, _blocks, _scan, analyze_trace, load_trace
 from test_cli import _write_churn_trace
@@ -505,6 +507,26 @@ def test_repeated_estimate_builds_only_its_trials(kind, cfg, monkeypatch):
     assert again.theoretical == first.theoretical
 
 
+@pytest.mark.parametrize("cfg", [CFG64, CFG_B], ids=["A", "B"])
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_an_estimate_rewinds_its_parts_and_builds_none_per_trial(kind, cfg, monkeypatch):
+    """Once the theory is memoised, an estimate builds the stream, the
+    heap and (for a stack kind) the stack tagger of its one simulator
+    once, and rewinds them for each of its trials."""
+    theoretical_detection(kind, cfg)
+    built = {cls: 0 for cls in (SplitMix64, ArenaAllocator, StackTagger)}
+    for cls in built:
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    report = estimate_detection(kind, cfg, trials=600, seed=7)
+    assert report.trials == 600
+    stack_kind = kind in (ScenarioKind.USE_AFTER_RETURN, ScenarioKind.USE_AFTER_SCOPE)
+    assert built == {SplitMix64: 1, ArenaAllocator: 1, StackTagger: int(stack_kind)}
+
+
 def test_theory_spellings_share_one_memo_entry():
     kind = ScenarioKind.LINEAR_OVERFLOW
     theory = theoretical_detection(kind, CFG64, TagPolicy.random())
@@ -728,6 +750,13 @@ def test_reset_runs_a_trial_as_a_fresh_simulator(case, kind, earlier, reuse, see
     assert ([sim.rng.next_word() for _ in range(8)]
             == [fresh.rng.next_word() for _ in range(8)])
     assert sim.shadow.writes == writes + fresh.shadow.writes  # counts across the reset
+    # the stack an earlier trial left is rewound: its sequence, top and
+    # frames, and so the pointer words of the next frame
+    stack, want = sim.stack, fresh.stack
+    assert (stack.seed, stack._seq, stack._top) == (want.seed, want._seq, want._top)
+    assert stack._frames == want._frames
+    assert ([slot.ptr for slot in stack.enter_frame([3, 40]).slots]
+            == [slot.ptr for slot in want.enter_frame([3, 40]).slots])
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 against mix64, and the streams that the Monte-Carlo trial loop hands its
 trials against one-at-a-time SplitMix64 streams."""
 
+import copy
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -68,20 +70,24 @@ LATER_DRAWS = (0, 1, 3, 5)
 @pytest.mark.parametrize("first_draws", [0, 3, 9])
 @pytest.mark.parametrize("seed", [0, -5, (1 << 64) - 3])
 def test_trials_draw_the_streams_of_seed_plus_i(monkeypatch, seed, first_draws, trials):
+    """All trials share one stream, rewound for each, so the runner reads
+    a trial's remaining words from a copy: the trial itself leaves its
+    unread premixed words behind for the next rewind to drop."""
     streams = []
 
     def recording_runner(sim, scenario):
         i = len(streams)
         assert sim.seed == seed + i
         draws = first_draws if i == 0 else LATER_DRAWS[i % len(LATER_DRAWS)]
-        streams.append((sim.rng, [sim.rng.next_word() for _ in range(draws)]))
+        words = [sim.rng.next_word() for _ in range(draws)]
+        rest = copy.deepcopy(sim.rng)
+        streams.append(words + [rest.next_word() for _ in range(WORDS - draws)])
         return ScenarioResult(detected=i % 2 == 0)
 
     monkeypatch.setattr(detection, "scenario_runner", lambda kind: recording_runner)
     report = estimate_detection(ScenarioKind.UNINITIALIZED_READ, MtConfig(), trials, seed=seed)
     assert len(streams) == trials
     assert report.detections == (trials + 1) // 2
-    for i, (rng, words) in enumerate(streams):
-        words += [rng.next_word() for _ in range(WORDS - len(words))]
+    for i, words in enumerate(streams):
         reference = SplitMix64(seed + i)
         assert words == [reference.next_word() for _ in range(WORDS)], i

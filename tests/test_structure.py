@@ -1,7 +1,8 @@
 """Each rule of the tagging heap's layout has one home in the source:
 the sentinel fill, the address mask, the granule round-up and the
 PARTIAL fit; so have the RNG's finalizer, the sampling decision, the
-PARTIAL access rule and the building of the simulator's layers.  A
+PARTIAL access rule, the building of the simulator's layers and the
+fresh state of each part that a Monte-Carlo reset rewinds.  A
 second statement of a rule is how the copies drift apart, so these
 tests read the source of src/tagsim and fail on one."""
 
@@ -135,3 +136,35 @@ def test_only_the_simulator_builds_a_layer(layer):
     Simulator too."""
     assert {module for module, _ in _call_homes(layer)} == {"sim.py"}
     assert layer not in tagsim.__all__
+
+
+# each part that Simulator._reset rewinds: its module, the Simulator
+# function that builds it, and its method that holds its fresh state
+_REWOUND = (("rng.py", "SplitMix64", "__init__", "reseed"),
+            ("arena.py", "ArenaAllocator", "__init__", "_clear"),
+            ("stack.py", "StackTagger", "stack", "_clear"))
+
+
+def _methods(module: str, cls: str) -> dict:
+    (node,) = [node for node in ast.parse(MODULES[module]).body
+               if isinstance(node, ast.ClassDef) and node.name == cls]
+    return {fn.name: fn for fn in node.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _self_stores(fn: ast.FunctionDef) -> set:
+    return {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
+
+
+@pytest.mark.parametrize("module, cls, builder, rewind", _REWOUND, ids=lambda v: v)
+def test_a_reset_rewinds_each_part_and_builds_none(module, cls, builder, rewind):
+    """A simulator builds its stream and heap in __init__ and its stack
+    tagger on first use, and _reset only rewinds them.  Each part's
+    __init__ starts in its rewind method's state and sets none of it."""
+    assert _call_homes(cls) == {("sim.py", (builder,))}
+    methods = _methods(module, cls)
+    calls = {node.func.attr for node in ast.walk(methods["__init__"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert rewind in calls
+    assert _self_stores(methods[rewind])
+    assert not _self_stores(methods["__init__"]) & _self_stores(methods[rewind])
