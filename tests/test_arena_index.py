@@ -498,7 +498,7 @@ def churn_heaps(cfg, policy, seed, script):
 @settings(max_examples=25, deadline=None)
 @given(cfg=configs, policy=policies, seed=st.integers(min_value=0, max_value=2**32),
        script=st.integers(min_value=0, max_value=2**32))
-# a script whose free list peaks at 62 extents, below the block bound
+# a script whose free list peaks at 62 extents, under 2 * FREE_BLOCK
 @example(cfg=make_config(64, 0, "plain"), policy=TagPolicy.random(), seed=0, script=4159457)
 def test_heap_places_like_linear_first_fit(cfg, policy, seed, script):
     """A heap on the blocked free list returns the same pointer words as

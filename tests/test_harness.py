@@ -35,9 +35,9 @@ from tagsim import (
 )
 import tagsim.traces
 from tagsim import detection, scenarios
+from tagsim.arena import ArenaAllocator
 from tagsim.cli import main
 from tagsim.faults import AccessKind
-from tagsim.arena import ArenaAllocator
 from tagsim.rng import SplitMix64
 from tagsim.scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, STACK_LOCAL_SIZE,
                               scenario_runner)
