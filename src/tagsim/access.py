@@ -5,8 +5,8 @@ each granule the access touches.  first_mismatch is that check: it
 returns the verdict for the first failing granule, raises nothing and
 changes nothing.  load, store and check_user_range wrap it and build a
 FaultReport only when they refuse; a caller that needs only the verdict
-(the exact theory, a scenario's bug access) calls it directly and
-builds the report later, or never.
+(the exact theory, a scenario's bug access) calls it directly, and
+run_scenario alone builds the report for that verdict.
 
 Loads are always precise: a mismatch raises before any data moves.
 Stores obey the configured StoreMode; under IMPRECISE_STORES a
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TagMismatchError, UsageError
+from .errors import TagMismatchError, UsageError, require_int, require_type
 from .faults import AccessKind, FaultKind, FaultReport
 from .precision import partial_access_ok
 from .tagspace import ADDR_MASK, ADDR_SPACE, TAG_PAGE_MASK, TAG_PAGE_SHIFT, MtConfig, StoreMode
@@ -57,7 +57,11 @@ class AccessEngine:
         self._deferred: list[FaultReport] = []
         self._constants = (cfg.tg_shift, cfg.tag_shift, cfg.n_tags - 1, cfg.partial_tag)
 
+    # Each argument's type is tested inline and require_int or require_type
+    # is called only for a wrong one, to name it: these run once per heap event.
     def load(self, word: int, width: int = 1) -> bytes:
+        if type(word) is not int:
+            require_int("word", word)
         if width not in _WIDTHS or type(width) is not int:  # 1.0 and True are in _WIDTHS
             raise UsageError(f"load width must be one of {_WIDTHS}, got {width}")
         addr = word & ADDR_MASK
@@ -69,6 +73,10 @@ class AccessEngine:
         raise TagMismatchError(self.report(AccessKind.LOAD, word, miss))
 
     def store(self, word: int, data: bytes) -> None:
+        if type(word) is not int:
+            require_int("word", word)
+        if type(data) is not bytes:
+            require_type("data", data, bytes)
         width = len(data)
         if width not in _WIDTHS:
             raise UsageError(f"store width must be one of {_WIDTHS}, got {width}")
@@ -77,7 +85,7 @@ class AccessEngine:
             raise UsageError("access wraps the address space")
         miss = self.first_mismatch(word, width)
         if miss is None:
-            self.memory.write(addr, bytes(data))
+            self.memory.write(addr, data)
             return
         if self.cfg.store_mode is _PRECISE:
             raise TagMismatchError(self.report(AccessKind.STORE, word, miss))
@@ -94,6 +102,10 @@ class AccessEngine:
         """Syscall-style validation of [addr, addr+length); returns None
         when every byte is accessible, else an errno verdict.  Length 0
         is vacuously fine."""
+        if type(word) is not int:
+            require_int("word", word)
+        if type(length) is not int:
+            require_int("length", length)
         if length < 0:
             raise UsageError(f"range length must be >= 0, got {length}")
         if length == 0:

@@ -387,6 +387,8 @@ class ArenaAllocator:
         tag equal to the chunk's tag; anything else faults instead of
         corrupting allocator state.
         """
+        if type(word) is not int:  # as in AccessEngine.load
+            require_int("word", word)
         cfg = self.cfg
         # unpack() inlined, as malloc inlines pack()
         addr = word & ADDR_MASK

@@ -69,8 +69,8 @@ def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
 def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | None:
     """theoretical_detection's derivation (``__wrapped__`` skips the memo):
     the kind's runner builds each bug site on one scratch simulator, reset
-    per site, whose rng and engine are a _Run (the heap keeps its real
-    stream); the engine then judges the recorded probe word."""
+    per site, whose rng is a _Run (the heap keeps its real stream); the
+    engine then judges every probe at the result's word."""
     if policy.kind is PolicyKind.SAMPLED:
         return None
     plan = DRAW_PLANS.get(kind)
@@ -79,13 +79,11 @@ def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | 
     runner = scenario_runner(kind)
     proto = Scenario(kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
     sim = Simulator(cfg, policy=policy)
-    engine, theory, memo, picks = sim.engine, Fraction(0), {}, []
+    theory, memo, picks = Fraction(0), {}, []
     while True:
         sim._reset(0)
-        sim.rng = sim.engine = run = _Run(kind, plan, picks)
-        runner(sim, proto)
-        sim.engine = engine
-        addr, tag = unpack(run.word, cfg)
+        sim.rng = run = _Run(kind, plan, picks)
+        addr, tag = unpack(runner(sim, proto).word, cfg)
         # a drawn tag, or the one a pinned Random neighbour lends the probe
         uniform = "tag" in run.drawn or "pin" in run.drawn and policy.kind is PolicyKind.RANDOM
         probes = _uniform_tag(sim, addr, "tag" in run.drawn) if uniform else [(tag, 1)]
@@ -101,19 +99,16 @@ def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | 
 
 
 class _Run:
-    """sim.rng and sim.engine for one runner call in _derive: serves the
-    draws its plan names, in order (size i serves picks[i], appending 0
-    past their end, any other role its lowest value), records the sizes'
-    ranges and the offset's as ``span``, and keeps the bug access's word."""
+    """sim.rng for one runner call in _derive: serves the draws its plan
+    names, in order (size i serves picks[i], appending 0 past their end,
+    any other role 0), and records the sizes' ranges and the offset's as
+    ``span``."""
 
     def __init__(self, kind: ScenarioKind, plan: tuple, picks: list[int]):
         self.kind, self.plan, self.picks = kind, plan, picks
         self.ranges, self.span, self.drawn = [], 1, ()
 
     def randrange(self, n: int) -> int:
-        return self.randint(0, n - 1)
-
-    def randint(self, low: int, high: int) -> int:
         if len(self.drawn) == len(self.plan):
             raise ScenarioError(f"{self.kind.value} draws more than its plan {self.plan} names")
         role = self.plan[len(self.drawn)]
@@ -121,17 +116,11 @@ class _Run:
         if role == "size":
             if len(self.ranges) == len(self.picks):
                 self.picks.append(0)
-            self.ranges.append(high - low + 1)
-            return low + self.picks[len(self.ranges) - 1]
+            self.ranges.append(n)
+            return self.picks[len(self.ranges) - 1]
         if role == "offset":
-            self.span = high - low + 1
-        return low
-
-    def first_mismatch(self, word: int, length: int) -> None:
-        self.word = word
-
-    def sync(self) -> list:
-        return []
+            self.span = n
+        return 0
 
 
 def _uniform_tag(sim: Simulator, addr: int, reserved: bool) -> list[tuple[int, int]]:

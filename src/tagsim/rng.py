@@ -132,12 +132,6 @@ class SplitMix64:
             raise ValueError(f"empty range for randrange({n})")
         return self.next_word() % n
 
-    def randint(self, a: int, b: int) -> int:
-        """Uniform int in [a, b], both ends included."""
-        if b < a:
-            raise ValueError(f"empty range for randint({a}, {b})")
-        return a + self.next_word() % (b - a + 1)
-
     def choice(self, seq):
         if not seq:
             raise ValueError("cannot choose from an empty sequence")

@@ -100,35 +100,21 @@ class Scenario:
         require_type("policy", self.policy, TagPolicy)
 
 
+@dataclass(slots=True)
 class ScenarioResult:
-    """What one scenario run saw: the verdict, the fault report that
-    detected the bug (None when nothing did) and, for
-    uninitialized-read, the bytes the read returned.
+    """What one scenario run saw: the verdict; the bug access's pointer
+    ``word``, its ``access`` kind and the engine's first_mismatch verdict
+    ``miss`` (None when the access passed; all three None for
+    uninitialized-read); and, for uninitialized-read, the bytes the
+    read returned.  run_scenario sets ``report``, the FaultReport of a
+    refused bug access, from its simulator; a runner leaves it None."""
 
-    A refused bug access keeps only the engine's verdict (``fault``):
-    the report is built from the simulator the first time ``report`` is
-    read.  That is exact because nothing touches the simulator after
-    the bug access but the Monte-Carlo estimator's next reset, and the
-    estimator never reads it.  Until that first read the result keeps
-    the simulator alive.
-    """
-
-    __slots__ = ("detected", "observed", "_report", "_fault")
-
-    def __init__(self, detected: bool, report: FaultReport | None = None,
-                 observed: bytes | None = None, fault: tuple | None = None):
-        self.detected = detected
-        self.observed = observed
-        self._report = report
-        self._fault = fault  # (engine, AccessKind, word, first_mismatch verdict, deferred)
-
-    @property
-    def report(self) -> FaultReport | None:
-        if self._fault is not None:
-            engine, access, word, miss, deferred = self._fault
-            self._report = engine.report(access, word, miss, deferred)
-            self._fault = None
-        return self._report
+    detected: bool
+    word: int | None = None
+    access: AccessKind | None = None
+    miss: tuple[int, int, bool] | None = None
+    observed: bytes | None = None
+    report: FaultReport | None = None
 
 
 def scenario_runner(kind: ScenarioKind):
@@ -145,9 +131,15 @@ def scenario_runner(kind: ScenarioKind):
 
 
 def run_scenario(scenario: Scenario, cfg: MtConfig) -> ScenarioResult:
+    """Run ``scenario`` on a new Simulator, with the report of a refused
+    bug access, which is built from that simulator before it is let go."""
     runner = scenario_runner(scenario.kind)
     sim = Simulator(cfg, seed=scenario.seed, policy=scenario.policy)
-    return runner(sim, scenario)
+    result = runner(sim, scenario)
+    if result.miss is not None:
+        deferred = result.access is _STORE and cfg.store_mode is _IMPRECISE
+        result.report = sim.engine.report(result.access, result.word, result.miss, deferred)
+    return result
 
 
 # enum members read as module globals: on Python 3.11 a member lookup
@@ -160,26 +152,22 @@ _OVERFLOW = ScenarioKind.LINEAR_OVERFLOW
 def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
     """The single injected bug access, plus end-of-scenario drain.
 
-    The engine decides the access; nothing runs after it, so a passing
-    access moves no data and a refused one leaves its report to be built
-    on first read.  A refused load or precise store returns at once,
-    with no drain.  Otherwise the queue is drained: the bug access
-    queues nothing and setup never stores, so any report there is a
-    setup defect.  A mismatched store under IMPRECISE_STORES is detected
-    as the deferred report it would have queued.
+    The engine decides the access and nothing runs after it, so a
+    passing access moves no data.  A refused load or precise store
+    returns at once, with no drain.  Otherwise the queue is drained:
+    the bug access queues nothing and setup never stores, so any report
+    there is a setup defect.  A mismatched store under IMPRECISE_STORES
+    is detected as the deferred report it would have queued.
     """
     engine = sim.engine
     miss = engine.first_mismatch(word, 1)
-    deferred = store and sim.cfg.store_mode is _IMPRECISE
     access = _STORE if store else _LOAD
-    if miss is not None and not deferred:
-        return ScenarioResult(detected=True, fault=(engine, access, word, miss, False))
+    if miss is not None and not (store and sim.cfg.store_mode is _IMPRECISE):
+        return ScenarioResult(True, word, access, miss)
     pending = engine.sync()
     if pending:
         raise ScenarioError(f"scenario setup faulted: {pending[0].render()}")
-    if miss is not None:
-        return ScenarioResult(detected=True, fault=(engine, access, word, miss, True))
-    return ScenarioResult(detected=False)
+    return ScenarioResult(miss is not None, word, access, miss)
 
 
 # The runners build probe words as malloc does, with shifts and
@@ -214,8 +202,8 @@ def _linear_neighbour(sim: Simulator, s: Scenario) -> ScenarioResult:
     tg = sim.cfg.tg
     overflow = s.kind is _OVERFLOW
     largest = LINEAR_MAX_GRANULES * tg
-    size_a = sim.rng.randint(1, largest) if s.size is None or not overflow else s.size
-    size_b = sim.rng.randint(1, largest) if s.size is None or overflow else s.size
+    size_a = 1 + sim.rng.randrange(largest) if s.size is None or not overflow else s.size
+    size_b = 1 + sim.rng.randrange(largest) if s.size is None or overflow else s.size
     ptr_a = sim.heap.malloc(size_a)
     ptr_b = sim.heap.malloc(size_b)
     delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
@@ -257,7 +245,7 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     if s.size is not None:
         size = s.size
     else:
-        size = sim.rng.randrange(INTRA_FULL_GRANULES) * tg + sim.rng.randint(1, tg - 2)
+        size = sim.rng.randrange(INTRA_FULL_GRANULES) * tg + 1 + sim.rng.randrange(tg - 2)
     served, aligned, user_off = placement(size, sim.cfg)
     if user_off:
         raise UsageError("intra-granule scenario needs bytes past the chunk's end in its"

@@ -13,9 +13,10 @@ bound methods of sim.heap and sim.engine themselves, looked up on each
 read, so a call through the facade runs no frame of its own.
 
 load and store raise a fault carrying its FaultReport at once.  A
-scenario run asks the engine for the verdict alone (engine.first_mismatch)
-and its ScenarioResult builds the report on first read, from this
-simulator, which nothing changes after the bug access.
+scenario's bug access asks the engine for the verdict alone
+(engine.first_mismatch); run_scenario builds the report from that
+verdict, and a Monte-Carlo trial, which reads only the verdict, never
+builds it.
 """
 
 from __future__ import annotations

@@ -220,6 +220,27 @@ _REFUSALS = {
     "load-width-a-bool": (
         tagsim.UsageError, "load width must be one of (1, 2, 4, 8), got True",
         lambda: tagsim.Simulator().load(0x40, True)),
+    "free-word-a-float": (
+        tagsim.UsageError, "word must be an int, got 64.0",
+        lambda: tagsim.Simulator().free(64.0)),
+    "load-word-a-float": (
+        tagsim.UsageError, "word must be an int, got 64.0",
+        lambda: tagsim.Simulator().load(64.0)),
+    "load-word-a-bool": (
+        tagsim.UsageError, "word must be an int, got True",
+        lambda: tagsim.Simulator().load(True)),
+    "store-word-a-float": (
+        tagsim.UsageError, "word must be an int, got 64.0",
+        lambda: tagsim.Simulator().store(64.0, b"a")),
+    "store-data-a-str": (
+        tagsim.UsageError, "data must be a bytes, got 'ab'",
+        lambda: tagsim.Simulator().store(0x40, "ab")),
+    "range-word-a-float": (
+        tagsim.UsageError, "word must be an int, got 64.0",
+        lambda: tagsim.Simulator().check_user_range(64.0, 1)),
+    "range-length-a-float": (
+        tagsim.UsageError, "length must be an int, got 1.0",
+        lambda: tagsim.Simulator().check_user_range(0x40, 1.0)),
     "simulator-policy-a-str": (
         tagsim.UsageError, "policy must be a TagPolicy, got 'random'",
         lambda: tagsim.Simulator(policy="random")),
@@ -238,8 +259,6 @@ _REFUSALS = {
         lambda: tagsim.Simulator().stack.enter_frame([-1])),
     "randrange-0": (ValueError, "empty range for randrange(0)",
                     lambda: SplitMix64(0).randrange(0)),
-    "randint-1-0": (ValueError, "empty range for randint(1, 0)",
-                    lambda: SplitMix64(0).randint(1, 0)),
     "choice-of-nothing": (ValueError, "cannot choose from an empty sequence",
                           lambda: SplitMix64(0).choice(())),
 }

@@ -17,7 +17,6 @@ draws = st.lists(st.one_of(
     st.tuples(st.just("premix"), st.integers(1, 8)),
     st.tuples(st.just("random")),
     st.tuples(st.just("randrange"), st.integers(1, 1 << 70)),
-    st.tuples(st.just("randint"), st.integers(-300, 300), st.integers(0, 600)),
     st.tuples(st.just("choice"), st.integers(1, 255)),
 ), max_size=40)
 
@@ -26,7 +25,7 @@ _WRAPPING_SEEDS = (0, M64, -1, -5, (1 << 64) - GAMMA, (1 << 64) - GAMMA - 100, (
 # a trial's premixed row, a row premixed two one-at-a-time mixes before
 # the first batch, then draws across two batch boundaries
 _CROSSING = [("premix", 3), ("words", BATCH_WORDS), ("random",), ("premix", 2),
-             ("words", BATCH_WORDS - 2), ("choice", 16), ("randint", 1, 14), ("randrange", 3),
+             ("words", BATCH_WORDS - 2), ("choice", 16), ("randrange", 14), ("randrange", 3),
              ("words", BATCH_WORDS + 1)]
 
 
@@ -62,9 +61,6 @@ def test_every_draw_is_mix64_of_its_state(seed, script):
             assert stream.random() == (reference() >> 11) / (1 << 53)
         elif name == "randrange":
             assert stream.randrange(step[1]) == reference() % step[1]
-        elif name == "randint":
-            a, b = step[1], step[1] + step[2]
-            assert stream.randint(a, b) == a + reference() % (b - a + 1)
         else:
             seq = range(step[1])
             assert stream.choice(seq) == seq[reference() % len(seq)]

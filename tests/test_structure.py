@@ -1,8 +1,9 @@
 """Each rule of the tagging heap's layout has one home in the source:
 the sentinel fill, the address mask, the granule round-up and the
 PARTIAL fit; so have the RNG's finalizer, the sampling decision, the
-PARTIAL access rule, the building of the simulator's layers and the
-fresh state of each part that a Monte-Carlo reset rewinds.  A
+PARTIAL access rule, the building of the simulator's layers, the
+fresh state of each part that a Monte-Carlo reset rewinds and the one
+part of a simulator that the exact theory replaces.  A
 second statement of a rule is how the copies drift apart, so these
 tests read the source of src/tagsim and fail on one."""
 
@@ -168,3 +169,23 @@ def test_a_reset_rewinds_each_part_and_builds_none(module, cls, builder, rewind)
     assert rewind in calls
     assert _self_stores(methods[rewind])
     assert not _self_stores(methods["__init__"]) & _self_stores(methods[rewind])
+
+
+def test_the_theory_swaps_the_stream_alone():
+    """The exact theory and a scenario run share one seam: _derive gives
+    the scratch simulator a scripted stream (_Run, which serves randrange
+    alone) and leaves it its own engine.  A fault report is built by the
+    engine's checked accesses, and for a scenario by run_scenario."""
+    engine_stores = {(module, tuple(_enclosing_functions(source, node.lineno)))
+                     for module, source in MODULES.items() for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                     and node.attr == "engine"}
+    assert engine_stores == {("sim.py", ("__init__",))}
+    (derive,) = [node for node in ast.parse(MODULES["detection.py"]).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_derive"]
+    assert {ast.unparse(node) for node in ast.walk(derive)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)} == {"sim.rng"}
+    assert ({home for home in _call_homes("report") if home[0] != "access.py"}
+            == {("scenarios.py", ("run_scenario",))})
+    assert set(_methods("detection.py", "_Run")) == {"__init__", "randrange"}
+    assert "randint" not in _methods("rng.py", "SplitMix64")
