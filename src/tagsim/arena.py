@@ -64,7 +64,8 @@ def placement(size: int, cfg: MtConfig) -> tuple[int, int, int]:
     whole granules, and under right_align the served bytes start
     user_off bytes in, so that they end where the span ends."""
     served = size if size > 0 else 1
-    aligned = (served + cfg.tg - 1) & -cfg.tg
+    tg = cfg.tg
+    aligned = (served + tg - 1) & -tg
     return served, aligned, aligned - served if cfg.right_align else 0
 
 
@@ -139,16 +140,20 @@ class Chunk:
 
 
 # Reading an enum member costs a descriptor call on Python 3.11, about
-# ten times a module global; malloc and free read these aliases.
+# ten times a module global; malloc, free, _retire and live_chunks read
+# these aliases.
 _RANDOM = PolicyKind.RANDOM
 _LIVE = ChunkState.LIVE
 _QUARANTINED = ChunkState.QUARANTINED
+_FREED = ChunkState.FREED
 
 
 @dataclass(slots=True)
 class AllocatorStats:
     """A heap's counters at one moment, as ArenaAllocator.stats() copies
-    them out of the heap."""
+    them out of the heap.  The heap folds its live bytes into the two
+    peaks at each free, before they fall, and stats() folds them in
+    again at the snapshot, so malloc never touches a peak."""
 
     allocations: int = 0
     frees: int = 0
@@ -316,7 +321,7 @@ class ArenaAllocator:
         # the counters behind stats(), which copies them into an AllocatorStats
         self._frees = self._tagged = self._partial_fallbacks = 0
         self._live_requested = self._live_aligned = 0
-        self._peak_requested = self._peak_aligned = 0
+        self._peak_requested = self._peak_aligned = 0  # as of the last free
 
     # ------------------------------------------------------------------
     # allocation
@@ -324,7 +329,9 @@ class ArenaAllocator:
     def malloc(self, size: int) -> int:
         """Allocate ``size`` bytes, laid out as placement() says, and
         return a tagged pointer word."""
-        if require_int("size", size) < 0:
+        if type(size) is not int:  # as in free
+            require_int("size", size)
+        if size < 0:
             raise UsageError(f"allocation size must be >= 0, got {size}")
         cfg = self.cfg
         served, aligned, user_off = placement(size, cfg)
@@ -368,14 +375,8 @@ class ArenaAllocator:
 
         if tag:
             self._tagged += 1
-        live = self._live_requested + size
-        self._live_requested = live
-        if live > self._peak_requested:
-            self._peak_requested = live
-        live = self._live_aligned + aligned
-        self._live_aligned = live
-        if live > self._peak_aligned:
-            self._peak_aligned = live
+        self._live_requested += size
+        self._live_aligned += aligned
 
         # pack() inlined: tag and user address are in range by construction
         return (tag << cfg.tag_shift) | (base + user_off)
@@ -406,9 +407,17 @@ class ArenaAllocator:
         if tag:
             self.shadow.set_range(chunk.base, aligned, self._draw_excluding(tag, tag))
 
+        # the live counts only fall here, so their peaks are folded in
+        # here, before they do, and in stats(); malloc only adds
         self._frees += 1
-        self._live_requested -= chunk.requested
-        self._live_aligned -= aligned
+        live = self._live_requested
+        if live > self._peak_requested:
+            self._peak_requested = live
+        self._live_requested = live - chunk.requested
+        live = self._live_aligned
+        if live > self._peak_aligned:
+            self._peak_aligned = live
+        self._live_aligned = live - aligned
 
         capacity = cfg.quarantine_capacity
         if capacity > 0:
@@ -427,16 +436,19 @@ class ArenaAllocator:
             self._retire(chunk)
 
     def stats(self) -> AllocatorStats:
-        """A snapshot of the counters, quarantine totals included."""
+        """A snapshot of the counters, quarantine totals included.  A
+        peak is the larger of the peak that free last folded in and the
+        live count now, as the live counts rise only at malloc."""
         quarantine = self._quarantine
+        live_requested, live_aligned = self._live_requested, self._live_aligned
         return AllocatorStats(
             allocations=self._next_id - 1,
             frees=self._frees,
             tagged_allocations=self._tagged,
-            live_requested_bytes=self._live_requested,
-            live_aligned_bytes=self._live_aligned,
-            peak_requested_bytes=self._peak_requested,
-            peak_aligned_bytes=self._peak_aligned,
+            live_requested_bytes=live_requested,
+            live_aligned_bytes=live_aligned,
+            peak_requested_bytes=max(self._peak_requested, live_requested),
+            peak_aligned_bytes=max(self._peak_aligned, live_aligned),
             quarantine_bytes=self._qbytes,
             quarantine_chunks=len(quarantine) if quarantine is not None else 0,
             partial_fallbacks=self._partial_fallbacks,
@@ -457,7 +469,7 @@ class ArenaAllocator:
         """Live chunks in malloc order."""
         # a chunk's base enters _by_base at malloc, after recycling has
         # removed any freed chunk there, so dict order is malloc order
-        return [c for c in self._by_base.values() if c.state is ChunkState.LIVE]
+        return [c for c in self._by_base.values() if c.state is _LIVE]
 
     # ------------------------------------------------------------------
     # internals
@@ -492,7 +504,7 @@ class ArenaAllocator:
         return tag
 
     def _retire(self, chunk: Chunk) -> None:
-        chunk.state = ChunkState.FREED
+        chunk.state = _FREED
         if self._free is None:
             self._free = FreeList()
         self._free.add(chunk.base, chunk.aligned)

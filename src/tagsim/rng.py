@@ -80,8 +80,8 @@ def premixed_rows(seed: int, k: int, count: int = PREMIX_STREAMS) -> list[list[i
     """The first k words that SplitMix64(seed + j) draws, for each j in
     range(count): row j, last word first, as premix takes it.  The lanes
     are those of exactly count streams, so a partial batch mixes no more."""
-    words = list(_mixed_lanes(seed, *_lanes(count, k)))
-    return [words[i:i + k] for i in range(0, len(words), k)]
+    words = iter(_mixed_lanes(seed, *_lanes(count, k)))
+    return list(map(list, zip(*[words] * k)))  # k words at a time, each row a list
 
 
 class SplitMix64:

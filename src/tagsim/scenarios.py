@@ -261,17 +261,19 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
 
 def _use_after_return(sim: Simulator, s: Scenario) -> ScenarioResult:
     size = s.size if s.size is not None else STACK_LOCAL_SIZE
-    frame = sim.stack.enter_frame([size])
+    stack = sim.stack
+    frame = stack.enter_frame([size])
     stale = frame.local_ptr(0)
-    sim.stack.exit_frame(frame)
+    stack.exit_frame(frame)
     return _bug_access(sim, stale, store=False)
 
 
 def _use_after_scope(sim: Simulator, s: Scenario) -> ScenarioResult:
     size = s.size if s.size is not None else STACK_LOCAL_SIZE
-    frame = sim.stack.enter_frame([size, size])
+    stack = sim.stack
+    frame = stack.enter_frame([size, size])
     stale = frame.local_ptr(0)
-    sim.stack.end_scope(frame, 0)
+    stack.end_scope(frame, 0)
     return _bug_access(sim, stale, store=False)
 
 

@@ -71,15 +71,21 @@ class StackTagger:
 
     def enter_frame(self, local_sizes: list[int]) -> Frame:
         """Push a frame with one slot per declared local size."""
+        if not isinstance(local_sizes, (list, tuple)):
+            raise UsageError(f"local_sizes must be a list or tuple, got {local_sizes!r}")
         if not local_sizes:
             raise UsageError("a frame needs at least one local")
         cfg = self.cfg
         aligned_sizes = []
+        total = 0
         for size in local_sizes:
-            if require_int("local size", size) < 0:
+            if type(size) is not int:  # as in ArenaAllocator.malloc
+                require_int("local size", size)
+            if size < 0:
                 raise UsageError(f"local size must be >= 0, got {size}")
-            aligned_sizes.append(placement(size, cfg)[1])
-        total = sum(aligned_sizes)
+            aligned = placement(size, cfg)[1]
+            aligned_sizes.append(aligned)
+            total += aligned
         fbase = self._top - total
         if fbase < self.floor:
             raise AllocationError(f"stack overflow: need {total} bytes")
@@ -94,8 +100,10 @@ class StackTagger:
         tag_shift = cfg.tag_shift
         slots = []
         offset = 0
-        for i, aligned in enumerate(aligned_sizes):
-            tag = usable[(base_index + i) % n]
+        i = base_index
+        for aligned in aligned_sizes:
+            tag = usable[i % n]
+            i += 1
             slot_base = fbase + offset
             set_range(slot_base, aligned, tag)
             # pack() inlined: tag and slot address are in range by construction
@@ -123,6 +131,8 @@ class StackTagger:
     def end_scope(self, frame: Frame, index: int) -> None:
         """Retag one slot when its lexical scope closes; sibling slots
         stay reachable."""
+        if type(index) is not int:  # a bool would pick slot 0 or 1
+            require_int("index", index)
         if not frame.live:
             raise UsageError("frame already exited")
         if not 0 <= index < len(frame.slots):
@@ -141,7 +151,9 @@ class StackTagger:
         the top PARTIAL value are ever reserved), so the draw's k-th free
         tag is k + 1 stepped past every excluded tag at or below it."""
         n = len(self.cfg.usable_tags)
-        skip = sorted(t for t in tags if 0 < t <= n)
+        skip = sorted(tags)
+        if skip and (skip[0] <= 0 or skip[-1] > n):  # a reserved tag excludes nothing
+            skip = [t for t in skip if 0 < t <= n]
         if len(skip) == n:
             raise UsageError("frame uses every non-reserved tag; no distinct exit tag exists")
         tag = self.rng.randrange(n - len(skip)) + 1

@@ -198,6 +198,11 @@ def test_every_simulator_boundary_fires_under_the_benchmark_tracer():
 
 # Refusals that public calls reach and no other test did: each raises
 # its own error type with its own message.
+def _end_scope(index):
+    stack = tagsim.Simulator().stack
+    stack.end_scope(stack.enter_frame([4, 4]), index)
+
+
 _REFUSALS = {
     "store-wraps-the-address-space": (
         tagsim.UsageError, "access wraps the address space",
@@ -257,6 +262,15 @@ _REFUSALS = {
     "negative-local-size": (
         tagsim.UsageError, "local size must be >= 0, got -1",
         lambda: tagsim.Simulator().stack.enter_frame([-1])),
+    "local-sizes-an-int": (
+        tagsim.UsageError, "local_sizes must be a list or tuple, got 5",
+        lambda: tagsim.Simulator().stack.enter_frame(5)),
+    "scope-index-a-float": (
+        tagsim.UsageError, "index must be an int, got 0.0",
+        lambda: _end_scope(0.0)),
+    "scope-index-a-bool": (
+        tagsim.UsageError, "index must be an int, got True",
+        lambda: _end_scope(True)),
     "randrange-0": (ValueError, "empty range for randrange(0)",
                     lambda: SplitMix64(0).randrange(0)),
     "choice-of-nothing": (ValueError, "cannot choose from an empty sequence",

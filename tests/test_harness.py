@@ -33,6 +33,8 @@ from tagsim import (
     run_scenario,
     theoretical_detection,
 )
+import tagsim.arena
+import tagsim.stack
 import tagsim.traces
 from tagsim import detection, scenarios
 from tagsim.arena import ArenaAllocator
@@ -525,6 +527,25 @@ def test_an_estimate_rewinds_its_parts_and_builds_none_per_trial(kind, cfg, monk
     assert report.trials == 600
     stack_kind = kind in (ScenarioKind.USE_AFTER_RETURN, ScenarioKind.USE_AFTER_SCOPE)
     assert built == {SplitMix64: 1, ArenaAllocator: 1, StackTagger: int(stack_kind)}
+
+
+@pytest.mark.parametrize("cfg", [CFG64, CFG_B], ids=["A", "B"])
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_a_valid_trial_names_no_wrong_type(kind, cfg, monkeypatch):
+    """malloc and enter_frame test a size's type inline and call
+    require_int only to name a wrong one, so an estimate's valid trials
+    never call it."""
+    theoretical_detection(kind, cfg)
+    calls = []
+    for module in (tagsim.arena, tagsim.stack):
+        def counting(name, value, _require=module.require_int):
+            calls.append(name)
+            return _require(name, value)
+
+        monkeypatch.setattr(module, "require_int", counting)
+    report = estimate_detection(kind, cfg, trials=300, seed=11)
+    assert report.trials == 300
+    assert calls == []
 
 
 def test_theory_spellings_share_one_memo_entry():
