@@ -407,8 +407,7 @@ class ArenaAllocator:
         if tag:
             self.shadow.set_range(chunk.base, aligned, self._draw_excluding(tag, tag))
 
-        # the live counts only fall here, so their peaks are folded in
-        # here, before they do, and in stats(); malloc only adds
+        # the live counts fall only here: fold them into the peaks first
         self._frees += 1
         live = self._live_requested
         if live > self._peak_requested:
