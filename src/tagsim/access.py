@@ -34,7 +34,8 @@ from .tagspace import ADDR_MASK, ADDR_SPACE, TAG_PAGE_MASK, TAG_PAGE_SHIFT, MtCo
 EFAULT = 14  # classic errno for a bad user-space address
 
 _WIDTHS = (1, 2, 4, 8)
-_PRECISE = StoreMode.PRECISE
+_STORE = AccessKind.STORE
+_IMPRECISE = StoreMode.IMPRECISE_STORES
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,11 @@ class AccessEngine:
         if miss is None:
             self.memory.write(addr, data)
             return
-        if self.cfg.store_mode is _PRECISE:
-            raise TagMismatchError(self.report(AccessKind.STORE, word, miss))
+        report = self.report(_STORE, word, miss)
+        if not report.deferred:
+            raise TagMismatchError(report)
         # imprecise mode: suppress the write, deliver the report later
-        self._deferred.append(self.report(AccessKind.STORE, word, miss, deferred=True))
+        self._deferred.append(report)
 
     def sync(self) -> list[FaultReport]:
         """Drain deferred store faults in program order."""
@@ -144,14 +146,15 @@ class AccessEngine:
             g += 1
         return None
 
-    def report(self, access: AccessKind, word: int, miss: tuple[int, int, bool],
-               deferred: bool = False) -> FaultReport:
+    def report(self, access: AccessKind, word: int, miss: tuple[int, int, bool]) -> FaultReport:
         """The FaultReport for a refused access of ``word`` whose
-        first_mismatch verdict is ``miss``.  Provenance is read from the
-        heap now, so build it before anything else changes the heap."""
+        first_mismatch verdict is ``miss``, deferred for a store under
+        IMPRECISE_STORES.  Provenance is read from the heap now, so build
+        it before anything else changes the heap."""
         gbase, mtag, partial = miss
         _, tag_shift, tag_mask, _ = self._constants
         addr = word & ADDR_MASK
         fault_addr = addr if addr > gbase else gbase
+        deferred = access is _STORE and self.cfg.store_mode is _IMPRECISE
         return FaultReport.of(FaultKind.TAG_MISMATCH, access, word, (word >> tag_shift) & tag_mask,
                               mtag, gbase, self._owner(fault_addr), deferred, partial)

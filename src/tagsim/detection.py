@@ -22,7 +22,7 @@ from math import prod
 from .arena import PolicyKind, TagPolicy
 from .errors import ScenarioError, UsageError, require_int, require_type
 from .rng import PREMIX_STREAMS, premixed_rows
-from .scenarios import DRAW_PLANS, Scenario, ScenarioKind, run_scenario, scenario_runner
+from .scenarios import DRAW_PLANS, Scenario, ScenarioKind, scenario_runner
 from .sim import Simulator
 from .tagspace import MtConfig, unpack
 
@@ -60,9 +60,10 @@ def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
 
     Each (kind, cfg, policy) is derived once per process and then read
     from a least-recently-used memo of at most 1,024 entries; a one-shot
-    CLI run asks for each once, as before.
+    CLI run asks for each once.
     """
-    return _derive(kind, cfg, require_type("policy", policy, TagPolicy))
+    return _derive(kind, require_type("cfg", cfg, MtConfig),
+                   require_type("policy", policy, TagPolicy))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -70,12 +71,11 @@ def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | 
     """theoretical_detection's derivation (``__wrapped__`` skips the memo):
     the kind's runner builds each bug site on one scratch simulator, reset
     per site, whose rng is a _Run (the heap keeps its real stream); the
-    engine then judges every probe at the result's word."""
+    engine then judges every probe at the result's word.  A kind without
+    a plan takes the empty one, and its one run's verdict decides it."""
     if policy.kind is PolicyKind.SAMPLED:
         return None
-    plan = DRAW_PLANS.get(kind)
-    if plan is None:
-        return Fraction(run_scenario(Scenario(kind, policy=policy), cfg).detected)
+    plan = DRAW_PLANS.get(kind, ())
     runner = scenario_runner(kind)
     proto = Scenario(kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
     sim = Simulator(cfg, policy=policy)
@@ -83,7 +83,10 @@ def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | 
     while True:
         sim._reset(0)
         sim.rng = run = _Run(kind, plan, picks)
-        addr, tag = unpack(runner(sim, proto).word, cfg)
+        result = runner(sim, proto)
+        if not plan:
+            return Fraction(result.detected)
+        addr, tag = unpack(result.word, cfg)
         # a drawn tag, or the one a pinned Random neighbour lends the probe
         uniform = "tag" in run.drawn or "pin" in run.drawn and policy.kind is PolicyKind.RANDOM
         probes = _uniform_tag(sim, addr, "tag" in run.drawn) if uniform else [(tag, 1)]
@@ -101,8 +104,8 @@ def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | 
 class _Run:
     """sim.rng for one runner call in _derive: serves the draws its plan
     names, in order (size i serves picks[i], appending 0 past their end,
-    any other role 0), and records the sizes' ranges and the offset's as
-    ``span``."""
+    any other role 0), refuses any more, and records the sizes' ranges
+    and the offset's as ``span``."""
 
     def __init__(self, kind: ScenarioKind, plan: tuple, picks: list[int]):
         self.kind, self.plan, self.picks = kind, plan, picks
@@ -171,6 +174,7 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
     if require_int("trials", trials) < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     require_int("seed", seed)
+    require_type("cfg", cfg, MtConfig)
     # trial i is exactly run_scenario(Scenario(..., seed=seed + i)): runners
     # draw only from sim.rng, and _reset rewinds sim to a new one's state at seed + i
     runner = scenario_runner(kind)

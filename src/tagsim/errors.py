@@ -51,7 +51,8 @@ class TraceError(TagSimError):
 
 
 class ScenarioError(TagSimError):
-    """A harness scenario faulted somewhere other than its injected bug."""
+    """A scenario runner drew from the exact theory's scripted stream a
+    draw that its kind's draw plan does not name."""
 
 
 class FaultError(TagSimError):

@@ -2,17 +2,15 @@
 
 Each scenario runs on a fresh Simulator, or one rewound to that state,
 performs benign setup, then performs exactly one injected bug access.
-The verdict is strict: the scenario is "detected" only if a fault fires
-at that bug access, either immediately or as a deferred store report
-drained at scenario end.  A fault anywhere else is a harness defect and
-raises ScenarioError instead of polluting the measurement.
+The scenario is "detected" exactly when the engine refuses that access,
+at once or, for a store under IMPRECISE_STORES, as the deferred report
+it would queue.
 
-Setup makes no checked access; the drain refuses any deferred report.
-malloc raises only UsageError or AllocationError, freeing the pointer
-malloc just returned always succeeds, and the tags and fill of a fresh
-chunk or slot are the heap's and the stack's guarantees, tested once
-rather than re-checked in every trial.  Setup never stores, so a report
-that the drain at scenario end yields raises ScenarioError.
+Setup makes no checked access, so it can fault nowhere and queues no
+deferred report.  malloc raises only UsageError or AllocationError,
+freeing the pointer malloc just returned always succeeds, and the tags
+and fill of a fresh chunk or slot are the heap's and the stack's
+guarantees, tested once rather than re-checked in every trial.
 
 Parameter distributions (sizes, offsets) are drawn from the trial's
 seeded RNG and are documented per scenario below.  Two scenarios are
@@ -49,10 +47,10 @@ import enum
 from dataclasses import dataclass
 
 from .arena import TagPolicy, placement
-from .errors import ScenarioError, UsageError, require_int, require_type
+from .errors import UsageError, require_int, require_type
 from .faults import AccessKind, FaultReport
 from .sim import Simulator
-from .tagspace import ADDR_MASK, MtConfig, StoreMode
+from .tagspace import ADDR_MASK, MtConfig
 
 # Geometry a runner draws when its Scenario leaves size and offset unset.
 LINEAR_MAX_GRANULES = 4  # each linear neighbour's size is uniform in [1, 4 * tg]
@@ -133,41 +131,28 @@ def scenario_runner(kind: ScenarioKind):
 def run_scenario(scenario: Scenario, cfg: MtConfig) -> ScenarioResult:
     """Run ``scenario`` on a new Simulator, with the report of a refused
     bug access, which is built from that simulator before it is let go."""
+    require_type("scenario", scenario, Scenario)
     runner = scenario_runner(scenario.kind)
-    sim = Simulator(cfg, seed=scenario.seed, policy=scenario.policy)
+    sim = Simulator(require_type("cfg", cfg, MtConfig), scenario.seed, scenario.policy)
     result = runner(sim, scenario)
     if result.miss is not None:
-        deferred = result.access is _STORE and cfg.store_mode is _IMPRECISE
-        result.report = sim.engine.report(result.access, result.word, result.miss, deferred)
+        result.report = sim.engine.report(result.access, result.word, result.miss)
     return result
 
 
 # enum members read as module globals: on Python 3.11 a member lookup
 # costs a descriptor call, and the bug access runs once per trial
 _LOAD, _STORE = AccessKind.LOAD, AccessKind.STORE
-_IMPRECISE = StoreMode.IMPRECISE_STORES
 _OVERFLOW = ScenarioKind.LINEAR_OVERFLOW
 
 
 def _bug_access(sim: Simulator, word: int, store: bool) -> ScenarioResult:
-    """The single injected bug access, plus end-of-scenario drain.
-
-    The engine decides the access and nothing runs after it, so a
-    passing access moves no data.  A refused load or precise store
-    returns at once, with no drain.  Otherwise the queue is drained:
-    the bug access queues nothing and setup never stores, so any report
-    there is a setup defect.  A mismatched store under IMPRECISE_STORES
-    is detected as the deferred report it would have queued.
-    """
-    engine = sim.engine
-    miss = engine.first_mismatch(word, 1)
-    access = _STORE if store else _LOAD
-    if miss is not None and not (store and sim.cfg.store_mode is _IMPRECISE):
-        return ScenarioResult(True, word, access, miss)
-    pending = engine.sync()
-    if pending:
-        raise ScenarioError(f"scenario setup faulted: {pending[0].render()}")
-    return ScenarioResult(miss is not None, word, access, miss)
+    """The single injected bug access: the engine's verdict on one byte
+    through ``word``.  Nothing runs after it, so a passing access moves
+    no data, and a refused one is detected whether the engine would
+    trap it at once or defer it as an imprecise store."""
+    miss = sim.engine.first_mismatch(word, 1)
+    return ScenarioResult(miss is not None, word, _STORE if store else _LOAD, miss)
 
 
 # The runners build probe words as malloc does, with shifts and
@@ -303,7 +288,7 @@ _RUNNERS = {
 }
 
 # The roles of each runner's sim.rng draws, in order, for the exact theory
-# (detection._Run); a kind not listed draws nothing that can change its verdict.
+# (detection._Run); a kind not listed draws nothing from sim.rng.
 DRAW_PLANS = {
     ScenarioKind.HEAP_USE_AFTER_FREE: ("tag",),
     ScenarioKind.LINEAR_OVERFLOW: ("pin", "size", "offset"),

@@ -12,7 +12,7 @@ sim.malloc, free, load, store, sync and check_user_range hand out the
 bound methods of sim.heap and sim.engine themselves, looked up on each
 read, so a call through the facade runs no frame of its own.
 
-load and store raise a fault carrying its FaultReport at once.  A
+load and a precise store raise a fault carrying its FaultReport.  A
 scenario's bug access asks the engine for the verdict alone
 (engine.first_mismatch); run_scenario builds the report from that
 verdict, and a Monte-Carlo trial, which reads only the verdict, never
@@ -37,9 +37,7 @@ class Simulator:
 
     def __init__(self, cfg: MtConfig | None = None, seed: int = 0,
                  policy: TagPolicy = TagPolicy()):
-        if cfg is None:
-            cfg = MtConfig()
-        self.cfg = cfg
+        self.cfg = cfg = MtConfig() if cfg is None else require_type("cfg", cfg, MtConfig)
         self.memory = memory = SparseMemory()
         self.shadow = shadow = ShadowStore(cfg)
         self.heap = heap = ArenaAllocator(memory, shadow, cfg, SplitMix64(),

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arena import placement
-from .errors import AllocationError, UsageError, require_int
+from .errors import AllocationError, UsageError, require_int, require_type
 from .rng import mix64
 from .tagspace import MtConfig
 
@@ -47,6 +47,10 @@ class Frame:
     live: bool = True
 
     def local_ptr(self, index: int) -> int:
+        if type(index) is not int:  # a bool would pick slot 0 or 1
+            require_int("index", index)
+        if not 0 <= index < len(self.slots):
+            raise UsageError(f"no local slot {index} in this frame")
         return self.slots[index].ptr
 
 
@@ -131,6 +135,8 @@ class StackTagger:
     def end_scope(self, frame: Frame, index: int) -> None:
         """Retag one slot when its lexical scope closes; sibling slots
         stay reachable."""
+        if type(frame) is not Frame:
+            require_type("frame", frame, Frame)
         if type(index) is not int:  # a bool would pick slot 0 or 1
             require_int("index", index)
         if not frame.live:

@@ -178,6 +178,7 @@ with tracer.installed(boundaries):
     tracer.start()
     outcome = workloads.replay_heap(tagsim, cfg, 5, ops, peak)
     failed += outcome.errors
+    tagsim.Simulator(cfg).sync()  # no workload drains deferred stores
     for label, flags in workloads.PROBE_CONFIGS:
         rc, text = workloads.call_cli(main, ["probe", *kinds, "--trials", "12", *flags])
         failed += [message for _, message in workloads.check_probe(rc, text, 12)]
@@ -201,6 +202,10 @@ def test_every_simulator_boundary_fires_under_the_benchmark_tracer():
 def _end_scope(index):
     stack = tagsim.Simulator().stack
     stack.end_scope(stack.enter_frame([4, 4]), index)
+
+
+def _local_ptr(index):
+    return tagsim.Simulator().stack.enter_frame([4]).local_ptr(index)
 
 
 _REFUSALS = {
@@ -271,6 +276,36 @@ _REFUSALS = {
     "scope-index-a-bool": (
         tagsim.UsageError, "index must be an int, got True",
         lambda: _end_scope(True)),
+    "simulator-cfg-a-str": (
+        tagsim.UsageError, "cfg must be a MtConfig, got 'x'",
+        lambda: tagsim.Simulator("x")),
+    "estimate-cfg-none": (
+        tagsim.UsageError, "cfg must be a MtConfig, got None",
+        lambda: tagsim.estimate_detection(tagsim.ScenarioKind.LINEAR_OVERFLOW, None, 10)),
+    "theory-cfg-a-list": (
+        tagsim.UsageError, "cfg must be a MtConfig, got [1]",
+        lambda: tagsim.theoretical_detection(tagsim.ScenarioKind.LINEAR_OVERFLOW, [1])),
+    "scenario-cfg-a-str": (
+        tagsim.UsageError, "cfg must be a MtConfig, got 'x'",
+        lambda: tagsim.run_scenario(tagsim.Scenario(tagsim.ScenarioKind.LINEAR_OVERFLOW), "x")),
+    "scenario-a-str": (
+        tagsim.UsageError, "scenario must be a Scenario, got 'x'",
+        lambda: tagsim.run_scenario("x", tagsim.MtConfig())),
+    "scope-frame-a-str": (
+        tagsim.UsageError, "frame must be a Frame, got 'x'",
+        lambda: tagsim.Simulator().stack.end_scope("x", 0)),
+    "local-index-past-the-slots": (
+        tagsim.UsageError, "no local slot 5 in this frame",
+        lambda: _local_ptr(5)),
+    "local-index-negative": (
+        tagsim.UsageError, "no local slot -1 in this frame",
+        lambda: _local_ptr(-1)),
+    "local-index-a-float": (
+        tagsim.UsageError, "index must be an int, got 0.0",
+        lambda: _local_ptr(0.0)),
+    "local-index-a-bool": (
+        tagsim.UsageError, "index must be an int, got False",
+        lambda: _local_ptr(False)),
     "randrange-0": (ValueError, "empty range for randrange(0)",
                     lambda: SplitMix64(0).randrange(0)),
     "choice-of-nothing": (ValueError, "cannot choose from an empty sequence",
@@ -283,3 +318,7 @@ def test_each_refusal_raises_its_message(case):
     error, message, call = _REFUSALS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_a_simulator_without_a_config_takes_the_default():
+    assert tagsim.Simulator(None).cfg == tagsim.Simulator().cfg == tagsim.MtConfig()

@@ -171,18 +171,6 @@ def test_uninitialized_read_zeroing():
         assert set(result.observed) == {0xAA}
 
 
-def test_setup_report_on_the_bug_word_is_a_setup_fault():
-    # setup never stores, so a report the drain yields is a setup defect,
-    # even one on the bug's own word: it must not count as the detection
-    cfg = MtConfig(tg=16, ts=8, store_mode=StoreMode.IMPRECISE_STORES)
-    sim = Simulator(cfg, seed=0)
-    addr, tag = unpack(sim.malloc(16), cfg)
-    word = pack(addr, tag ^ 1, cfg)
-    sim.store(word, b"\x00")  # queues a deferred report on word
-    with pytest.raises(ScenarioError, match="scenario setup faulted"):
-        scenarios._bug_access(sim, word, store=True)
-
-
 def test_scenario_honours_explicit_geometry():
     prec = MtConfig(tg=16, ts=8, precision_ext=True)
     hit = run_scenario(
@@ -461,15 +449,53 @@ def test_a_draw_the_plan_does_not_name_is_refused(kind, monkeypatch):
     assert detection._derive.cache_info().currsize == 0  # a failed derivation is not kept
 
 
+_PLANLESS = [kind for kind in ScenarioKind if kind not in scenarios.DRAW_PLANS]
+
+
+@pytest.mark.parametrize("kind", _PLANLESS, ids=lambda k: k.value)
+def test_a_kind_without_a_plan_draws_nothing_from_the_stream(kind, monkeypatch):
+    """A kind without a plan takes the empty one, so a stream draw in its
+    runner is refused rather than left out of the theory."""
+    runner = scenarios._RUNNERS[kind]
+
+    def drawing(sim, s):
+        sim.rng.randrange(2)
+        return runner(sim, s)
+
+    monkeypatch.setitem(scenarios._RUNNERS, kind, drawing)
+    with pytest.raises(ScenarioError, match=re.escape(f"{kind.value} draws more than its plan ()")):
+        theoretical_detection(kind, CFG64)
+    assert detection._derive.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("cfg", [CFG64, CFG_B], ids=["A", "B"])
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_a_trial_leaves_no_deferred_report(kind, cfg):
+    """A runner's setup makes no checked access and its bug access only
+    asks the engine for a verdict, so no trial queues a deferred store
+    report, even one whose store config B's imprecise mode refuses."""
+    runner = scenario_runner(kind)
+    scenario = Scenario(kind, reuse_depth=detection._reuse_depth(kind, cfg))
+    refused = 0
+    for seed in range(40):
+        sim = Simulator(cfg, seed)
+        refused += runner(sim, scenario).miss is not None
+        assert sim.engine.sync() == [], seed
+    assert refused or kind in (ScenarioKind.INTRA_GRANULE_OVERFLOW,
+                               ScenarioKind.UNINITIALIZED_READ)
+
+
 @pytest.mark.parametrize("kind, runs", [
     (ScenarioKind.LINEAR_OVERFLOW, LINEAR_MAX_GRANULES * CFG64.tg),
     (ScenarioKind.LINEAR_UNDERFLOW, LINEAR_MAX_GRANULES * CFG64.tg),
     (ScenarioKind.INTRA_GRANULE_OVERFLOW, INTRA_FULL_GRANULES * (CFG64.tg - 2)),
     (ScenarioKind.NON_LINEAR_OVERFLOW, 1),
+    *[(kind, 1) for kind in _PLANLESS],
 ], ids=lambda v: getattr(v, "value", v))
 def test_a_derivation_resets_one_simulator_per_bug_site(kind, runs, monkeypatch):
     """The theory's cost in work, not time: one scratch simulator, and
-    one runner call per equally likely size."""
+    one runner call per equally likely size (one call for a kind without
+    a plan)."""
     built, called = [], []
     init, runner = Simulator.__init__, scenarios._RUNNERS[kind]
 
@@ -764,9 +790,8 @@ def test_reset_runs_a_trial_as_a_fresh_simulator(case, kind, earlier, reuse, see
     report = run_scenario(scenario, cfg).report
     assert (got.miss is None) == (report is None)
     if report is not None:
-        deferred = got.access is AccessKind.STORE and cfg.store_mode is StoreMode.IMPRECISE_STORES
         for trial in (sim, fresh):
-            assert trial.engine.report(got.access, got.word, got.miss, deferred) == report
+            assert trial.engine.report(got.access, got.word, got.miss) == report
     assert sim.seed == seed
     assert sim.heap.stats() == fresh.heap.stats()
     assert sim.memory._pages == fresh.memory._pages

@@ -84,6 +84,8 @@ def test_trials_draw_the_streams_of_seed_plus_i(monkeypatch, seed, first_draws, 
         streams.append(words + [rest.next_word() for _ in range(WORDS - draws)])
         return ScenarioResult(detected=i % 2 == 0)
 
+    # the theory calls the runner through the patched name too: memoise it first
+    detection.theoretical_detection(ScenarioKind.UNINITIALIZED_READ, MtConfig())
     monkeypatch.setattr(detection, "scenario_runner", lambda kind: recording_runner)
     report = estimate_detection(ScenarioKind.UNINITIALIZED_READ, MtConfig(), trials, seed=seed)
     assert len(streams) == trials

@@ -189,3 +189,22 @@ def test_the_theory_swaps_the_stream_alone():
             == {("scenarios.py", ("run_scenario",))})
     assert set(_methods("detection.py", "_Run")) == {"__init__", "randrange"}
     assert "randint" not in _methods("rng.py", "SplitMix64")
+
+
+def test_only_the_engine_report_reads_the_store_mode():
+    """The deferred-store rule is stated once: AccessEngine.report marks a
+    refused store deferred under IMPRECISE_STORES, and store, a scenario
+    and run_scenario read the report's flag.  MtConfig defines and checks
+    the field, and the CLI parses its flag into one; neither counts."""
+    readers = {(module, tuple(_enclosing_functions(source, node.lineno)))
+               for module, source in MODULES.items() if module != "tagspace.py"
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Attribute) and node.attr == "store_mode"
+               and isinstance(node.ctx, ast.Load) and ast.unparse(node.value) != "args"}
+    assert readers == {("access.py", ("report",))}
+
+
+def test_the_theory_runs_no_scenario():
+    """_derive decides every kind, with or without a draw plan, on its one
+    scratch simulator; it never builds a second one through run_scenario."""
+    assert {home for home in _call_homes("run_scenario") if home[0] == "detection.py"} == set()
