@@ -21,9 +21,14 @@ cost grows with the number of blocks, not with the number of extents.
 The heap's one record of its chunks is an index of live, quarantined
 and freed chunks sorted by base address.  Indexed chunks never overlap:
 live and quarantined memory is not on the free list, and placing a
-chunk in reused memory first forgets every freed chunk it overlaps.  So
-owner lookup, the free check and that recycling are each one bisect,
-and the index never holds more chunks than the heap has granules.
+chunk in reused memory first forgets every freed chunk it overlaps.  A
+chunk's base is granule-aligned and malloc's pointer sits less than a
+granule into it, so free finds its chunk by one dict probe at the
+pointer's granule base, and a new chunk placed at a freed chunk's base
+and inside it forgets that chunk by one dict delete.  Owner lookup of an
+arbitrary address, and recycling over any other set of freed chunks,
+are one bisect.  The index never holds more chunks than the heap has
+granules.
 
 Tag policies, one per heap, fixed when the heap is built:
 
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 from .errors import AllocationError, DoubleFreeError, InvalidFreeError, UsageError, require_int
 from .faults import AccessKind, FaultKind, FaultReport
 from .memory import SENTINEL
-from .precision import META_BYTES, mark_partial, read_partial_meta
+from .precision import META_BYTES, mark_partial, partial_meta
 from .tagspace import ADDR_MASK, MtConfig
 
 HEAP_BASE = 0x1000_0000
@@ -394,9 +399,12 @@ class ArenaAllocator:
         # unpack() inlined, as malloc inlines pack()
         addr = word & ADDR_MASK
         ptag = (word >> cfg.tag_shift) & (cfg.n_tags - 1)
-        chunk = self.find_owner(addr)
+        # the pointer malloc returned sits user_off < tg bytes into its
+        # granule-aligned chunk, so its granule base is the chunk's base
+        chunk = self._by_base.get(addr & -cfg.tg)
         if chunk is None or chunk.base + chunk.user_off != addr:
-            raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr, chunk))
+            raise InvalidFreeError(self._free_report(FaultKind.INVALID_FREE, word, ptag, addr,
+                                                     self.find_owner(addr)))
         if chunk.state is not _LIVE:
             raise DoubleFreeError(self._free_report(FaultKind.DOUBLE_FREE, word, ptag, addr, chunk))
         tag = chunk.tag
@@ -498,8 +506,7 @@ class ArenaAllocator:
         """Shadow tag at addr, resolving a PARTIAL marker to the real tag."""
         tag = self.shadow.get(addr)
         if tag and tag == self.cfg.partial_tag:
-            gbase = (addr >> self.cfg.tg_shift) << self.cfg.tg_shift
-            return read_partial_meta(self.memory, self.cfg, gbase)[1]
+            return partial_meta(self.memory, self.cfg, addr & -self.cfg.tg)[1]
         return tag
 
     def _retire(self, chunk: Chunk) -> None:
@@ -513,8 +520,14 @@ class ArenaAllocator:
         # freed chunks that lived there, so provenance never points at
         # recycled ghosts.  [lo, hi) came off the free list, so every
         # indexed chunk it touches is freed; only the first may start below lo.
-        bases = self._bases
         by_base = self._by_base
+        chunk = by_base.get(lo)
+        if chunk is not None and lo + chunk.aligned >= hi:
+            # indexed chunks are disjoint, so this one is alone in [lo, hi),
+            # and malloc indexes its successor under the same base
+            del by_base[lo]
+            return
+        bases = self._bases
         i = bisect_right(bases, lo) - 1
         if i < 0 or bases[i] + by_base[bases[i]].aligned <= lo:
             i += 1

@@ -62,6 +62,8 @@ def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
     from a least-recently-used memo of at most 1,024 entries; a one-shot
     CLI run asks for each once.
     """
+    if not isinstance(kind, ScenarioKind):
+        scenario_runner(kind)  # refuses it by name before the memo hashes it
     return _derive(kind, require_type("cfg", cfg, MtConfig),
                    require_type("policy", policy, TagPolicy))
 

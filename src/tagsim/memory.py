@@ -1,9 +1,13 @@
 """Sparse byte store for the simulated address space.
 
 The machine model is a flat 2^56-byte space.  Backing bytes are
-materialized lazily in fixed-size pages so that a simulator instance
+materialized lazily in 16 KiB pages so that a simulator instance
 costs almost nothing until something is actually written.  Reads of
 never-touched memory return zero bytes.
+
+A page is a multiple of every granule size, so no granule straddles
+two pages: precision.partial_meta reads a PARTIAL granule's metadata
+from one page.  At 16 KiB most chunks are filled within one page.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ SENTINEL = 0xAA  # fill for uninitialized heap and stack bytes when zero_on_tag 
 # builds its run by one repeat, with no bytes() call
 BYTE_OF = tuple(bytes((b,)) for b in range(256))
 
-_PAGE_SHIFT = 12
+_PAGE_SHIFT = 14
 _PAGE_SIZE = 1 << _PAGE_SHIFT
 _PAGE_MASK = _PAGE_SIZE - 1
 

@@ -16,7 +16,9 @@ An access into such a granule is legal only when the pointer tag equals
 the real tag AND the access ends at or before offset n.  The two
 metadata bytes sit at offsets >= n by construction, so they can never
 be read or written through a checked access: the scheme protects its
-own bookkeeping.
+own bookkeeping.  partial_meta reads the two bytes in place from the
+granule's memory page; the access check and the heap's effective_tag
+both read them through it.
 
 malloc decides which chunks get a PARTIAL granule, and its fit rule,
 remainder <= tg - META_BYTES, is stated there alone.  A size whose
@@ -26,6 +28,8 @@ fallback in its stats.
 """
 
 from __future__ import annotations
+
+from .memory import _PAGE_MASK, _PAGE_SHIFT
 
 # A PARTIAL granule's last META_BYTES bytes hold (n, real tag), in order.
 META_BYTES = 2
@@ -44,12 +48,19 @@ def mark_partial(memory, shadow, cfg, granule_base: int, n: int, real_tag: int) 
     memory.write(granule_base + tg - META_BYTES, bytes((n, real_tag)))
 
 
-def read_partial_meta(memory, cfg, granule_base: int) -> bytes:
-    """The two bytes (n, real_tag) of the PARTIAL granule at granule_base."""
-    return memory.read(granule_base + cfg.tg - META_BYTES, META_BYTES)
+def partial_meta(memory, cfg, granule_base: int) -> tuple[int, int]:
+    """(n, real_tag) of the PARTIAL granule at granule_base, read in
+    place from its memory page; a page never written reads as zeros.
+    The page size is a multiple of every tg, so the granule and its
+    metadata bytes lie in one page."""
+    page = memory._pages.get(granule_base >> _PAGE_SHIFT)
+    if page is None:
+        return 0, 0
+    at = (granule_base & _PAGE_MASK) + cfg.tg - META_BYTES
+    return page[at], page[at + 1]
 
 
 def partial_access_ok(memory, cfg, granule_base: int, end: int, ptr_tag: int) -> bool:
     """Decide an access that ends at offset ``end`` of a PARTIAL granule."""
-    n, real_tag = read_partial_meta(memory, cfg, granule_base)
+    n, real_tag = partial_meta(memory, cfg, granule_base)
     return ptr_tag == real_tag and end <= n

@@ -78,9 +78,9 @@ class Scenario:
     kinds STACK_LOCAL_SIZE.  An offset of None is drawn by each kind
     that reads one.  reuse_depth > 0 turns heap-use-after-free into its
     probabilistic reuse variant.  policy is the heap's tag policy, which
-    run_scenario builds the Simulator with.  A bad size, offset,
-    reuse_depth or policy raises a UsageError naming the field; kind is
-    checked by scenario_runner and seed by Simulator."""
+    run_scenario builds the Simulator with.  A bad kind, size, offset,
+    reuse_depth or policy raises a UsageError naming the field, kind's
+    through scenario_runner; seed is checked by Simulator."""
 
     kind: ScenarioKind
     size: int | None = None
@@ -90,6 +90,7 @@ class Scenario:
     policy: TagPolicy = TagPolicy()
 
     def __post_init__(self):
+        scenario_runner(self.kind)
         for name in ("size", "offset"):
             if getattr(self, name) is not None:
                 require_int(name, getattr(self, name))
@@ -122,10 +123,11 @@ def scenario_runner(kind: ScenarioKind):
     resetting one Simulator to each trial's seed themselves; runners read
     randomness only through sim.rng, never through scenario.seed.
     """
-    runner = _RUNNERS.get(kind)
-    if runner is None:
-        raise UsageError(f"unknown scenario kind {kind!r}")
-    return runner
+    if isinstance(kind, ScenarioKind):
+        return _RUNNERS[kind]
+    if not isinstance(kind, str):  # a str is a name, perhaps a misspelt one
+        require_type("kind", kind, ScenarioKind)
+    raise UsageError(f"unknown scenario kind {kind!r}")
 
 
 def run_scenario(scenario: Scenario, cfg: MtConfig) -> ScenarioResult:

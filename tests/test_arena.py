@@ -17,7 +17,7 @@ from tagsim import (
 from tagsim.arena import AllocatorStats, ArenaAllocator, ChunkState, PolicyKind, placement
 from tagsim.faults import AccessKind, FaultKind, FaultReport
 from tagsim.memory import SENTINEL, SparseMemory
-from tagsim.precision import read_partial_meta
+from tagsim.precision import partial_meta
 from tagsim.rng import SplitMix64
 from tagsim.tagspace import ShadowStore, unpack
 
@@ -455,7 +455,7 @@ def test_heap_and_stack_lay_out_as_placement_says(layout):
             partial = chunk.tag != 0 and 0 < remainder <= cfg.tg - 2
             assert (sim.shadow.get(last) == cfg.partial_tag) is partial
             if partial:
-                assert tuple(read_partial_meta(sim.memory, cfg, last)) == (remainder, chunk.tag)
+                assert partial_meta(sim.memory, cfg, last) == (remainder, chunk.tag)
         if free_each:
             sim.free(word)
     frame = sim.stack.enter_frame(sizes)

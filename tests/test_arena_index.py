@@ -25,7 +25,8 @@ from tagsim import (DoubleFreeError, InvalidFreeError, MtConfig, Simulator, TagM
                     TagPolicy)
 from tagsim import arena
 from tagsim.arena import FREE_BLOCK, HEAP_BASE, ChunkState, FreeList
-from tagsim.tagspace import unpack
+from tagsim.faults import AccessKind, FaultKind, FaultReport
+from tagsim.tagspace import ADDR_MASK, unpack
 from tagsim.traces import Alloc, Free, analyze_trace
 
 
@@ -189,6 +190,105 @@ def assert_index_bounded(sim):
 def test_index_stays_disjoint_and_bounded(cfg, policy, seed, ops):
     run_ops(Simulator(cfg, seed=seed, policy=policy), ops,
             lambda sim, ref: assert_index_bounded(sim))
+
+
+# ----------------------------------------------------------------------
+# free's probe at the pointer's granule base against find_owner
+
+
+def owner_free_verdict(heap, word):
+    """What free(word) does when it finds its chunk with find_owner, as
+    free did before it probed the index at the pointer's granule base:
+    None when it frees, else the error class and report it raises."""
+    cfg = heap.cfg
+    addr, ptag = unpack(word, cfg)
+    chunk = heap.find_owner(addr)
+    if chunk is None or user_addr(chunk) != addr:
+        kind, error = FaultKind.INVALID_FREE, InvalidFreeError
+    elif chunk.state is not ChunkState.LIVE:
+        kind, error = FaultKind.DOUBLE_FREE, DoubleFreeError
+    elif ptag != chunk.tag:
+        kind, error = FaultKind.INVALID_FREE, InvalidFreeError
+    else:
+        return None
+    return error, FaultReport.of(kind, AccessKind.FREE, word, ptag, heap.shadow.get(addr),
+                                 addr & -cfg.tg, chunk)
+
+
+free_words = st.one_of(
+    st.tuples(st.just("valid"), indices),
+    st.tuples(st.just("stale"), indices),  # freed, quarantined, or a ghost of recycled memory
+    st.tuples(st.just("interior"), indices, st.integers(min_value=-80, max_value=300)),
+    st.tuples(st.just("off-by-user-off"), indices, st.sampled_from([-1, 1])),
+    st.tuples(st.just("wrong-tag"), indices))
+probe_ops = st.lists(st.one_of(
+    st.tuples(st.just("malloc"), st.one_of(st.sampled_from([0, 1, 16, 17, 48, 64]),
+                                           st.integers(min_value=0, max_value=200))),
+    free_words), max_size=60)
+
+
+def free_word(op, live, words, cfg):
+    """The pointer word that the free op ``op`` frees, or None when the
+    heap has none of its kind yet."""
+    name, pick = op[0], op[1]
+    pool = words if name in ("stale", "interior") else live
+    if not pool:
+        return None
+    word, chunk = pool[pick % len(pool)]
+    if name == "interior":
+        return (word & ~ADDR_MASK) | (chunk.base + op[2]) if chunk.base + op[2] >= 0 else None
+    if name == "off-by-user-off":  # the chunk's base, or past the user address by as much
+        return word + op[2] * max(chunk.user_off, 1)
+    if name == "wrong-tag":
+        return word ^ (1 << cfg.tag_shift)
+    return word
+
+
+@settings(max_examples=200, deadline=None)
+@given(tg=st.sampled_from([16, 64]), quarantine=st.sampled_from([0, 128, 1024]),
+       layout=st.sampled_from(["plain", "right_align"]),
+       policy=st.sampled_from([TagPolicy.random(), TagPolicy.sampled(0.5)]),
+       seed=st.integers(min_value=0, max_value=2**32), ops=probe_ops)
+# reuse of exactly one freed chunk, then its stale pointer
+@example(tg=16, quarantine=0, layout="right_align", policy=TagPolicy.random(), seed=0,
+         ops=[("malloc", 17), ("malloc", 1), ("valid", 0), ("malloc", 17), ("stale", 0),
+              ("off-by-user-off", 0, -1)])
+# a shorter take from the front of a freed chunk, then the rest
+@example(tg=16, quarantine=0, layout="plain", policy=TagPolicy.random(), seed=0,
+         ops=[("malloc", 64), ("malloc", 1), ("valid", 0), ("malloc", 16), ("malloc", 16),
+              ("stale", 0), ("interior", 0, 16)])
+def test_free_by_granule_base_agrees_with_find_owner(tg, quarantine, layout, policy, seed, ops):
+    """Every free, valid or not, does what a find_owner-based free would:
+    it frees, or raises the same error class with the same report.  After
+    every step the index is sorted and in malloc order."""
+    cfg = make_config(tg, quarantine, layout)
+    sim = Simulator(cfg, seed=seed, policy=policy)
+    heap = sim.heap
+    live, words = [], []  # (word, chunk), live ones in malloc order
+    for op in ops:
+        if op[0] == "malloc":
+            word = sim.malloc(op[1])
+            entry = (word, heap.find_owner(unpack(word, cfg)[0]))
+            live.append(entry)
+            words.append(entry)
+        else:
+            word = free_word(op, live, words, cfg)
+            if word is None:
+                continue
+            verdict = owner_free_verdict(heap, word)
+            if verdict is None:
+                sim.free(word)
+                addr = unpack(word, cfg)[0]
+                live = [(w, c) for w, c in live if user_addr(c) != addr]
+            else:
+                with pytest.raises(verdict[0]) as refused:
+                    sim.free(word)
+                assert type(refused.value) is verdict[0]
+                assert refused.value.report == verdict[1]
+        assert heap._bases == sorted(heap._by_base)
+        ids = [c.id for c in heap._by_base.values()]
+        assert ids == sorted(ids)
+        assert heap.live_chunks() == [c for _, c in live]
 
 
 @pytest.mark.parametrize("quarantine", [0, 4096])

@@ -734,6 +734,19 @@ def test_unknown_kind_is_refused_by_name():
     assert detection._derive.cache_info().currsize == 0  # a failed derivation is not kept
 
 
+@pytest.mark.parametrize("kind", [["x"], {}, 3, None], ids=repr)
+def test_a_kind_that_is_no_scenario_kind_is_refused_by_name(kind):
+    """An unhashable kind used to escape as a bare TypeError from the
+    runner table or the theory's memo, and Scenario accepted it."""
+    message = f"^kind must be a ScenarioKind, got {re.escape(repr(kind))}$"
+    for call in (lambda: Scenario(kind),
+                 lambda: estimate_detection(kind, CFG64, 3),
+                 lambda: theoretical_detection(kind, CFG64)):
+        with pytest.raises(UsageError, match=message):
+            call()
+    assert detection._derive.cache_info().currsize == 0
+
+
 # ----------------------------------------------------------------------
 # one simulator per Monte-Carlo run
 

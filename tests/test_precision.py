@@ -2,11 +2,12 @@
 and interaction with the allocator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagsim import FaultError, MtConfig, Simulator, TagPolicy
-from tagsim.memory import SparseMemory
-from tagsim.precision import mark_partial, partial_access_ok, read_partial_meta
-from tagsim.tagspace import ShadowStore, offset_ptr, pack, unpack
+from tagsim.memory import _PAGE_SHIFT, _PAGE_SIZE, SparseMemory
+from tagsim.precision import META_BYTES, mark_partial, partial_access_ok, partial_meta
+from tagsim.tagspace import _VALID_TG, ShadowStore, offset_ptr, pack, unpack
 
 PREC16 = MtConfig(tg=16, ts=8, precision_ext=True)
 PREC64 = MtConfig(tg=64, ts=4, precision_ext=True)
@@ -29,10 +30,41 @@ def test_mark_partial_writes_shadow_and_metadata():
     assert memory.read(0x100 + 15, 1) == bytes([5])
 
 
-def test_read_partial_meta_roundtrip():
+def test_partial_meta_roundtrip():
     memory, shadow = fresh(PREC64)
     mark_partial(memory, shadow, PREC64, 0x40, n=33, real_tag=7)
-    assert tuple(read_partial_meta(memory, PREC64, 0x40)) == (33, 7)
+    assert partial_meta(memory, PREC64, 0x40) == (33, 7)
+
+
+def test_a_memory_page_holds_whole_granules():
+    """partial_meta reads a granule's metadata bytes from the granule's
+    own page, which holds them only if no granule straddles two pages."""
+    for tg in _VALID_TG:
+        assert _PAGE_SIZE % tg == 0, tg
+
+
+@settings(max_examples=100, deadline=None)
+@given(tg=st.sampled_from(_VALID_TG), data=st.data())
+def test_partial_meta_reads_the_granules_last_two_bytes(tg, data):
+    """On PARTIAL granules marked anywhere in four pages, the last
+    granule of a page among them, and on unmarked granules of written
+    and never-written pages, partial_meta gives what a read does."""
+    cfg = MtConfig(tg=tg, ts=4, precision_ext=True)
+    memory, shadow = fresh(cfg)
+    granules = st.integers(min_value=0, max_value=4 * _PAGE_SIZE // tg - 1).map(lambda g: g * tg)
+    metas = st.tuples(st.integers(min_value=1, max_value=tg - META_BYTES),
+                      st.sampled_from(cfg.usable_tags))
+    marked = data.draw(st.lists(st.tuples(granules, metas), max_size=20))
+    marked.append((_PAGE_SIZE - tg, data.draw(metas)))
+    for gbase, (n, tag) in marked:
+        mark_partial(memory, shadow, cfg, gbase, n, tag)
+    unwritten = 8 * _PAGE_SIZE - tg
+    assert unwritten >> _PAGE_SHIFT not in memory._pages
+    probes = [g for g, _ in marked] + data.draw(st.lists(granules, max_size=10)) + [unwritten]
+    for gbase in probes:
+        expect = tuple(memory.read(gbase + tg - META_BYTES, META_BYTES))
+        assert partial_meta(memory, cfg, gbase) == expect, hex(gbase)
+    assert partial_meta(memory, cfg, unwritten) == (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +107,7 @@ def test_malloc_marks_final_partial_granule():
     chunk = sim.heap.find_owner(unpack(p, sim.cfg)[0])
     addr = chunk.base
     assert sim.shadow.get(addr) == PREC16.partial_tag
-    assert tuple(read_partial_meta(sim.memory, sim.cfg, addr)) == (10, chunk.tag)
+    assert partial_meta(sim.memory, sim.cfg, addr) == (10, chunk.tag)
 
 
 def test_under_precision_intra_granule_overflow_faults():

@@ -126,6 +126,13 @@ def test_the_partial_rule_is_applied_by_first_mismatch_alone():
     assert _call_homes("partial_access_ok") == {("access.py", ("first_mismatch",))}
 
 
+def test_partial_metadata_is_read_by_one_helper():
+    """The access check and the heap's effective tag both read a PARTIAL
+    granule's (n, real tag) through precision.partial_meta."""
+    assert _call_homes("partial_meta") == {("precision.py", ("partial_access_ok",)),
+                                           ("arena.py", ("effective_tag",))}
+
+
 _LAYERS = ("AccessEngine", "ArenaAllocator", "ShadowStore", "SparseMemory", "StackTagger")
 
 
