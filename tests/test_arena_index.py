@@ -197,9 +197,8 @@ def test_index_stays_disjoint_and_bounded(cfg, policy, seed, ops):
 
 
 def owner_free_verdict(heap, word):
-    """What free(word) does when it finds its chunk with find_owner, as
-    free did before it probed the index at the pointer's granule base:
-    None when it frees, else the error class and report it raises."""
+    """What free(word) does if it finds its chunk with find_owner: None
+    when it frees, else the error class and report it raises."""
     cfg = heap.cfg
     addr, ptag = unpack(word, cfg)
     chunk = heap.find_owner(addr)
