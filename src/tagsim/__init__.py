@@ -22,7 +22,6 @@ from .errors import (
     DoubleFreeError,
     FaultError,
     InvalidFreeError,
-    ScenarioError,
     TagMismatchError,
     TagSimError,
     TraceError,
@@ -54,7 +53,6 @@ __all__ = [
     "MtConfig",
     "PolicyKind",
     "Scenario",
-    "ScenarioError",
     "ScenarioKind",
     "Simulator",
     "StoreMode",

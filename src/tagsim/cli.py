@@ -23,8 +23,8 @@ import sys
 
 from .arena import PolicyKind, TagPolicy
 from .detection import estimate_detection
-from .errors import AllocationError, ScenarioError, TraceError, UsageError
-from .scenarios import DRAW_PLANS, Scenario, ScenarioKind, run_scenario
+from .errors import AllocationError, TraceError, UsageError
+from .scenarios import Scenario, ScenarioKind, run_scenario
 from .tagspace import MtConfig, StoreMode
 from .traces import analyze_trace, load_trace
 
@@ -153,9 +153,7 @@ def _cmd_simulate(args) -> int:
     policy = _policy_from(args)
     cfg = _config_from(args)
     kind = _parse_kind(args.scenario)
-    # --size applies to every kind, --reuse-depth only to heap-use-after-free
-    if args.offset is not None and "offset" not in DRAW_PLANS.get(kind, ()):
-        raise UsageError(f"--offset does not apply to scenario {kind.value}")
+    # --reuse-depth, even 0, applies only to heap-use-after-free; Scenario checks --offset
     reuse_depth = args.reuse_depth or 0
     if args.reuse_depth is not None and kind is not ScenarioKind.HEAP_USE_AFTER_FREE:
         raise UsageError(f"--reuse-depth does not apply to scenario {kind.value}")
@@ -228,7 +226,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         raise  # not an input error: entry() ends the run quietly
-    except (UsageError, TraceError, ScenarioError, AllocationError, OSError) as exc:
+    except (UsageError, TraceError, AllocationError, OSError) as exc:
         print(f"tagsim: error: {exc}", file=sys.stderr)
         return 2
 

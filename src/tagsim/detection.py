@@ -8,8 +8,8 @@ the empirical detection rate next to the exact per-trial probability.
 The exact probability is derived from the engine, not from a formula
 or a second copy of the match rule or of a bug: the kind's own runner
 builds each bug site on a scratch Simulator and the engine decides every
-probe.  Only the draws that DRAW_PLANS names are modelled: sizes, offsets
-and the pointer tag, grouped by its relation to the memory tag.
+probe.  Only the draws a runner names by role are modelled: sizes,
+offsets and the pointer tag, grouped by its relation to the memory tag.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import prod
 
 from .arena import PolicyKind, TagPolicy
-from .errors import ScenarioError, UsageError, require_int, require_type
+from .errors import UsageError, require_int, require_type
 from .rng import PREMIX_STREAMS, premixed_rows
-from .scenarios import DRAW_PLANS, Scenario, ScenarioKind, scenario_runner
+from .scenarios import Scenario, ScenarioKind, scenario_runner
 from .sim import Simulator
 from .tagspace import MtConfig, unpack
 
@@ -73,25 +73,24 @@ def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | 
     """theoretical_detection's derivation (``__wrapped__`` skips the memo):
     the kind's runner builds each bug site on one scratch simulator, reset
     per site, whose rng is a _Run (the heap keeps its real stream); the
-    engine then judges every probe at the result's word.  A kind without
-    a plan takes the empty one, and its one run's verdict decides it."""
+    engine then judges every probe at the result's word.  A run without
+    a bug access (uninitialized-read) is decided by its own verdict."""
     if policy.kind is PolicyKind.SAMPLED:
         return None
-    plan = DRAW_PLANS.get(kind, ())
     runner = scenario_runner(kind)
     proto = Scenario(kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
     sim = Simulator(cfg, policy=policy)
     theory, memo, picks = Fraction(0), {}, []
     while True:
         sim._reset(0)
-        sim.rng = run = _Run(kind, plan, picks)
+        sim.rng = run = _Run(picks)
         result = runner(sim, proto)
-        if not plan:
+        if result.word is None:
             return Fraction(result.detected)
         addr, tag = unpack(result.word, cfg)
         # a drawn tag, or the one a pinned Random neighbour lends the probe
-        uniform = "tag" in run.drawn or "pin" in run.drawn and policy.kind is PolicyKind.RANDOM
-        probes = _uniform_tag(sim, addr, "tag" in run.drawn) if uniform else [(tag, 1)]
+        uniform = run.tagged or run.pinned and policy.kind is PolicyKind.RANDOM
+        probes = _uniform_tag(sim, addr, run.tagged) if uniform else [(tag, 1)]
         # the span bytes the offset picks run up from the word's address, kept
         # in its granule (linear-underflow's count down from its last byte)
         start = min(addr, (addr & -cfg.tg) + cfg.tg - run.span)
@@ -104,27 +103,32 @@ def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | 
 
 
 class _Run:
-    """sim.rng for one runner call in _derive: serves the draws its plan
-    names, in order (size i serves picks[i], appending 0 past their end,
-    any other role 0), refuses any more, and records the sizes' ranges
-    and the offset's as ``span``."""
+    """sim.rng for one runner call in _derive, a method per draw role:
+    size draw i serves picks[i] (appending 0 past their end) and records
+    its range, offset serves 0 and records its range as ``span``, and tag
+    and pin serve 0 and set their flags.  A draw by any other name, such
+    as randrange, has no method here and fails the derivation."""
 
-    def __init__(self, kind: ScenarioKind, plan: tuple, picks: list[int]):
-        self.kind, self.plan, self.picks = kind, plan, picks
-        self.ranges, self.span, self.drawn = [], 1, ()
+    def __init__(self, picks: list[int]):
+        self.picks, self.ranges, self.span = picks, [], 1
+        self.tagged = self.pinned = False
 
-    def randrange(self, n: int) -> int:
-        if len(self.drawn) == len(self.plan):
-            raise ScenarioError(f"{self.kind.value} draws more than its plan {self.plan} names")
-        role = self.plan[len(self.drawn)]
-        self.drawn += (role,)
-        if role == "size":
-            if len(self.ranges) == len(self.picks):
-                self.picks.append(0)
-            self.ranges.append(n)
-            return self.picks[len(self.ranges) - 1]
-        if role == "offset":
-            self.span = n
+    def size(self, n: int) -> int:
+        if len(self.ranges) == len(self.picks):
+            self.picks.append(0)
+        self.ranges.append(n)
+        return self.picks[len(self.ranges) - 1]
+
+    def offset(self, n: int) -> int:
+        self.span = n
+        return 0
+
+    def tag(self, n: int) -> int:
+        self.tagged = True
+        return 0
+
+    def pin(self, n: int) -> int:
+        self.pinned = True
         return 0
 
 

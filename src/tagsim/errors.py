@@ -50,11 +50,6 @@ class TraceError(TagSimError):
         self.line = line
 
 
-class ScenarioError(TagSimError):
-    """A scenario runner drew from the exact theory's scripted stream a
-    draw that its kind's draw plan does not name."""
-
-
 class FaultError(TagSimError):
     """A simulated trap.  ``report`` holds the full fault description.
 

@@ -132,6 +132,8 @@ class SplitMix64:
             raise ValueError(f"empty range for randrange({n})")
         return self.next_word() % n
 
+    size = offset = tag = pin = randrange  # a runner's draw roles, served by detection._Run
+
     def choice(self, seq):
         if not seq:
             raise ValueError("cannot choose from an empty sequence")

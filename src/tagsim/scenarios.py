@@ -13,7 +13,8 @@ and fill of a fresh chunk or slot are the heap's and the stack's
 guarantees, tested once rather than re-checked in every trial.
 
 Parameter distributions (sizes, offsets) are drawn from the trial's
-seeded RNG and are documented per scenario below.  Two scenarios are
+seeded RNG, each draw named by its role (sim.rng.size, offset, tag or
+pin), and are documented per scenario below.  Two scenarios are
 probabilistic by construction:
 
 * heap-use-after-free with reuse_depth >= 1: the victim memory is
@@ -76,8 +77,9 @@ class Scenario:
     A size of None is drawn from the trial RNG only by the linear and
     intra-granule kinds; the other heap kinds use tg, and the stack
     kinds STACK_LOCAL_SIZE.  An offset of None is drawn by each kind
-    that reads one.  reuse_depth > 0 turns heap-use-after-free into its
-    probabilistic reuse variant.  policy is the heap's tag policy, which
+    that reads one; the others refuse an offset.  reuse_depth > 0 turns
+    heap-use-after-free into its probabilistic reuse variant; the others
+    refuse it.  policy is the heap's tag policy, which
     run_scenario builds the Simulator with.  A bad kind, size, offset,
     reuse_depth or policy raises a UsageError naming the field, kind's
     through scenario_runner; seed is checked by Simulator."""
@@ -97,6 +99,10 @@ class Scenario:
         if require_int("reuse_depth", self.reuse_depth) < 0:
             raise UsageError(f"reuse_depth must be >= 0, got {self.reuse_depth}")
         require_type("policy", self.policy, TagPolicy)
+        if self.offset is not None and self.kind not in _OFFSET_KINDS:
+            raise UsageError(f"offset does not apply to scenario {self.kind.value}")
+        if self.reuse_depth and self.kind is not ScenarioKind.HEAP_USE_AFTER_FREE:
+            raise UsageError(f"reuse_depth does not apply to scenario {self.kind.value}")
 
 
 @dataclass(slots=True)
@@ -173,7 +179,7 @@ def _heap_use_after_free(sim: Simulator, s: Scenario) -> ScenarioResult:
         for _ in range(s.reuse_depth - 1):
             heap.free(reused)
             reused = heap.malloc(size)
-        probe_tag = sim.rng.randrange(sim.cfg.n_tags)
+        probe_tag = sim.rng.tag(sim.cfg.n_tags)
         probe = (probe_tag << sim.cfg.tag_shift) | (ptr & ADDR_MASK)
     else:
         probe = ptr  # the honest stale pointer; retag-on-free decides
@@ -184,16 +190,20 @@ def _linear_neighbour(sim: Simulator, s: Scenario) -> ScenarioResult:
     """Two address-adjacent chunks, a below b.  linear-overflow stores
     off the end of a into b's first granule through a's pointer;
     linear-underflow stores off the front of b into a's last granule
-    through b's pointer.  The bug's own chunk takes s.size when given;
-    the other's size is always drawn."""
+    through b's pointer.  The bug's own chunk takes s.size when given,
+    else a pin draw; its neighbour's size is always a size draw."""
     tg = sim.cfg.tg
     overflow = s.kind is _OVERFLOW
     largest = LINEAR_MAX_GRANULES * tg
-    size_a = 1 + sim.rng.randrange(largest) if s.size is None or not overflow else s.size
-    size_b = 1 + sim.rng.randrange(largest) if s.size is None or overflow else s.size
+    if overflow:
+        size_a = 1 + sim.rng.pin(largest) if s.size is None else s.size
+        size_b = 1 + sim.rng.size(largest)
+    else:
+        size_a = 1 + sim.rng.size(largest)
+        size_b = 1 + sim.rng.pin(largest) if s.size is None else s.size
     ptr_a = sim.heap.malloc(size_a)
     ptr_b = sim.heap.malloc(size_b)
-    delta = s.offset if s.offset is not None else sim.rng.randrange(tg)
+    delta = s.offset if s.offset is not None else sim.rng.offset(tg)
     if not 0 <= delta < tg:
         side = "first" if overflow else "last"
         raise UsageError(f"{s.kind.value} offset must stay in the neighbor's {side} granule")
@@ -212,10 +222,10 @@ def _non_linear_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     size = s.size if s.size is not None else sim.cfg.tg
     victim = sim.heap.malloc(size)
     span = min(placement(size, sim.cfg)[0], sim.cfg.tg)  # stay in the victim's first granule
-    delta = s.offset if s.offset is not None else sim.rng.randrange(span)
+    delta = s.offset if s.offset is not None else sim.rng.offset(span)
     if not 0 <= delta < span:
         raise UsageError(f"non-linear-overflow offset must lie in [0, {span})")
-    probe_tag = sim.rng.randrange(sim.cfg.n_tags)
+    probe_tag = sim.rng.tag(sim.cfg.n_tags)
     probe = (probe_tag << sim.cfg.tag_shift) | ((victim & ADDR_MASK) + delta)
     return _bug_access(sim, probe, store=False)
 
@@ -229,17 +239,15 @@ def _intra_granule_overflow(sim: Simulator, s: Scenario) -> ScenarioResult:
     granule's end, so right_align leaves no such byte and is refused.
     """
     tg = sim.cfg.tg
-    if s.size is not None:
-        size = s.size
-    else:
-        size = sim.rng.randrange(INTRA_FULL_GRANULES) * tg + 1 + sim.rng.randrange(tg - 2)
+    size = s.size if s.size is not None else (
+        sim.rng.size(INTRA_FULL_GRANULES) * tg + 1 + sim.rng.size(tg - 2))
     served, aligned, user_off = placement(size, sim.cfg)
     if user_off:
         raise UsageError("intra-granule scenario needs bytes past the chunk's end in its"
                          " last granule; right_align leaves none")
     if served == aligned:
         raise UsageError("intra-granule scenario needs a size that is not a granule multiple")
-    offset = s.offset if s.offset is not None else served + sim.rng.randrange(aligned - served)
+    offset = s.offset if s.offset is not None else served + sim.rng.offset(aligned - served)
     if not served <= offset < aligned:
         raise UsageError(f"intra-granule offset must lie in [{served}, {aligned})")
     probe = sim.heap.malloc(size) + offset  # the heap ends far below 2^56
@@ -289,12 +297,6 @@ _RUNNERS = {
     ScenarioKind.UNINITIALIZED_READ: _uninitialized_read,
 }
 
-# The roles of each runner's sim.rng draws, in order, for the exact theory
-# (detection._Run); a kind not listed draws nothing from sim.rng.
-DRAW_PLANS = {
-    ScenarioKind.HEAP_USE_AFTER_FREE: ("tag",),
-    ScenarioKind.LINEAR_OVERFLOW: ("pin", "size", "offset"),
-    ScenarioKind.LINEAR_UNDERFLOW: ("size", "pin", "offset"),
-    ScenarioKind.NON_LINEAR_OVERFLOW: ("offset", "tag"),
-    ScenarioKind.INTRA_GRANULE_OVERFLOW: ("size", "size", "offset"),
-}
+# the kinds whose runner reads Scenario.offset; Scenario refuses one elsewhere
+_OFFSET_KINDS = frozenset({ScenarioKind.LINEAR_OVERFLOW, ScenarioKind.LINEAR_UNDERFLOW,
+                           ScenarioKind.NON_LINEAR_OVERFLOW, ScenarioKind.INTRA_GRANULE_OVERFLOW})

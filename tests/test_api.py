@@ -18,13 +18,13 @@ from tagsim.rng import SplitMix64
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# 26 names: the five layer classes that Simulator wires (AccessEngine,
+# 25 names: the five layer classes that Simulator wires (AccessEngine,
 # ArenaAllocator, ShadowStore, SparseMemory, StackTagger) are internal,
 # importable from their modules like every other internal name
 PUBLIC = [
     "ADDR_SPACE", "AccessKind", "Alloc", "AllocationError", "DoubleFreeError",
     "FaultError", "FaultKind", "Free", "InvalidFreeError", "MtConfig",
-    "PolicyKind", "Scenario", "ScenarioError", "ScenarioKind", "Simulator",
+    "PolicyKind", "Scenario", "ScenarioKind", "Simulator",
     "StoreMode", "TagMismatchError", "TagPolicy", "TagSimError", "TraceError",
     "UsageError", "analyze_trace", "estimate_detection", "load_trace",
     "run_scenario", "theoretical_detection",
@@ -32,7 +32,7 @@ PUBLIC = [
 
 
 def test_all_is_the_pinned_public_surface():
-    assert len(PUBLIC) == 26
+    assert len(PUBLIC) == 25
     assert sorted(tagsim.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(tagsim, name) is not None, name
@@ -288,6 +288,12 @@ _REFUSALS = {
     "scenario-cfg-a-str": (
         tagsim.UsageError, "cfg must be a MtConfig, got 'x'",
         lambda: tagsim.run_scenario(tagsim.Scenario(tagsim.ScenarioKind.LINEAR_OVERFLOW), "x")),
+    "scenario-reuse-depth-on-linear-overflow": (
+        tagsim.UsageError, "reuse_depth does not apply to scenario linear-overflow",
+        lambda: tagsim.Scenario(tagsim.ScenarioKind.LINEAR_OVERFLOW, reuse_depth=3)),
+    "scenario-offset-on-heap-use-after-free": (
+        tagsim.UsageError, "offset does not apply to scenario heap-use-after-free",
+        lambda: tagsim.Scenario(tagsim.ScenarioKind.HEAP_USE_AFTER_FREE, offset=3)),
     "scenario-a-str": (
         tagsim.UsageError, "scenario must be a Scenario, got 'x'",
         lambda: tagsim.run_scenario("x", tagsim.MtConfig())),

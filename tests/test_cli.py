@@ -253,7 +253,7 @@ def test_simulate_non_linear_overflow_rejects_offsets_off_the_victim(capsys, siz
 
 
 @pytest.mark.parametrize("kind, flags, message", [
-    *[(kind, ("--offset", "3"), f"--offset does not apply to scenario {kind}")
+    *[(kind, ("--offset", "3"), f"offset does not apply to scenario {kind}")
       for kind in ("heap-use-after-free", "use-after-return", "use-after-scope",
                    "uninitialized-read")],
     *[(kind, ("--reuse-depth", depth), f"--reuse-depth does not apply to scenario {kind}")

@@ -22,7 +22,6 @@ from tagsim import (
     MtConfig,
     PolicyKind,
     Scenario,
-    ScenarioError,
     ScenarioKind,
     Simulator,
     StoreMode,
@@ -46,6 +45,7 @@ from tagsim.scenarios import (INTRA_FULL_GRANULES, LINEAR_MAX_GRANULES, STACK_LO
 from tagsim.stack import StackTagger
 from tagsim.tagspace import pack, unpack
 from tagsim.traces import Alloc, Free, _blocks, _scan, analyze_trace, load_trace
+import grid_agreement
 from test_cli import _write_churn_trace
 
 CFG64 = MtConfig(tg=64, ts=4)
@@ -429,33 +429,11 @@ def test_memoized_theory_equals_a_fresh_derivation(kind):
         assert detection._derive.__wrapped__(kind, cfg, policy) == theory, (cfg, policy)
 
 
-@pytest.mark.parametrize("kind", list(scenarios.DRAW_PLANS), ids=lambda k: k.value)
-def test_each_draw_plan_names_every_draw_of_its_runner(kind):
-    """Run as the theory runs it, each runner draws exactly its plan."""
-    plan = scenarios.DRAW_PLANS[kind]
-    for cfg in (CFG64, CFG_B):
-        sim = Simulator(cfg)
-        sim.rng = run = detection._Run(kind, plan, [])
-        scenario_runner(kind)(sim, Scenario(kind, reuse_depth=1))
-        assert run.drawn == plan
-
-
-@pytest.mark.parametrize("kind", list(scenarios.DRAW_PLANS), ids=lambda k: k.value)
-def test_a_draw_the_plan_does_not_name_is_refused(kind, monkeypatch):
-    plan = scenarios.DRAW_PLANS[kind]
-    monkeypatch.setitem(scenarios.DRAW_PLANS, kind, plan[:-1])
-    with pytest.raises(ScenarioError, match=f"^{kind.value} draws more than its plan"):
-        theoretical_detection(kind, CFG64)
-    assert detection._derive.cache_info().currsize == 0  # a failed derivation is not kept
-
-
-_PLANLESS = [kind for kind in ScenarioKind if kind not in scenarios.DRAW_PLANS]
-
-
-@pytest.mark.parametrize("kind", _PLANLESS, ids=lambda k: k.value)
-def test_a_kind_without_a_plan_draws_nothing_from_the_stream(kind, monkeypatch):
-    """A kind without a plan takes the empty one, so a stream draw in its
-    runner is refused rather than left out of the theory."""
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_a_draw_that_names_no_role_fails_the_theory(kind, monkeypatch):
+    """The theory's stream serves a draw only by its role, so a runner
+    draw by another name fails the derivation rather than being left out
+    of the theory."""
     runner = scenarios._RUNNERS[kind]
 
     def drawing(sim, s):
@@ -463,9 +441,24 @@ def test_a_kind_without_a_plan_draws_nothing_from_the_stream(kind, monkeypatch):
         return runner(sim, s)
 
     monkeypatch.setitem(scenarios._RUNNERS, kind, drawing)
-    with pytest.raises(ScenarioError, match=re.escape(f"{kind.value} draws more than its plan ()")):
+    with pytest.raises(AttributeError, match="'_Run' object has no attribute 'randrange'"):
         theoretical_detection(kind, CFG64)
-    assert detection._derive.cache_info().currsize == 0
+    assert detection._derive.cache_info().currsize == 0  # a failed derivation is not kept
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_a_runner_draws_an_offset_exactly_when_its_kind_takes_one(kind, monkeypatch):
+    """Scenario accepts an offset for the kinds in scenarios._OFFSET_KINDS
+    alone, and those are the kinds whose runner draws one."""
+    spans, offset = [], detection._Run.offset
+    monkeypatch.setattr(detection._Run, "offset", lambda run, n: spans.append(n) or offset(run, n))
+    for cfg in (CFG64, CFG_B):
+        detection._derive.__wrapped__(kind, cfg, TagPolicy())
+    takes_one = kind in scenarios._OFFSET_KINDS
+    assert bool(spans) == takes_one
+    with (contextlib.nullcontext() if takes_one else
+          pytest.raises(UsageError, match=f"^offset does not apply to scenario {kind.value}$")):
+        Scenario(kind, offset=0)
 
 
 @pytest.mark.parametrize("cfg", [CFG64, CFG_B], ids=["A", "B"])
@@ -490,12 +483,13 @@ def test_a_trial_leaves_no_deferred_report(kind, cfg):
     (ScenarioKind.LINEAR_UNDERFLOW, LINEAR_MAX_GRANULES * CFG64.tg),
     (ScenarioKind.INTRA_GRANULE_OVERFLOW, INTRA_FULL_GRANULES * (CFG64.tg - 2)),
     (ScenarioKind.NON_LINEAR_OVERFLOW, 1),
-    *[(kind, 1) for kind in _PLANLESS],
+    *[(kind, 1) for kind in (ScenarioKind.USE_AFTER_RETURN, ScenarioKind.USE_AFTER_SCOPE,
+                             ScenarioKind.UNINITIALIZED_READ)],
 ], ids=lambda v: getattr(v, "value", v))
 def test_a_derivation_resets_one_simulator_per_bug_site(kind, runs, monkeypatch):
     """The theory's cost in work, not time: one scratch simulator, and
-    one runner call per equally likely size (one call for a kind without
-    a plan)."""
+    one runner call per equally likely size (one call for a kind that
+    draws no size)."""
     built, called = [], []
     init, runner = Simulator.__init__, scenarios._RUNNERS[kind]
 
@@ -625,6 +619,15 @@ def test_estimate_matches_manual_replay(kind, cfg, policy):
     )
     assert report.detections == manual
     assert report.rate == manual / trials
+
+
+def test_the_simulation_agrees_with_the_theory_on_a_slice_of_the_grid():
+    """A fixed 1/16 slice of tests/grid_agreement.py's grid, which CI runs
+    whole: every exact cell detects exactly as its theory says, and no
+    probabilistic cell's count is off its Fraction at the corrected bound."""
+    result = grid_agreement.check(every=16)
+    assert result["failures"] == []
+    assert (result["exact"], result["probabilistic"]) == (84, 54)  # the slice stays whole
 
 
 def test_estimate_forces_reuse_only_without_quarantine():
@@ -775,11 +778,15 @@ def test_reset_runs_a_trial_as_a_fresh_simulator(case, kind, earlier, reuse, see
     left: after an earlier trial, a live chunk, a store through a wrong
     tag (a deferred report in imprecise mode) and a stack frame."""
     cfg, policy = case
+
+    def depth(kind):  # only heap-use-after-free takes a reuse depth
+        return reuse if kind is ScenarioKind.HEAP_USE_AFTER_FREE else 0
+
     sim = Simulator(cfg, earlier_seed, policy)
     # a refused earlier trial leaves the simulator after its size draws
     with (pytest.raises(UsageError, match=_RIGHT_ALIGN_REFUSAL) if _refused(earlier, cfg)
           else contextlib.nullcontext()):
-        scenario_runner(earlier)(sim, Scenario(earlier, reuse_depth=reuse, policy=policy))
+        scenario_runner(earlier)(sim, Scenario(earlier, reuse_depth=depth(earlier), policy=policy))
     word = sim.malloc(1)
     try:
         sim.store(word ^ (1 << cfg.tag_shift), b"x")
@@ -788,7 +795,7 @@ def test_reset_runs_a_trial_as_a_fresh_simulator(case, kind, earlier, reuse, see
     sim.stack.enter_frame([8])
     writes = sim.shadow.writes
 
-    scenario = Scenario(kind, reuse_depth=reuse, seed=seed, policy=policy)
+    scenario = Scenario(kind, reuse_depth=depth(kind), seed=seed, policy=policy)
     sim._reset(seed)
     if _refused(kind, cfg):
         for run in (lambda: scenario_runner(kind)(sim, scenario),

@@ -180,8 +180,8 @@ def test_a_reset_rewinds_each_part_and_builds_none(module, cls, builder, rewind)
 
 def test_the_theory_swaps_the_stream_alone():
     """The exact theory and a scenario run share one seam: _derive gives
-    the scratch simulator a scripted stream (_Run, which serves randrange
-    alone) and leaves it its own engine.  A fault report is built by the
+    the scratch simulator a scripted stream (_Run, which serves the draw
+    roles alone) and leaves it its own engine.  A fault report is built by the
     engine's checked accesses, and for a scenario by run_scenario."""
     engine_stores = {(module, tuple(_enclosing_functions(source, node.lineno)))
                      for module, source in MODULES.items() for node in ast.walk(ast.parse(source))
@@ -194,8 +194,22 @@ def test_the_theory_swaps_the_stream_alone():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)} == {"sim.rng"}
     assert ({home for home in _call_homes("report") if home[0] != "access.py"}
             == {("scenarios.py", ("run_scenario",))})
-    assert set(_methods("detection.py", "_Run")) == {"__init__", "randrange"}
     assert "randint" not in _methods("rng.py", "SplitMix64")
+
+
+def test_each_runner_draw_names_its_role():
+    """The order of a runner's draws is its code: each draw calls its role
+    (size, offset, tag or pin), which SplitMix64 draws as randrange and
+    the theory's _Run serves.  No runner draws by another name, which the
+    theory could not serve."""
+    roles = set(_methods("detection.py", "_Run")) - {"__init__"}
+    assert roles and "randrange" not in roles
+    assert all(getattr(tagsim.rng.SplitMix64, role) is tagsim.rng.SplitMix64.randrange
+               for role in roles)
+    for name in ("randrange", "choice", "random"):
+        assert "scenarios.py" not in {module for module, _ in _call_homes(name)}, name
+    drawn = set(re.findall(r"\brng\.(\w+)\(", MODULES["scenarios.py"]))
+    assert drawn == roles
 
 
 def test_only_the_engine_report_reads_the_store_mode():
@@ -212,6 +226,6 @@ def test_only_the_engine_report_reads_the_store_mode():
 
 
 def test_the_theory_runs_no_scenario():
-    """_derive decides every kind, with or without a draw plan, on its one
-    scratch simulator; it never builds a second one through run_scenario."""
+    """_derive decides every kind, whatever it draws, on its one scratch
+    simulator; it never builds a second one through run_scenario."""
     assert {home for home in _call_homes("run_scenario") if home[0] == "detection.py"} == set()

@@ -12,7 +12,7 @@ list; the reference is ``rng.choice`` over that list.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagsim import MtConfig, ScenarioError, TagMismatchError, UsageError
+from tagsim import MtConfig, TagMismatchError, UsageError
 from tagsim import scenarios
 from tagsim.cli import _config_from, _policy_from, build_parser
 from tagsim.detection import _reuse_depth
@@ -44,8 +44,7 @@ def _reference_bug_access(sim, word, store):
         return ScenarioResult(detected=True, report=err.report)
     mine = None
     for report in sim.sync():
-        if report.word != word:
-            raise ScenarioError(f"fault outside the injected bug access: {report.render()}")
+        assert report.word == word, f"fault outside the injected bug access: {report.render()}"
         if mine is None:
             mine = report
     return ScenarioResult(detected=mine is not None, report=mine)
