@@ -97,6 +97,7 @@ def _policy_from(args) -> TagPolicy:
     kind = PolicyKind(args.policy)
     if kind is PolicyKind.SAMPLED:
         return TagPolicy.sampled(1.0 if args.sampling_rate is None else args.sampling_rate)
+    # TagPolicy's rate defaults to 1.0, so only here is an explicit 1.0 seen
     if args.sampling_rate is not None:
         raise UsageError("--sampling-rate requires --policy sampled")
     return TagPolicy(kind)
@@ -136,8 +137,6 @@ def _emit_json(payload) -> None:
 def _cmd_probe(args) -> int:
     policy = _policy_from(args)
     cfg = _config_from(args)
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     kinds = [_parse_kind(k) for k in args.kind] if args.kind else list(_PROBE_DEFAULT_KINDS)
     reports = [estimate_detection(kind, cfg, trials=args.trials, seed=args.seed,
                                   policy=policy) for kind in kinds]
@@ -153,14 +152,8 @@ def _cmd_simulate(args) -> int:
     policy = _policy_from(args)
     cfg = _config_from(args)
     kind = _parse_kind(args.scenario)
-    # --reuse-depth, even 0, applies only to heap-use-after-free; Scenario checks --offset
-    reuse_depth = args.reuse_depth or 0
-    if args.reuse_depth is not None and kind is not ScenarioKind.HEAP_USE_AFTER_FREE:
-        raise UsageError(f"--reuse-depth does not apply to scenario {kind.value}")
-    if reuse_depth < 0:
-        raise UsageError(f"--reuse-depth must be >= 0 for scenario {kind.value}, got {reuse_depth}")
     scenario = Scenario(kind=kind, size=args.size, offset=args.offset,
-                        reuse_depth=reuse_depth, seed=args.seed, policy=policy)
+                        reuse_depth=args.reuse_depth, seed=args.seed, policy=policy)
     result = run_scenario(scenario, cfg)
     if args.format == "json":
         payload = {

@@ -45,10 +45,11 @@ class DetectionReport:
                 f" rate={self.rate:.6f} theoretical={theo}")
 
 
-def _reuse_depth(kind: ScenarioKind, cfg: MtConfig) -> int:
+def _reuse_depth(kind: ScenarioKind, cfg: MtConfig) -> int | None:
     """Heap-use-after-free reuses the dead chunk, and so turns
-    probabilistic, exactly when no quarantine holds the chunk back."""
-    return int(kind is ScenarioKind.HEAP_USE_AFTER_FREE and cfg.quarantine_capacity == 0)
+    probabilistic, exactly when no quarantine holds the chunk back; the
+    other kinds take no reuse depth."""
+    return int(cfg.quarantine_capacity == 0) if kind is ScenarioKind.HEAP_USE_AFTER_FREE else None
 
 
 def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
@@ -64,6 +65,7 @@ def theoretical_detection(kind: ScenarioKind, cfg: MtConfig,
     """
     if not isinstance(kind, ScenarioKind):
         scenario_runner(kind)  # refuses it by name before the memo hashes it
+    # checked here, not by the Simulator _derive builds: the memo hashes them first
     return _derive(kind, require_type("cfg", cfg, MtConfig),
                    require_type("policy", policy, TagPolicy))
 
@@ -78,7 +80,7 @@ def _derive(kind: ScenarioKind, cfg: MtConfig, policy: TagPolicy) -> Fraction | 
     if policy.kind is PolicyKind.SAMPLED:
         return None
     runner = scenario_runner(kind)
-    proto = Scenario(kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
+    proto = Scenario(kind, reuse_depth=_reuse_depth(kind, cfg))
     sim = Simulator(cfg, policy=policy)
     theory, memo, picks = Fraction(0), {}, []
     while True:
@@ -179,16 +181,14 @@ def estimate_detection(kind: ScenarioKind, cfg: MtConfig, trials: int, seed: int
     """
     if require_int("trials", trials) < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
-    require_int("seed", seed)
-    require_type("cfg", cfg, MtConfig)
     # trial i is exactly run_scenario(Scenario(..., seed=seed + i)): runners
     # draw only from sim.rng, and _reset rewinds sim to a new one's state at seed + i
     runner = scenario_runner(kind)
-    proto = Scenario(kind=kind, reuse_depth=_reuse_depth(kind, cfg), policy=policy)
+    sim = Simulator(cfg, seed, policy)  # checks cfg before _reuse_depth reads it
+    proto = Scenario(kind, reuse_depth=_reuse_depth(kind, cfg))
     # Trial 0 draws one word at a time, and the words it drew, k, are
     # premixed for each later batch of up to PREMIX_STREAMS trials; a
     # trial that draws more mixes the rest itself.
-    sim = Simulator(cfg, seed, policy)
     detections = 1 if runner(sim, proto).detected else 0
     k = min(sim.rng.words_since(seed), _PREMIX_MAX_WORDS)
     for start in range(seed + 1, seed + trials, PREMIX_STREAMS):

@@ -36,6 +36,14 @@ def require_type(name: str, value, cls: type):
     return value
 
 
+def require_iter(name: str, value):
+    """An iterator over ``value`` if it is iterable, else a UsageError naming ``name``."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise UsageError(f"{name} must be iterable, got {value!r}") from None
+
+
 class AllocationError(TagSimError):
     """Heap arena or stack capacity exhausted."""
 

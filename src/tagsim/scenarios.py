@@ -77,32 +77,34 @@ class Scenario:
     A size of None is drawn from the trial RNG only by the linear and
     intra-granule kinds; the other heap kinds use tg, and the stack
     kinds STACK_LOCAL_SIZE.  An offset of None is drawn by each kind
-    that reads one; the others refuse an offset.  reuse_depth > 0 turns
-    heap-use-after-free into its probabilistic reuse variant; the others
-    refuse it.  policy is the heap's tag policy, which
-    run_scenario builds the Simulator with.  A bad kind, size, offset,
-    reuse_depth or policy raises a UsageError naming the field, kind's
-    through scenario_runner; seed is checked by Simulator."""
+    that reads one; the others refuse an offset.  reuse_depth is
+    heap-use-after-free's alone, and the others refuse one, 0 included:
+    None or 0 runs its plain variant, and n > 0 its probabilistic reuse
+    variant through n reallocations.  policy is the heap's tag policy,
+    which run_scenario builds the Simulator with.  A bad kind, size,
+    offset, reuse_depth or policy raises a UsageError naming the field,
+    kind's through scenario_runner; seed is checked by Simulator."""
 
     kind: ScenarioKind
     size: int | None = None
     offset: int | None = None
-    reuse_depth: int = 0
+    reuse_depth: int | None = None
     seed: int = 0
     policy: TagPolicy = TagPolicy()
 
     def __post_init__(self):
         scenario_runner(self.kind)
-        for name in ("size", "offset"):
+        for name in ("size", "offset", "reuse_depth"):
             if getattr(self, name) is not None:
                 require_int(name, getattr(self, name))
-        if require_int("reuse_depth", self.reuse_depth) < 0:
-            raise UsageError(f"reuse_depth must be >= 0, got {self.reuse_depth}")
         require_type("policy", self.policy, TagPolicy)
         if self.offset is not None and self.kind not in _OFFSET_KINDS:
             raise UsageError(f"offset does not apply to scenario {self.kind.value}")
-        if self.reuse_depth and self.kind is not ScenarioKind.HEAP_USE_AFTER_FREE:
-            raise UsageError(f"reuse_depth does not apply to scenario {self.kind.value}")
+        if self.reuse_depth is not None:
+            if self.kind is not ScenarioKind.HEAP_USE_AFTER_FREE:
+                raise UsageError(f"reuse_depth does not apply to scenario {self.kind.value}")
+            if self.reuse_depth < 0:
+                raise UsageError(f"reuse_depth must be >= 0, got {self.reuse_depth}")
 
 
 @dataclass(slots=True)
@@ -141,7 +143,7 @@ def run_scenario(scenario: Scenario, cfg: MtConfig) -> ScenarioResult:
     bug access, which is built from that simulator before it is let go."""
     require_type("scenario", scenario, Scenario)
     runner = scenario_runner(scenario.kind)
-    sim = Simulator(require_type("cfg", cfg, MtConfig), scenario.seed, scenario.policy)
+    sim = Simulator(cfg, scenario.seed, scenario.policy)
     result = runner(sim, scenario)
     if result.miss is not None:
         result.report = sim.engine.report(result.access, result.word, result.miss)
@@ -172,7 +174,7 @@ def _heap_use_after_free(sim: Simulator, s: Scenario) -> ScenarioResult:
     heap = sim.heap
     ptr = heap.malloc(size)
     heap.free(ptr)
-    if s.reuse_depth > 0:
+    if s.reuse_depth:  # None or 0 is the plain variant
         # churn the dead extent through reuse_depth fresh allocations;
         # exact-fit first fit brings every generation back to ptr's address
         reused = heap.malloc(size)

@@ -35,9 +35,9 @@ from .tagspace import MtConfig, ShadowStore
 class Simulator:
     __slots__ = ("cfg", "seed", "rng", "memory", "shadow", "heap", "engine", "_stack")
 
-    def __init__(self, cfg: MtConfig | None = None, seed: int = 0,
+    def __init__(self, cfg: MtConfig = MtConfig(), seed: int = 0,
                  policy: TagPolicy = TagPolicy()):
-        self.cfg = cfg = MtConfig() if cfg is None else require_type("cfg", cfg, MtConfig)
+        self.cfg = cfg = require_type("cfg", cfg, MtConfig)
         self.memory = memory = SparseMemory()
         self.shadow = shadow = ShadowStore(cfg)
         self.heap = heap = ArenaAllocator(memory, shadow, cfg, SplitMix64(),

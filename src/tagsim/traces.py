@@ -33,6 +33,7 @@ string, and give the same report and the same errors.
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterator
 from contextlib import closing
@@ -40,7 +41,7 @@ from itertools import accumulate, chain
 from dataclasses import asdict, dataclass
 from math import gcd
 
-from .errors import TraceError, UsageError, require_int
+from .errors import TraceError, UsageError, require_int, require_iter
 
 BASE_ALIGNMENT = 8
 
@@ -220,8 +221,11 @@ def load_trace(path) -> _TraceFile:
     as ``analyze_trace`` reads it, so memory does not grow with its
     length, and errors in its lines are raised there.  The file is
     closed at the end of that pass, or when the source is closed or
-    dropped.
+    dropped.  ``path`` is a str, bytes or os.PathLike; any other value,
+    an int or a bool included, raises UsageError.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() takes an int as a descriptor
+        raise UsageError(f"path must be a str, bytes or os.PathLike, got {path!r}")
     blocks = _blocks(path)
     next(blocks)  # opens the file
     return _TraceFile(blocks)
@@ -303,11 +307,12 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
     its lines are parsed with no event built, or an iterable of Alloc
     and Free instances, iterated once.  A source is spent by this call,
     and its file closed; a spent or closed one raises UsageError.
-    Events are parsed as the trace lines they write, so an id or size
-    that is not a non-negative int raises TraceError naming its line,
-    as a free/alloc misuse does.
+    Events are parsed as the trace lines they write, so an event that
+    is not an Alloc or Free, or an id or size that is not a non-negative
+    int, raises TraceError naming its line, as a free/alloc misuse does.
+    ``events`` or ``alignments`` that is not iterable raises UsageError.
     """
-    alignments = list(alignments)
+    alignments = list(require_iter("alignments", alignments))
     if not alignments:
         raise UsageError("need at least one alignment")
     for a in alignments:
@@ -317,7 +322,10 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
         raise UsageError(f"tag width must be >= 1, got {ts}")
 
     tracked = sorted(set(alignments) | {BASE_ALIGNMENT})
-    blocks = events._take_blocks() if type(events) is _TraceFile else _event_text(events)
+    if type(events) is _TraceFile:
+        blocks = events._take_blocks()
+    else:
+        blocks = _event_text(require_iter("events", events))
     width = len(tracked)
     current = [0] * width
     peaks = [0] * width

@@ -312,10 +312,107 @@ _REFUSALS = {
     "local-index-a-bool": (
         tagsim.UsageError, "index must be an int, got False",
         lambda: _local_ptr(False)),
+    "scenario-reuse-depth-0-on-linear-overflow": (
+        tagsim.UsageError, "reuse_depth does not apply to scenario linear-overflow",
+        lambda: tagsim.Scenario(tagsim.ScenarioKind.LINEAR_OVERFLOW, reuse_depth=0)),
+    "analyze-events-a-str": (
+        tagsim.TraceError, "line 1: unknown trace event '4'",
+        lambda: tagsim.analyze_trace("4", [16], 8)),
+    "analyze-events-of-ints": (
+        tagsim.TraceError, "line 1: unknown trace event 4",
+        lambda: tagsim.analyze_trace([4], [16], 8)),
+    "analyze-alignments-a-str": (
+        tagsim.UsageError, "alignment must be an int, got '4'",
+        lambda: tagsim.analyze_trace([], "4", 8)),
     "randrange-0": (ValueError, "empty range for randrange(0)",
                     lambda: SplitMix64(0).randrange(0)),
     "choice-of-nothing": (ValueError, "cannot choose from an empty sequence",
                           lambda: SplitMix64(0).choice(())),
+}
+
+# ROADMAP item 2's boundary gate, with tests/test_harness.py::_INT_PARAMETERS
+# (every int parameter) and _SCENARIO_REFUSALS (Scenario's int fields): each
+# other parameter of a public entry refuses each of these values that is not
+# of its type.  Of the facade's methods only sync() takes no parameter.
+_WRONG_VALUES = (4.0, "4", None, True, [4])
+
+
+def _cross(entry, call, message, error=tagsim.UsageError, takes=()):
+    """The _REFUSALS rows of call(value) for each wrong value but those it ``takes``."""
+    return {f"{entry}-{value!r}": (error, message(value), lambda value=value: call(value))
+            for value in _WRONG_VALUES if value not in takes}
+
+
+def _must_be(name, type_name):
+    return lambda value: f"{name} must be a {type_name}, got {value!r}"
+
+
+def _kind_refusal(value):
+    if isinstance(value, str):  # a str is a kind's name, perhaps misspelt
+        return f"unknown scenario kind {value!r}"
+    return f"kind must be a ScenarioKind, got {value!r}"
+
+
+def _trace_line(line):
+    return lambda value: f"line 1: unrecognized trace line {line.format(value)!r}"
+
+
+_KIND = tagsim.ScenarioKind.LINEAR_OVERFLOW
+_REFUSALS |= {
+    **_cross("simulator-cfg", tagsim.Simulator, _must_be("cfg", "MtConfig")),
+    **_cross("simulator-policy", lambda v: tagsim.Simulator(policy=v),
+             _must_be("policy", "TagPolicy")),
+    **_cross("load-width", lambda v: tagsim.Simulator().load(0x40, v),
+             lambda v: f"load width must be one of (1, 2, 4, 8), got {v}"),
+    **_cross("store-data", lambda v: tagsim.Simulator().store(0x40, v),
+             _must_be("data", "bytes")),
+    **_cross("local-sizes", lambda v: tagsim.Simulator().stack.enter_frame(v),
+             lambda v: f"local_sizes must be a list or tuple, got {v!r}", takes=([4],)),
+    **_cross("exit-frame", lambda v: tagsim.Simulator().stack.exit_frame(v),
+             lambda v: "frame exits must be LIFO; this frame is not on top"),
+    **_cross("scope-frame", lambda v: tagsim.Simulator().stack.end_scope(v, 0),
+             _must_be("frame", "Frame")),
+    **_cross("config-store-mode", lambda v: tagsim.MtConfig(store_mode=v),
+             _must_be("store_mode", "StoreMode")),
+    **_cross("policy-kind", tagsim.TagPolicy, lambda v: f"unknown tag policy {v!r}"),
+    "policy-rate-out-of-range": (tagsim.UsageError, "sampling rate must be in [0, 1], got 4.0",
+                                 lambda: tagsim.TagPolicy.sampled(4.0)),
+    **_cross("policy-rate", tagsim.TagPolicy.sampled,
+             lambda v: f"sampling rate must be a number, got {v!r}", takes=(4.0,)),
+    **_cross("scenario-kind", tagsim.Scenario, _kind_refusal),
+    **_cross("scenario-policy", lambda v: tagsim.Scenario(_KIND, policy=v),
+             _must_be("policy", "TagPolicy")),
+    **_cross("run-scenario", lambda v: tagsim.run_scenario(v, tagsim.MtConfig()),
+             _must_be("scenario", "Scenario")),
+    **_cross("run-scenario-cfg", lambda v: tagsim.run_scenario(tagsim.Scenario(_KIND), v),
+             _must_be("cfg", "MtConfig")),
+    **_cross("estimate-kind", lambda v: tagsim.estimate_detection(v, tagsim.MtConfig(), 3),
+             _kind_refusal),
+    **_cross("estimate-cfg", lambda v: tagsim.estimate_detection(_KIND, v, 3),
+             _must_be("cfg", "MtConfig")),
+    **_cross("estimate-policy", lambda v: tagsim.estimate_detection(
+        _KIND, tagsim.MtConfig(), 3, policy=v), _must_be("policy", "TagPolicy")),
+    **_cross("theory-kind", lambda v: tagsim.theoretical_detection(v, tagsim.MtConfig()),
+             _kind_refusal),
+    **_cross("theory-cfg", lambda v: tagsim.theoretical_detection(_KIND, v),
+             _must_be("cfg", "MtConfig")),
+    **_cross("theory-policy", lambda v: tagsim.theoretical_detection(
+        _KIND, tagsim.MtConfig(), v), _must_be("policy", "TagPolicy")),
+    # a str or list of events is iterable: its items are refused as events above
+    **_cross("analyze-events", lambda v: tagsim.analyze_trace(v, [16], 8),
+             lambda v: f"events must be iterable, got {v!r}", takes=("4", [4])),
+    **_cross("analyze-alignments", lambda v: tagsim.analyze_trace([], v, 8),
+             lambda v: f"alignments must be iterable, got {v!r}", takes=("4", [4])),
+    # "4" names a file, and a missing one is an OSError
+    **_cross("trace-path", tagsim.load_trace,
+             lambda v: f"path must be a str, bytes or os.PathLike, got {v!r}", takes=("4",)),
+    # an event's id or size is checked as the trace line it writes
+    **_cross("alloc-id", lambda v: tagsim.analyze_trace([tagsim.Alloc(v, 8)], [16], 8),
+             _trace_line("a {!r} 8"), error=tagsim.TraceError),
+    **_cross("alloc-size", lambda v: tagsim.analyze_trace([tagsim.Alloc(1, v)], [16], 8),
+             _trace_line("a 1 {!r}"), error=tagsim.TraceError),
+    **_cross("free-id", lambda v: tagsim.analyze_trace([tagsim.Free(v)], [16], 8),
+             _trace_line("f {!r}"), error=tagsim.TraceError),
 }
 
 
@@ -327,4 +424,4 @@ def test_each_refusal_raises_its_message(case):
 
 
 def test_a_simulator_without_a_config_takes_the_default():
-    assert tagsim.Simulator(None).cfg == tagsim.Simulator().cfg == tagsim.MtConfig()
+    assert tagsim.Simulator().cfg == tagsim.MtConfig()  # Simulator(None) is refused

@@ -70,9 +70,9 @@ def test_probe_plain_format(capsys):
 
 
 def test_probe_rejects_zero_trials(capsys):
-    code, _, err = run_cli(capsys, "probe", "--trials", "0")
-    assert code == 2
-    assert "error" in err
+    code, out, err = run_cli(capsys, "probe", "--trials", "0")
+    assert (code, out) == (2, "")
+    assert err == "tagsim: error: trials must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,7 +256,7 @@ def test_simulate_non_linear_overflow_rejects_offsets_off_the_victim(capsys, siz
     *[(kind, ("--offset", "3"), f"offset does not apply to scenario {kind}")
       for kind in ("heap-use-after-free", "use-after-return", "use-after-scope",
                    "uninitialized-read")],
-    *[(kind, ("--reuse-depth", depth), f"--reuse-depth does not apply to scenario {kind}")
+    *[(kind, ("--reuse-depth", depth), f"reuse_depth does not apply to scenario {kind}")
       for kind in ("linear-overflow", "linear-underflow", "non-linear-overflow",
                    "intra-granule-overflow", "use-after-return", "use-after-scope",
                    "uninitialized-read")
@@ -266,9 +266,11 @@ def test_simulate_non_linear_overflow_rejects_offsets_off_the_victim(capsys, siz
     ("linear-underflow", ("--offset", "16"),
      "linear-underflow offset must stay in the neighbor's last granule"),
     ("intra-granule", ("--reuse-depth", "1"),
-     "--reuse-depth does not apply to scenario intra-granule-overflow"),
-    ("heap-use-after-free", ("--reuse-depth", "-1"),
-     "--reuse-depth must be >= 0 for scenario heap-use-after-free, got -1"),
+     "reuse_depth does not apply to scenario intra-granule-overflow"),
+    ("heap-use-after-free", ("--reuse-depth", "-1"), "reuse_depth must be >= 0, got -1"),
+    # Scenario checks --offset before --reuse-depth
+    ("use-after-return", ("--offset", "3", "--reuse-depth", "0"),
+     "offset does not apply to scenario use-after-return"),
 ])
 def test_simulate_rejects_flags_its_scenario_does_not_read(capsys, kind, flags, message):
     code, out, err = run_cli(capsys, "simulate", kind, *flags)

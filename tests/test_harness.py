@@ -7,6 +7,7 @@ import gc
 import io
 import itertools
 import json
+import os
 import re
 import sys
 import tracemalloc
@@ -611,7 +612,9 @@ def test_estimate_matches_manual_replay(kind, cfg, policy):
     seed+0 .. seed+trials-1; 600 trials cross two premixed batches."""
     trials, seed = 600, 17
     report = estimate_detection(kind, cfg, trials=trials, seed=seed, policy=policy)
-    reuse = int(kind is ScenarioKind.HEAP_USE_AFTER_FREE and cfg.quarantine_capacity == 0)
+    # only heap-use-after-free takes a reuse depth: 1 without a quarantine
+    reuse = (int(cfg.quarantine_capacity == 0) if kind is ScenarioKind.HEAP_USE_AFTER_FREE
+             else None)
     manual = sum(
         run_scenario(Scenario(kind=kind, reuse_depth=reuse, seed=seed + i, policy=policy),
                      cfg).detected
@@ -663,8 +666,14 @@ def test_estimate_report_shape():
     assert "rate" in report.render()
 
 
-# every int parameter of the estimator and the simulator, with the way
-# to pass it a value
+def _end_scope(index):
+    stack = Simulator(CFG64).stack
+    stack.end_scope(stack.enter_frame([4]), index)
+
+
+# every int parameter of a public entry that refuses any other type as
+# "<name> must be an int", with the way to pass it a value; Scenario's
+# size, offset and reuse_depth, which take None, are in _SCENARIO_REFUSALS
 _INT_PARAMETERS = {
     "estimate-trials": ("trials", lambda v: estimate_detection(
         ScenarioKind.NON_LINEAR_OVERFLOW, CFG64, trials=v)),
@@ -673,20 +682,35 @@ _INT_PARAMETERS = {
     "simulator-seed": ("seed", lambda v: Simulator(CFG64, seed=v)),
     "scenario-seed": ("seed", lambda v: run_scenario(
         Scenario(ScenarioKind.NON_LINEAR_OVERFLOW, seed=v), CFG64)),
+    "malloc-size": ("size", lambda v: Simulator(CFG64).malloc(v)),
+    "free-word": ("word", lambda v: Simulator(CFG64).free(v)),
+    "load-word": ("word", lambda v: Simulator(CFG64).load(v)),
+    "store-word": ("word", lambda v: Simulator(CFG64).store(v, b"a")),
+    "range-word": ("word", lambda v: Simulator(CFG64).check_user_range(v, 1)),
+    "range-length": ("length", lambda v: Simulator(CFG64).check_user_range(0x40, v)),
+    "local-size": ("local size", lambda v: Simulator(CFG64).stack.enter_frame([v])),
+    "scope-index": ("index", _end_scope),
+    "local-index": ("index", lambda v: Simulator(CFG64).stack.enter_frame([4]).local_ptr(v)),
+    "config-tg": ("tg", lambda v: MtConfig(tg=v)),
+    "config-ts": ("ts", lambda v: MtConfig(ts=v)),
+    "config-quarantine": ("quarantine_capacity", lambda v: MtConfig(quarantine_capacity=v)),
+    "analyze-ts": ("tag width", lambda v: analyze_trace([], [16], ts=v)),
+    "analyze-alignment": ("alignment", lambda v: analyze_trace([], [v], ts=8)),
 }
 
 
-@pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "7", None], ids=repr)
+@pytest.mark.parametrize("value", [True, False, 2.5, 3.0, 4.0, "7", "4", None, [4]], ids=repr)
 @pytest.mark.parametrize("entry", list(_INT_PARAMETERS))
 def test_int_parameters_refuse_other_types(entry, value):
     """trials=True used to run one trial, and the others raised a bare
-    TypeError from the RNG."""
+    TypeError from the RNG.  With tests/test_api.py::_REFUSALS this is
+    the boundary gate: every public entry refuses a wrong type by name."""
     name, call = _INT_PARAMETERS[entry]
     with pytest.raises(UsageError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
         call(value)
 
 
-@pytest.mark.parametrize("value", [1, 0, "no", None, 1.0], ids=repr)
+@pytest.mark.parametrize("value", [1, 0, "no", None, 1.0, 4.0, "4", [4]], ids=repr)
 @pytest.mark.parametrize("name", ["zero_on_tag", "precision_ext", "right_align"])
 def test_config_flags_refuse_other_types(name, value):
     """MtConfig(zero_on_tag="no") used to be kept, and to_dict() printed "no"."""
@@ -695,11 +719,11 @@ def test_config_flags_refuse_other_types(name, value):
 
 
 # Scenario's checked fields, each with the wrong values it refuses:
-# size and offset may be None (drawn by the runner), the others not
+# size, offset and reuse_depth may be None, policy not
 _SCENARIO_REFUSALS = [(field, value)
                       for field in ("size", "offset", "reuse_depth", "policy")
-                      for value in (16.0, "16", True, None)
-                      if value is not None or field in ("reuse_depth", "policy")]
+                      for value in (16.0, "16", True, None, [16])
+                      if value is not None or field == "policy"]
 
 
 @pytest.mark.parametrize("field,value", _SCENARIO_REFUSALS + [("reuse_depth", -1)], ids=repr)
@@ -709,6 +733,16 @@ def test_scenario_refuses_a_bad_field_by_name(field, value):
     an AttributeError."""
     with pytest.raises(UsageError, match=f"^{field} must be "):
         Scenario(ScenarioKind.HEAP_USE_AFTER_FREE, **{field: value})
+
+
+@pytest.mark.parametrize("cfg", [CFG64, CFG_B], ids=["A", "B"])  # the benchmark's configs
+def test_an_unset_reuse_depth_runs_the_plain_use_after_free(cfg):
+    """reuse_depth=None, once refused, is the plain variant, as 0 is."""
+    for seed in range(40):
+        unset = run_scenario(Scenario(ScenarioKind.HEAP_USE_AFTER_FREE, seed=seed), cfg)
+        zero = run_scenario(Scenario(ScenarioKind.HEAP_USE_AFTER_FREE, reuse_depth=0,
+                                     seed=seed), cfg)
+        assert unset == zero  # the verdict, the bug access and its report
 
 
 def test_estimate_refuses_a_policy_that_is_not_a_tag_policy():
@@ -780,7 +814,7 @@ def test_reset_runs_a_trial_as_a_fresh_simulator(case, kind, earlier, reuse, see
     cfg, policy = case
 
     def depth(kind):  # only heap-use-after-free takes a reuse depth
-        return reuse if kind is ScenarioKind.HEAP_USE_AFTER_FREE else 0
+        return reuse if kind is ScenarioKind.HEAP_USE_AFTER_FREE else None
 
     sim = Simulator(cfg, earlier_seed, policy)
     # a refused earlier trial leaves the simulator after its size draws
@@ -1035,6 +1069,17 @@ def test_load_trace_is_a_source_not_an_iterator(tmp_path):
     with pytest.raises(TypeError):
         iter(source)
     assert analyze_trace(source, [16], ts=8).base_peak_bytes == 136
+
+
+@pytest.mark.parametrize("path", [True, 1, 0], ids=repr)
+def test_load_trace_refuses_a_file_descriptor(path):
+    """load_trace(True) used to open fd 1, and dropping the source closed
+    stdout; load_trace(0) read stdin."""
+    with pytest.raises(UsageError, match=f"^path must be a str, bytes or os.PathLike,"
+                                         f" got {path!r}$"):
+        load_trace(path)
+    gc.collect()
+    os.fstat(1)  # stdout is still open
 
 
 def end_source(source, end):

@@ -229,3 +229,23 @@ def test_the_theory_runs_no_scenario():
     """_derive decides every kind, whatever it draws, on its one scratch
     simulator; it never builds a second one through run_scenario."""
     assert {home for home in _call_homes("run_scenario") if home[0] == "detection.py"} == set()
+
+
+def test_each_input_rule_is_checked_in_one_place():
+    """The CLI hands each flag to the library type that checks it, and
+    raises a UsageError itself only where no library value sees the flag:
+    --sampling-rate without --policy sampled, and the --alignments text.
+    A cfg is checked by Simulator, and by theoretical_detection alone,
+    before its memo hashes it."""
+    cli = MODULES["cli.py"]
+    raisers = {tuple(_enclosing_functions(cli, node.lineno)) for node in ast.walk(ast.parse(cli))
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and "UsageError" in ast.unparse(node.exc)}
+    assert raisers == {("_policy_from",), ("_parse_alignments",)}
+    cfg_checks = {(module, tuple(_enclosing_functions(source, node.lineno)))
+                  for module, source in MODULES.items() for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "require_type"
+                  and ast.unparse(node.args[0]) == "'cfg'"}
+    assert cfg_checks == {("sim.py", ("__init__",)),
+                          ("detection.py", ("theoretical_detection",))}
