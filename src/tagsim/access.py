@@ -64,7 +64,7 @@ class AccessEngine:
         if type(word) is not int:
             require_int("word", word)
         if width not in _WIDTHS or type(width) is not int:  # 1.0 and True are in _WIDTHS
-            raise UsageError(f"load width must be one of {_WIDTHS}, got {width}")
+            raise UsageError(f"load width must be one of {_WIDTHS}, got {width!r}")
         addr = word & ADDR_MASK
         if addr + width > ADDR_SPACE:
             raise UsageError("access wraps the address space")
@@ -80,7 +80,7 @@ class AccessEngine:
             require_type("data", data, bytes)
         width = len(data)
         if width not in _WIDTHS:
-            raise UsageError(f"store width must be one of {_WIDTHS}, got {width}")
+            raise UsageError(f"store width must be one of {_WIDTHS}, got {width!r}")
         addr = word & ADDR_MASK
         if addr + width > ADDR_SPACE:
             raise UsageError("access wraps the address space")

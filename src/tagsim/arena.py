@@ -308,6 +308,9 @@ class ArenaAllocator:
         self.rng = rng
         self.policy = policy
         self.limit = HEAP_BASE + capacity
+        # live + quarantined + freed-not-recycled chunks, pairwise disjoint
+        self._bases: list[int] = []  # sorted chunk bases
+        self._by_base: dict[int, Chunk] = {}
         self._clear()
 
     def _clear(self) -> None:
@@ -318,9 +321,8 @@ class ArenaAllocator:
         # the first quarantined one makes _quarantine.
         self._free: FreeList | None = None
         self._quarantine: deque[Chunk] | None = None
-        # live + quarantined + freed-not-recycled chunks, pairwise disjoint
-        self._bases: list[int] = []  # sorted chunk bases
-        self._by_base: dict[int, Chunk] = {}
+        self._bases.clear()
+        self._by_base.clear()
         self._qbytes = 0
         self._next_id = 1  # so allocations = _next_id - 1
         # the counters behind stats(), which copies them into an AllocatorStats

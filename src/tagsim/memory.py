@@ -3,11 +3,13 @@
 The machine model is a flat 2^56-byte space.  Backing bytes are
 materialized lazily in 16 KiB pages so that a simulator instance
 costs almost nothing until something is actually written.  Reads of
-never-touched memory return zero bytes.
+never-touched memory return zero bytes, so a zero fill makes no page
+where none exists, as a zero tag write makes no shadow page.
 
 A page is a multiple of every granule size, so no granule straddles
-two pages: precision.partial_meta reads a PARTIAL granule's metadata
-from one page.  At 16 KiB most chunks are filled within one page.
+two pages: precision.mark_partial writes, and partial_meta reads, a
+PARTIAL granule's metadata in place in one page.  At 16 KiB most
+chunks are filled within one page.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ class SparseMemory:
             pages = self._pages
             page = pages.get(addr >> _PAGE_SHIFT)
             if page is None:
-                page = pages[addr >> _PAGE_SHIFT] = bytearray(_PAGE_SIZE)
                 if not value:
-                    return  # a new page is all zeros already
+                    return
+                page = pages[addr >> _PAGE_SHIFT] = bytearray(_PAGE_SIZE)
             page[off : off + n] = BYTE_OF[value] * n
             return
         run = memoryview(BYTE_OF[value] * min(n, _PAGE_SIZE))  # built once, sliced per page
@@ -94,9 +96,10 @@ class SparseMemory:
             if take > n:
                 take = n
             page = pages.get(index)
-            if page is None:
+            if page is None and value:
                 page = pages[index] = bytearray(_PAGE_SIZE)
-            page[off : off + take] = run[:take]
+            if page is not None:
+                page[off : off + take] = run[:take]
             n -= take
             index += 1
             off, take = 0, _PAGE_SIZE

@@ -16,9 +16,10 @@ An access into such a granule is legal only when the pointer tag equals
 the real tag AND the access ends at or before offset n.  The two
 metadata bytes sit at offsets >= n by construction, so they can never
 be read or written through a checked access: the scheme protects its
-own bookkeeping.  partial_meta reads the two bytes in place from the
-granule's memory page; the access check and the heap's effective_tag
-both read them through it.
+own bookkeeping.  mark_partial writes the two bytes in place into the
+granule's memory page, making the page if the chunk's fill made none,
+and partial_meta reads them in place; the access check and the heap's
+effective_tag both read them through it.
 
 malloc decides which chunks get a PARTIAL granule, and its fit rule,
 remainder <= tg - META_BYTES, is stated there alone.  A size whose
@@ -45,7 +46,10 @@ def mark_partial(memory, shadow, cfg, granule_base: int, n: int, real_tag: int) 
     """
     tg = cfg.tg
     shadow.set_range(granule_base, tg, cfg.partial_tag)
-    memory.write(granule_base + tg - META_BYTES, bytes((n, real_tag)))
+    page = memory._page(granule_base >> _PAGE_SHIFT)
+    at = (granule_base & _PAGE_MASK) + tg - META_BYTES
+    page[at] = n
+    page[at + 1] = real_tag
 
 
 def partial_meta(memory, cfg, granule_base: int) -> tuple[int, int]:

@@ -64,13 +64,14 @@ class StackTagger:
         self.cfg = cfg
         self.rng = rng
         self.floor = STACK_BASE - capacity
+        self._frames: list[Frame] = []
         self._clear(seed)
 
     def _clear(self, seed: int) -> None:
         """An empty stack, the state __init__ and each Simulator._reset start in."""
         self.seed = seed
         self._top = STACK_BASE
-        self._frames: list[Frame] = []
+        self._frames.clear()
         self._seq = 0
 
     def enter_frame(self, local_sizes: list[int]) -> Frame:

@@ -310,8 +310,11 @@ def analyze_trace(events, alignments, ts: int) -> OverheadReport:
     Events are parsed as the trace lines they write, so an event that
     is not an Alloc or Free, or an id or size that is not a non-negative
     int, raises TraceError naming its line, as a free/alloc misuse does.
-    ``events`` or ``alignments`` that is not iterable raises UsageError.
+    ``events`` or ``alignments`` that is not iterable, or ``alignments``
+    that is a str or bytes, raises UsageError.
     """
+    if isinstance(alignments, (str, bytes)):  # iterable, but of characters or byte values
+        raise UsageError(f"alignments must be an iterable of ints, got {alignments!r}")
     alignments = list(require_iter("alignments", alignments))
     if not alignments:
         raise UsageError("need at least one alignment")

@@ -322,8 +322,11 @@ _REFUSALS = {
         tagsim.TraceError, "line 1: unknown trace event 4",
         lambda: tagsim.analyze_trace([4], [16], 8)),
     "analyze-alignments-a-str": (
-        tagsim.UsageError, "alignment must be an int, got '4'",
-        lambda: tagsim.analyze_trace([], "4", 8)),
+        tagsim.UsageError, "alignments must be an iterable of ints, got '16'",
+        lambda: tagsim.analyze_trace([], "16", 8)),
+    "analyze-alignments-bytes": (
+        tagsim.UsageError, "alignments must be an iterable of ints, got b'16'",
+        lambda: tagsim.analyze_trace([], b"16", 8)),
     "randrange-0": (ValueError, "empty range for randrange(0)",
                     lambda: SplitMix64(0).randrange(0)),
     "choice-of-nothing": (ValueError, "cannot choose from an empty sequence",
@@ -363,7 +366,7 @@ _REFUSALS |= {
     **_cross("simulator-policy", lambda v: tagsim.Simulator(policy=v),
              _must_be("policy", "TagPolicy")),
     **_cross("load-width", lambda v: tagsim.Simulator().load(0x40, v),
-             lambda v: f"load width must be one of (1, 2, 4, 8), got {v}"),
+             lambda v: f"load width must be one of (1, 2, 4, 8), got {v!r}"),
     **_cross("store-data", lambda v: tagsim.Simulator().store(0x40, v),
              _must_be("data", "bytes")),
     **_cross("local-sizes", lambda v: tagsim.Simulator().stack.enter_frame(v),
@@ -401,8 +404,10 @@ _REFUSALS |= {
     # a str or list of events is iterable: its items are refused as events above
     **_cross("analyze-events", lambda v: tagsim.analyze_trace(v, [16], 8),
              lambda v: f"events must be iterable, got {v!r}", takes=("4", [4])),
+    # a str or bytes is iterable, but of characters or byte values
     **_cross("analyze-alignments", lambda v: tagsim.analyze_trace([], v, 8),
-             lambda v: f"alignments must be iterable, got {v!r}", takes=("4", [4])),
+             lambda v: (f"alignments must be an iterable of ints, got {v!r}" if v == "4"
+                        else f"alignments must be iterable, got {v!r}"), takes=([4],)),
     # "4" names a file, and a missing one is an OSError
     **_cross("trace-path", tagsim.load_trace,
              lambda v: f"path must be a str, bytes or os.PathLike, got {v!r}", takes=("4",)),

@@ -59,11 +59,12 @@ def test_empty_write_makes_no_page():
 
 def reference_fill(memory: SparseMemory, addr: int, n: int, value: int) -> None:
     """The page-by-page loop that every fill ran before fill built its
-    run once."""
+    run once, with the rule that a zero fill makes no page."""
     while n:
         off = addr & _PAGE_MASK
         take = min(n, _PAGE_SIZE - off)
-        memory._page(addr >> _PAGE_SHIFT)[off : off + take] = bytes([value]) * take
+        if value or addr >> _PAGE_SHIFT in memory._pages:
+            memory._page(addr >> _PAGE_SHIFT)[off : off + take] = bytes([value]) * take
         addr += take
         n -= take
 
@@ -85,3 +86,17 @@ def test_fill_matches_a_flat_model_and_the_page_loop(fills):
         flat[off : off + n] = bytes([value]) * n
     assert memory.read(BASE, WINDOW) == bytes(flat)
     assert sorted(memory._pages) == sorted(reference._pages)
+
+
+def test_a_zero_fill_makes_no_page():
+    """A page never made reads as zeros, so a zero fill of one, on the
+    one-page path or across pages, makes none; on a page that exists it
+    writes its zeros."""
+    memory = SparseMemory()
+    memory.fill(BASE + 16, 64, 0)
+    memory.fill(BASE + _PAGE_SIZE - 16, 2 * _PAGE_SIZE, 0)
+    assert memory._pages == {}
+    memory.fill(BASE + _PAGE_SIZE, 32, 0xAA)
+    memory.fill(BASE + _PAGE_SIZE - 16, 2 * _PAGE_SIZE, 0)
+    assert list(memory._pages) == [(BASE >> _PAGE_SHIFT) + 1]
+    assert memory.read(BASE, WINDOW) == bytes(WINDOW)

@@ -36,6 +36,22 @@ def test_partial_meta_roundtrip():
     assert partial_meta(memory, PREC64, 0x40) == (33, 7)
 
 
+@pytest.mark.parametrize("tg", _VALID_TG)
+def test_mark_partial_on_a_missing_page_leaves_only_the_metadata(tg):
+    """A zero fill makes no page, so under zero_on_tag mark_partial may
+    meet none: it makes the page, and the page then holds the two bytes
+    partial_meta reads and zeros everywhere else."""
+    cfg = MtConfig(tg=tg, ts=8, precision_ext=True)
+    memory, shadow = fresh(cfg)
+    gbase = 3 * _PAGE_SIZE + 5 * tg
+    mark_partial(memory, shadow, cfg, gbase, tg - META_BYTES, 7)
+    assert list(memory._pages) == [gbase >> _PAGE_SHIFT]
+    assert partial_meta(memory, cfg, gbase) == (tg - META_BYTES, 7)
+    page = bytearray(_PAGE_SIZE)
+    page[5 * tg + tg - META_BYTES : 6 * tg] = bytes((tg - META_BYTES, 7))
+    assert memory.read(3 * _PAGE_SIZE, _PAGE_SIZE) == page
+
+
 def test_a_memory_page_holds_whole_granules():
     """partial_meta reads a granule's metadata bytes from the granule's
     own page, which holds them only if no granule straddles two pages."""

@@ -59,6 +59,16 @@ def test_only_placement_rounds_a_size_up_to_granules():
     assert homes == {("arena.py", ("placement",))}
 
 
+def test_no_cached_property():
+    """A cached_property's first read moves every later attribute read of
+    its instance off CPython's specialized path; MtConfig, read in every
+    trial, sets its derived values in __post_init__ instead."""
+    users = {name for name, source in MODULES.items() for node in ast.walk(ast.parse(source))
+             if "cached_property" in {getattr(node, "id", None), getattr(node, "attr", None),
+                                      getattr(node, "name", None)}}
+    assert users == set()
+
+
 def test_served_size_is_gone():
     assert not hasattr(tagsim.arena, "served_size")
     assert [name for name, source in MODULES.items() if "served_size" in source] == []

@@ -1,9 +1,13 @@
 """Pointer packing, tag matching, config validation, and the shadow store."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagsim import MtConfig, Simulator, StoreMode, TagPolicy, UsageError
+from tagsim.memory import SENTINEL
 from tagsim.tagspace import ADDR_BITS, ADDR_SPACE, TAG_PAGE, ShadowStore, offset_ptr, pack, unpack
 
 CFG16 = MtConfig(tg=16, ts=8)
@@ -67,6 +71,44 @@ def test_reserved_and_usable_tags():
     assert prec.partial_tag == 15
     assert prec.reserved_tags == frozenset({0, 15})
     assert prec.usable_tags == tuple(range(1, 15))
+
+
+_CONFIGS = [MtConfig(tg=tg, ts=ts, precision_ext=precision_ext, zero_on_tag=zero_on_tag)
+            for tg, ts, precision_ext, zero_on_tag
+            in itertools.product((16, 32, 64), (4, 8), (False, True), (False, True))]
+_DERIVED = ("n_tags", "tag_shift", "tg_shift", "partial_tag", "reserved_tags", "usable_tags",
+            "tag_fill")
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=repr)
+def test_derived_values_follow_their_formulas(cfg):
+    n_tags = 2 ** cfg.ts
+    partial = n_tags - 1 if cfg.precision_ext else None
+    assert cfg.n_tags == n_tags
+    assert cfg.tag_shift == 64 - cfg.ts
+    assert 2 ** cfg.tg_shift == cfg.tg
+    assert cfg.partial_tag == partial
+    assert cfg.reserved_tags == frozenset({0, partial} - {None})
+    assert cfg.usable_tags == tuple(t for t in range(1, n_tags) if t != partial)
+    assert cfg.tag_fill == (0 if cfg.zero_on_tag else SENTINEL)
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=repr)
+def test_derived_values_are_not_fields(cfg):
+    """to_dict, repr, == and hash read the seven fields alone, even when
+    a derived value is overwritten."""
+    fields = [field.name for field in dataclasses.fields(cfg)]
+    assert fields == ["tg", "ts", "zero_on_tag", "precision_ext", "right_align", "store_mode",
+                      "quarantine_capacity"]
+    assert list(cfg.to_dict()) == fields
+    values = tuple(getattr(cfg, name) for name in fields)
+    assert repr(cfg) == "MtConfig(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(fields, values)) + ")"
+    twin = MtConfig(*values)
+    for name in _DERIVED:
+        object.__setattr__(twin, name, None)
+    assert twin == cfg and hash(twin) == hash(cfg) == hash(values)
+    assert repr(twin) == repr(cfg) and twin.to_dict() == cfg.to_dict()
 
 
 # ----------------------------------------------------------------------
