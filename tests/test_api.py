@@ -406,8 +406,9 @@ _REFUSALS |= {
              lambda v: f"events must be iterable, got {v!r}", takes=("4", [4])),
     # a str or bytes is iterable, but of characters or byte values
     **_cross("analyze-alignments", lambda v: tagsim.analyze_trace([], v, 8),
-             lambda v: (f"alignments must be an iterable of ints, got {v!r}" if v == "4"
-                        else f"alignments must be iterable, got {v!r}"), takes=([4],)),
+             lambda v: (f"alignments must be an iterable of ints, got {v!r}"
+                        if isinstance(v, str) else f"alignments must be iterable, got {v!r}"),
+             takes=([4],)),
     # "4" names a file, and a missing one is an OSError
     **_cross("trace-path", tagsim.load_trace,
              lambda v: f"path must be a str, bytes or os.PathLike, got {v!r}", takes=("4",)),

@@ -178,7 +178,8 @@ def _self_stores(fn: ast.FunctionDef) -> set:
 def test_a_reset_rewinds_each_part_and_builds_none(module, cls, builder, rewind):
     """A simulator builds its stream and heap in __init__ and its stack
     tagger on first use, and _reset only rewinds them.  Each part's
-    __init__ starts in its rewind method's state and sets none of it."""
+    __init__ starts in its rewind method's state and sets none of it,
+    and the rewind builds no container: it empties the part's own."""
     assert _call_homes(cls) == {("sim.py", (builder,))}
     methods = _methods(module, cls)
     calls = {node.func.attr for node in ast.walk(methods["__init__"])
@@ -186,6 +187,8 @@ def test_a_reset_rewinds_each_part_and_builds_none(module, cls, builder, rewind)
     assert rewind in calls
     assert _self_stores(methods[rewind])
     assert not _self_stores(methods["__init__"]) & _self_stores(methods[rewind])
+    assert [ast.unparse(node) for node in ast.walk(methods[rewind])
+            if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp))] == []
 
 
 def test_the_theory_swaps_the_stream_alone():
