@@ -56,7 +56,7 @@ class Simulator:
         self.rng = rng = self.heap.rng  # not self.rng, which _derive may swap
         rng.reseed(seed, words)
         self.heap._clear()
-        self.engine._deferred = []
+        self.engine._deferred.clear()
         if self._stack is not None:
             self._stack._clear(seed)
 

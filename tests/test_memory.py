@@ -35,11 +35,23 @@ ramps = st.tuples(st.integers(min_value=0, max_value=255),
 payloads = st.one_of(st.binary(max_size=24), ramps)
 writes = st.lists(st.tuples(offsets, payloads), max_size=20).map(
     lambda ws: [(off, data[: WINDOW - off]) for off, data in ws])
+span_lengths = st.one_of(st.integers(min_value=0, max_value=80),
+                         st.integers(min_value=_PAGE_SIZE - 8, max_value=2 * _PAGE_SIZE + 40))
+# spans read back at their own address: mid-page starts, page crossings
+# and pages that no write or fill made
+reads = st.lists(st.tuples(offsets, span_lengths), max_size=8).map(
+    lambda rs: [(off, min(n, WINDOW - off)) for off, n in rs])
+
+
+def assert_reads_match(memory: SparseMemory, flat: bytearray, spans) -> None:
+    """Each (offset, length) span reads as the flat model's bytes."""
+    for off, n in spans:
+        assert memory.read(BASE + off, n) == bytes(flat[off : off + n]), (off, n)
 
 
 @settings(max_examples=200, deadline=None)
-@given(writes=writes)
-def test_write_matches_a_flat_model_and_the_page_loop(writes):
+@given(writes=writes, reads=reads)
+def test_write_matches_a_flat_model_and_the_page_loop(writes, reads):
     memory, reference = SparseMemory(), SparseMemory()
     flat = bytearray(WINDOW)
     for off, data in writes:
@@ -47,6 +59,7 @@ def test_write_matches_a_flat_model_and_the_page_loop(writes):
         reference_write(reference, BASE + off, data)
         flat[off : off + len(data)] = data
     assert memory.read(BASE, WINDOW) == bytes(flat)
+    assert_reads_match(memory, flat, [(off, len(data)) for off, data in writes] + reads)
     assert sorted(memory._pages) == sorted(reference._pages)
 
 
@@ -69,15 +82,13 @@ def reference_fill(memory: SparseMemory, addr: int, n: int, value: int) -> None:
         n -= take
 
 
-fill_lengths = st.one_of(st.integers(min_value=0, max_value=80),
-                         st.integers(min_value=_PAGE_SIZE - 8, max_value=2 * _PAGE_SIZE + 40))
-fills = st.lists(st.tuples(offsets, fill_lengths, st.sampled_from([0x00, 0xAA, 0x5C])),
+fills = st.lists(st.tuples(offsets, span_lengths, st.sampled_from([0x00, 0xAA, 0x5C])),
                  max_size=12).map(lambda fs: [(off, min(n, WINDOW - off), v) for off, n, v in fs])
 
 
 @settings(max_examples=200, deadline=None)
-@given(fills=fills)
-def test_fill_matches_a_flat_model_and_the_page_loop(fills):
+@given(fills=fills, reads=reads)
+def test_fill_matches_a_flat_model_and_the_page_loop(fills, reads):
     memory, reference = SparseMemory(), SparseMemory()
     flat = bytearray(WINDOW)
     for off, n, value in fills:
@@ -85,6 +96,7 @@ def test_fill_matches_a_flat_model_and_the_page_loop(fills):
         reference_fill(reference, BASE + off, n, value)
         flat[off : off + n] = bytes([value]) * n
     assert memory.read(BASE, WINDOW) == bytes(flat)
+    assert_reads_match(memory, flat, [(off, n) for off, n, _ in fills] + reads)
     assert sorted(memory._pages) == sorted(reference._pages)
 
 
@@ -100,3 +112,19 @@ def test_a_zero_fill_makes_no_page():
     memory.fill(BASE + _PAGE_SIZE - 16, 2 * _PAGE_SIZE, 0)
     assert list(memory._pages) == [(BASE >> _PAGE_SHIFT) + 1]
     assert memory.read(BASE, WINDOW) == bytes(WINDOW)
+
+
+GIB = 1 << 30
+
+
+def test_a_zero_fill_of_a_gibibyte_makes_no_page():
+    """65,536 pieces, each one level deep: no page is made, none raises,
+    and a page that exists inside the span is zeroed."""
+    memory = SparseMemory()
+    memory.fill(BASE + 8, GIB, 0)
+    assert memory._pages == {}
+    memory.fill(BASE + 3 * _PAGE_SIZE + 5, 7, 0x5C)
+    memory.fill(BASE + 8, GIB, 0)
+    assert list(memory._pages) == [(BASE >> _PAGE_SHIFT) + 3]
+    assert memory.read(BASE, WINDOW) == bytes(WINDOW)
+

@@ -2,10 +2,11 @@
 the sentinel fill, the address mask, the granule round-up and the
 PARTIAL fit; so have the RNG's finalizer, the sampling decision, the
 PARTIAL access rule, the building of the simulator's layers, the
-fresh state of each part that a Monte-Carlo reset rewinds and the one
-part of a simulator that the exact theory replaces.  A
-second statement of a rule is how the copies drift apart, so these
-tests read the source of src/tagsim and fail on one."""
+fresh state of each part that a Monte-Carlo reset rewinds, the cut of
+a span at page boundaries and the one part of a simulator that the
+exact theory replaces.  A second statement of a rule is how the
+copies drift apart, so these tests read the source of src/tagsim and
+fail on one."""
 
 import ast
 import pathlib
@@ -169,6 +170,12 @@ def _methods(module: str, cls: str) -> dict:
     return {fn.name: fn for fn in node.body if isinstance(fn, ast.FunctionDef)}
 
 
+def _containers(fn: ast.FunctionDef) -> list:
+    """The source of each list, dict or set that ``fn`` builds."""
+    return [ast.unparse(node) for node in ast.walk(fn)
+            if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp))]
+
+
 def _self_stores(fn: ast.FunctionDef) -> set:
     return {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
@@ -187,8 +194,7 @@ def test_a_reset_rewinds_each_part_and_builds_none(module, cls, builder, rewind)
     assert rewind in calls
     assert _self_stores(methods[rewind])
     assert not _self_stores(methods["__init__"]) & _self_stores(methods[rewind])
-    assert [ast.unparse(node) for node in ast.walk(methods[rewind])
-            if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp))] == []
+    assert _containers(methods[rewind]) == []
 
 
 def test_the_theory_swaps_the_stream_alone():
@@ -262,3 +268,22 @@ def test_each_input_rule_is_checked_in_one_place():
                   and ast.unparse(node.args[0]) == "'cfg'"}
     assert cfg_checks == {("sim.py", ("__init__",)),
                           ("detection.py", ("theoretical_detection",))}
+
+
+def test_simulator_reset_builds_no_container():
+    """A Monte-Carlo rewind empties each container the simulator built,
+    the engine's deferred-store queue included, and builds none."""
+    assert _containers(_methods("sim.py", "Simulator")["_reset"]) == []
+
+
+def test_a_span_is_cut_at_page_boundaries_in_pieces_alone():
+    """Each paged store keeps one body per operation: a span that crosses
+    a page is cut by memory.pieces, and no other function of memory.py
+    and no ShadowStore method walks pages in a while loop."""
+    scopes = [("memory.py", ast.parse(MODULES["memory.py"]))]
+    scopes += [("tagspace.py", fn) for fn in _methods("tagspace.py", "ShadowStore").values()]
+    loops = {(module, tuple(_enclosing_functions(MODULES[module], node.lineno)))
+             for module, tree in scopes for node in ast.walk(tree) if isinstance(node, ast.While)}
+    assert loops == {("memory.py", ("pieces",))}
+    assert _call_homes("pieces") == {("memory.py", ("read",)), ("memory.py", ("write",)),
+                                     ("memory.py", ("fill",)), ("tagspace.py", ("set_range",))}

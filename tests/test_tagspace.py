@@ -237,6 +237,19 @@ def test_shadow_write_counter():
     assert shadow.writes == 3
 
 
+def test_a_zero_range_of_a_gibibyte_makes_no_page():
+    """2^26 granules at tg 16, cut into 65,536 pieces, each one level deep:
+    no page is made, none raises, and a tagged granule inside the span is
+    cleared and counted."""
+    shadow = ShadowStore(CFG16)
+    shadow.set_range(0x40, 1 << 30, 0)
+    assert shadow.pages == {} and shadow.writes == 0
+    shadow.set_range(0x40 + 5 * TAG_PAGE * CFG16.tg, CFG16.tg, 9)
+    shadow.set_range(0x40, 1 << 30, 0)
+    assert list(shadow.pages) == [5] and tagged_granules(shadow) == 0
+    assert shadow.writes == 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     start=st.integers(min_value=0, max_value=2**20),
