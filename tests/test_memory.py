@@ -127,4 +127,3 @@ def test_a_zero_fill_of_a_gibibyte_makes_no_page():
     memory.fill(BASE + 8, GIB, 0)
     assert list(memory._pages) == [(BASE >> _PAGE_SHIFT) + 3]
     assert memory.read(BASE, WINDOW) == bytes(WINDOW)
-
